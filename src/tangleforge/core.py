@@ -16,12 +16,11 @@ from .bitset import elements_of, full_mask, mask_of, popcount
 from .errors import PreconditionFailed, ViolationFound
 
 MAX_GROUND = 64
-# Exhaustive verification caps; beyond these, seeded sampling takes over.
-EXHAUSTIVE_RANK_N = 14
-EXHAUSTIVE_PAIR_N = 12
+# Full lambda tables and exhaustive axiom checks up to this n; beyond it,
+# the checks run on SAMPLE_PAIRS seeded random sets.
+LAMBDA_TABLE_N = 16
 AUTO_VERIFY_N = 10
 SAMPLE_PAIRS = 20000
-LAMBDA_TABLE_N = 16
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class RankFunction:
 
     Sources: explicit 2^n table, uniform matroids, graphic matroids, or a
     list of bases.  Construction checks r(empty)=0, unit increments, and
-    local submodularity exhaustively for n <= EXHAUSTIVE_RANK_N, by seeded
+    local submodularity exhaustively for n <= LAMBDA_TABLE_N, by seeded
     sampling above that.
     """
 
@@ -139,38 +138,71 @@ class RankFunction:
         return cls(n, table, "bases")
 
 
+def _checked_sets(n: int, seed: int):
+    """Every set for n <= LAMBDA_TABLE_N, else SAMPLE_PAIRS seeded random sets."""
+    if n <= LAMBDA_TABLE_N:
+        return range(1 << n)
+    rng = random.Random(seed)
+    return [rng.getrandbits(n) for _ in range(SAMPLE_PAIRS)]
+
+
+def _local_submodularity_failure(value: Callable[[int], int], n: int,
+                                 seed: int) -> Optional[Tuple[int, int, int]]:
+    """A triple (X, {e}, {f}) of masks, e < f outside X, with
+    value(X+e) + value(X+f) < value(X+e+f) + value(X); None if none is found.
+
+    Over every X and pair this is equivalent to submodularity on 2^E: each
+    pairwise inequality is a telescoping sum of local ones (Fujishige,
+    Submodular Functions and Optimization).  Exhaustive for
+    n <= LAMBDA_TABLE_N; above, one seeded random pair at each of
+    SAMPLE_PAIRS seeded random sets X.
+    """
+    if n > LAMBDA_TABLE_N:
+        rng = random.Random(seed)
+        for _ in range(SAMPLE_PAIRS):
+            x = rng.getrandbits(n)
+            free = [i for i in range(n) if not x >> i & 1]
+            if len(free) < 2:
+                continue
+            be, bf = sorted(1 << i for i in rng.sample(free, 2))
+            if value(x | be) + value(x | bf) < value(x | be | bf) + value(x):
+                return x, be, bf
+        return None
+    for x in range(1 << n):
+        vx = value(x)
+        free = [1 << i for i in range(n) if not x >> i & 1]
+        above = [value(x | b) for b in free]
+        for i, be in enumerate(free):
+            xe = x | be
+            gain = above[i] - vx  # value(X+e+f) - value(X+f) may not exceed it
+            for bf, vxf in zip(free[i + 1:], above[i + 1:]):
+                if value(xe | bf) - vxf > gain:
+                    return x, be, bf
+    return None
+
+
 def verify_rank_axioms(rank: RankFunction, seed: int = 0) -> List[Violation]:
     """Check r(empty)=0, unit increments, and submodularity.
 
     Unit increments give monotonicity for free; local submodularity
     (r(X+e)+r(X+f) >= r(X+e+f)+r(X)) is equivalent to the pairwise form.
+    Exhaustive for n <= LAMBDA_TABLE_N, on a seeded sample above.
     """
     out = []
-    r = rank.rank
+    r = rank._table.__getitem__
     n = rank.n
     if r(0) != 0:
         out.append(Violation("rank_empty", (0,)))
-    if n <= EXHAUSTIVE_RANK_N:
-        space = range(1 << n)
-    else:
-        rng = random.Random(seed)
-        space = [rng.getrandbits(n) for _ in range(SAMPLE_PAIRS)]
-    for x in space:
+    for x in _checked_sets(n, seed):
+        rx = r(x)
         for e in range(n):
             be = 1 << e
-            if x & be:
-                continue
-            step = r(x | be) - r(x)
-            if step not in (0, 1):
+            if not x & be and r(x | be) - rx not in (0, 1):
                 out.append(Violation("rank_unit_increment", (x, be)))
                 return out
-            for f in range(e + 1, n):
-                bf = 1 << f
-                if x & bf:
-                    continue
-                if r(x | be) + r(x | bf) < r(x | be | bf) + r(x):
-                    out.append(Violation("rank_submodular", (x, be, bf)))
-                    return out
+    bad = _local_submodularity_failure(r, n, seed)
+    if bad:
+        out.append(Violation("rank_submodular", bad))
     return out
 
 
@@ -318,45 +350,28 @@ class ConnectivitySystem:
         return cls(GroundSet(n, labels), "table", lambda m: vals[m], verify=verify)
 
 
-def verify_connectivity_axioms(sys: ConnectivitySystem, seed: int = 0,
-                               pair_cap: int = EXHAUSTIVE_PAIR_N) -> List[Violation]:
-    """Report violations of symmetry, submodularity, and the two
-    elementary consequences lam(X) >= lam(empty) and
-    lam(X)+lam(Y) >= lam(X-Y)+lam(Y-X).
+def verify_connectivity_axioms(sys: ConnectivitySystem, seed: int = 0) -> List[Violation]:
+    """Report a violation of symmetry or submodularity, with its witness.
 
-    Pairwise checks run exhaustively for n <= pair_cap and on a seeded
-    sample above; the single-set checks are always exhaustive for
-    n <= LAMBDA_TABLE_N.
+    Symmetry is lam(X) == lam(E-X); submodularity is checked in its local
+    form lam(X+e) + lam(X+f) >= lam(X+e+f) + lam(X), which on 2^E is
+    equivalent to the pairwise one, and a failure is reported as the pair
+    (X+e, X+f).  Together the two imply lam(X) >= lam(empty) and
+    lam(X)+lam(Y) >= lam(X-Y)+lam(Y-X).  Both checks are exhaustive for
+    n <= LAMBDA_TABLE_N (construction runs them for n <= AUTO_VERIFY_N) and
+    run on a seeded sample above that.
     """
-    out = []
-    lam = sys.lam
+    lam = sys.lam if sys._table is None else sys._table.__getitem__
     n = sys.n
     full = sys.full
-    lam0 = lam(0)
-    single_space = range(1 << n) if n <= LAMBDA_TABLE_N else None
-    rng = random.Random(seed)
-    if single_space is None:
-        single_space = [rng.getrandbits(n) for _ in range(SAMPLE_PAIRS)]
-    for x in single_space:
+    for x in _checked_sets(n, seed):
         if lam(x) != lam(full ^ x):
-            out.append(Violation("symmetry", (x,)))
-            return out
-        if lam(x) < lam0:
-            out.append(Violation("lambda_below_empty", (x,)))
-            return out
-    if n <= pair_cap:
-        pairs = ((x, y) for x in range(1 << n) for y in range(1 << n))
-    else:
-        pairs = ((rng.getrandbits(n), rng.getrandbits(n)) for _ in range(SAMPLE_PAIRS))
-    for x, y in pairs:
-        lx, ly = lam(x), lam(y)
-        if lx + ly < lam(x | y) + lam(x & y):
-            out.append(Violation("submodularity", (x, y)))
-            return out
-        if lx + ly < lam(x & ~y) + lam(y & ~x):
-            out.append(Violation("difference_submodularity", (x, y)))
-            return out
-    return out
+            return [Violation("symmetry", (x,))]
+    bad = _local_submodularity_failure(lam, n, seed)
+    if bad:
+        x, be, bf = bad
+        return [Violation("submodularity", (x | be, x | bf))]
+    return []
 
 
 def is_k_separating(sys: ConnectivitySystem, x: int, k: int) -> bool:

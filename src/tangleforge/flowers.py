@@ -44,9 +44,6 @@ class Flower:
         shift %= n
         return Flower(self.petals[shift:] + self.petals[:shift], self.k, self.klass)
 
-    def reflected(self) -> "Flower":
-        return Flower(tuple(reversed(self.petals)), self.k, self.klass)
-
     def __repr__(self):
         return f"Flower(k={self.k}, petals={[bin(p) for p in self.petals]}, klass={self.klass})"
 
@@ -419,8 +416,3 @@ def s_order(sys: ConnectivitySystem, tangle: Tangle,
         if g.n < best and displayed_class_ids(sys, tangle, s_family, g) == classes:
             best = g.n
     return best
-
-
-def loose_free_petal_count(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> int:
-    """Upper bound for the S-order: petal count after tightening."""
-    return tighten(sys, tangle, f).n

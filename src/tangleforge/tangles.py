@@ -10,6 +10,7 @@ A tangle of order k in (E, lam) is a collection T of subsets with
 from __future__ import annotations
 
 import os
+import sys as _sys
 from itertools import combinations_with_replacement
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -18,6 +19,18 @@ from .core import ConnectivitySystem, Violation, is_vertically_k_connected
 from .errors import NotAPartition, PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 
 DEFAULT_NODE_CAP = 1 << 20
+# Frames a leaf of the tangle search stacks on top of its recursion
+# (violates, Tangle, verify_tangle and the calls they make), with margin.
+_SEARCH_FRAME_SLACK = 16
+
+
+def _stack_depth() -> int:
+    frame = _sys._getframe(1)
+    depth = 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
 
 
 def _node_cap(explicit: Optional[int]) -> int:
@@ -41,8 +54,8 @@ class Tangle:
     """An order plus the explicit member collection, bound to its system.
 
     Immutable after construction; the derived maximal-member antichain makes
-    the weak test a containment scan.  The full-closure cache lives here
-    because closures are a function of (sys, T).
+    the weak test a containment scan.  The full-closure cache and the
+    robustness verdict live here because both are functions of (sys, T).
     """
 
     def __init__(self, sys: ConnectivitySystem, k: int, members: Iterable[int]):
@@ -54,6 +67,7 @@ class Tangle:
                 raise PreconditionFailed("member outside ground set")
         self.maximal_members = _maximal_antichain(self.members)
         self._fcl_cache: dict = {}
+        self._robust: Optional[bool] = None
 
     def is_weak(self, x: int) -> bool:
         return any(x & ~m == 0 for m in self.maximal_members)
@@ -124,8 +138,16 @@ def verify_tangle(sys: ConnectivitySystem, tangle: Tangle) -> List[Violation]:
 def is_robust(tangle: Tangle) -> bool:
     """True iff no eight members cover E (axiom RT3).
 
-    Unions of at most eight maximal members dominate unions of arbitrary
-    members, so a breadth-first walk over subset-maximal unions decides it.
+    The search runs once per tangle; the verdict is stored on it.
+    """
+    if tangle._robust is None:
+        tangle._robust = _no_eight_members_cover(tangle)
+    return tangle._robust
+
+
+def _no_eight_members_cover(tangle: Tangle) -> bool:
+    """Unions of at most eight maximal members dominate unions of arbitrary
+    members, so a breadth-first walk over subset-maximal unions decides RT3.
     """
     full = tangle.sys.full
     layer = set(tangle.maximal_members)
@@ -190,6 +212,12 @@ def enumerate_tangles(sys: ConnectivitySystem, k: int,
             small, big = sorted((x, co), key=lambda m: (popcount(m), m))
             pairs.append((small, big))
     pairs.sort(key=lambda p: (popcount(p[0]), p[0]))
+    # The search recurses once per pair; refuse depths the interpreter's
+    # recursion limit cannot hold instead of failing part-way.
+    headroom = _sys.getrecursionlimit() - _stack_depth() - _SEARCH_FRAME_SLACK
+    if len(pairs) > headroom:
+        raise SearchSpaceTooLarge(
+            f"tangle search needs recursion depth {len(pairs)}; at most {headroom} available")
 
     results: List[Tangle] = []
     chosen: List[int] = []

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from tangleforge import (ConnectivitySystem, GroundSet, RankFunction,
+from tangleforge import (ConnectivitySystem, GroundSet, RankFunction, Violation,
                          build_r8_rank, is_exactly_k_separating,
                          is_k_separating, is_vertically_k_connected,
                          verify_connectivity_axioms)
+from tangleforge.core import verify_rank_axioms
 from tangleforge.errors import PreconditionFailed, ViolationFound
 
 from conftest import lab
@@ -57,6 +58,12 @@ def test_rank_axioms_rejected():
     # r({0}) = 2 breaks the unit-increment axiom.
     with pytest.raises(ViolationFound):
         RankFunction.from_table(2, [0, 2, 1, 2])
+
+
+def test_rank_submodularity_witness():
+    # Unit increments hold, but r({0}) + r({1}) = 0 < r({0, 1}) + r(empty).
+    rank = RankFunction.from_table(2, [0, 0, 0, 1], verify=False)
+    assert verify_rank_axioms(rank) == [Violation("rank_submodular", (0, 0b01, 0b10))]
 
 
 def test_uniform_rank_values():
@@ -127,6 +134,20 @@ class TestAxiomVerification:
         sys = ConnectivitySystem.from_table(4, table, verify=False)
         report = verify_connectivity_axioms(sys)
         assert report and report[0].axiom in ("symmetry", "lambda_below_empty")
+
+    def test_sampled_above_table_cap(self):
+        # n = 17 has no lambda table, so both checks run on a seeded sample;
+        # raising lam on every 8- and 9-set breaks submodularity widely.
+        cycle = ConnectivitySystem.graph([(i, (i + 1) % 17) for i in range(17)],
+                                         verify=False)
+        assert verify_connectivity_axioms(cycle) == []
+        bumped = ConnectivitySystem(
+            cycle.ground, "table",
+            lambda m: cycle.lam(m) + 3 * (bin(m).count("1") in (8, 9)), verify=False)
+        report = verify_connectivity_axioms(bumped)
+        assert [v.axiom for v in report] == ["submodularity"]
+        a, b = report[0].witness
+        assert bumped.lam(a) + bumped.lam(b) < bumped.lam(a | b) + bumped.lam(a & b)
 
     def test_construction_raises_by_default(self):
         table = [1] * 16

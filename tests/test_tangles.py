@@ -5,7 +5,7 @@ import pytest
 from tangleforge import (ConnectivitySystem, RankFunction,
                          canonical_vertical_tangle, enumerate_tangles,
                          is_robust, verify_tangle)
-from tangleforge.errors import NotAPartition, PreconditionFailed
+from tangleforge.errors import NotAPartition, PreconditionFailed, SearchSpaceTooLarge
 from tangleforge.tangles import Tangle
 
 from conftest import lab
@@ -68,6 +68,13 @@ class TestRobustness:
         t = Tangle(sys, 3, [0] + [1 << e for e in range(12)])
         assert verify_tangle(sys, t) == []
         assert is_robust(t)
+
+
+def test_search_deeper_than_recursion_limit_is_refused():
+    # 8192 separation pairs at order 5: the search would recurse 8192 deep.
+    sys = ConnectivitySystem.matroid(RankFunction.uniform(3, 14), verify=False)
+    with pytest.raises(SearchSpaceTooLarge, match="recursion depth 8192"):
+        enumerate_tangles(sys, 5)
 
 
 class TestCanonical:

@@ -366,6 +366,16 @@ class TestTriangleChain:
                 == frozenset(range(len(S.classes()))))
         assert laminarity_check(sys, t)
 
+    def test_build_runs_robustness_search_once(self, chain_ctx, monkeypatch):
+        from tangleforge import tangles
+        fresh = Ctx(chain_ctx.sys, tangles.Tangle(chain_ctx.sys, 2, chain_ctx.tangle.members))
+        calls = []
+        search = tangles._no_eight_members_cover
+        monkeypatch.setattr(tangles, "_no_eight_members_cover",
+                            lambda t: calls.append(t) or search(t))
+        build_maximal_tree(fresh.sys, fresh.tangle, fresh.S)
+        assert calls == [fresh.tangle]
+
 
 class TestJsonRoundTrip:
     def test_tree_roundtrip(self, ctx_c6):
