@@ -16,9 +16,9 @@ from .errors import (DichotomyViolation, InvalidBreakpoints, NonRobustObstructio
 from .flowers import (Flower, classify, concatenate, conforms_with_flower,
                       crossing_profile, displayed_kS, displayed_separations,
                       loose_petals, maximal_flower, phi_minimum_representative,
-                      refine_with, s_order, tighten, verify_flower)
-from .oracle import (OracleReport, differential_report, oracle_classes,
-                     oracle_certify_tree, oracle_flowers, oracle_full_closure)
+                      refine_with, tighten, verify_flower)
+from .oracle import (OracleReport, differential_report, oracle_certify_tree,
+                     oracle_classes, oracle_flowers, oracle_full_closure, s_order)
 from .tangles import (Tangle, canonical_vertical_tangle, enumerate_tangles,
                       is_robust, verify_tangle)
 from .trees import (PiTree, TreeVerdict, build_maximal_tree, conforms_with_tree,

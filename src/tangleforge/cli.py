@@ -18,10 +18,12 @@ from .closure import Separation, build_default_S, full_closure, TreeCompatibleSe
 from .dot import flower_to_dot, tree_to_dot
 from .errors import (NonRobustObstruction, PreconditionFailed, SearchSpaceTooLarge,
                      TangleforgeError)
-from .flowers import classify, displayed_kS, loose_petals, maximal_flower, verify_flower
+from .flowers import (Flower, classify, displayed_kS, loose_petals, maximal_flower,
+                      verify_flower)
 from .jsonio import (dumps, flower_to_json, load_system_file, separation_to_json,
                      tangle_from_json, tangle_to_json, tree_to_json)
-from .oracle import differential_report, oracle_certify_tree, oracle_full_closure
+from .oracle import (_flower_class_literal, differential_report, oracle_certify_tree,
+                     oracle_classes, oracle_displayed_kS, oracle_full_closure)
 from .tangles import (Tangle, canonical_vertical_tangle, enumerate_tangles,
                       verify_tangle)
 from .trees import build_maximal_tree, verify_partial_kS_tree
@@ -162,10 +164,18 @@ def run(argv) -> int:
         if args.command == "separations":
             seps = s_family.separations()
             classes = s_family.classes()
-            _emit(dumps({
-                "separations": [separation_to_json(system, s) for s in seps],
-                "classes": [[separation_to_json(system, s) for s in cls]
-                            for cls in classes]}))
+            out = {"separations": [separation_to_json(system, s) for s in seps],
+                   "classes": [[separation_to_json(system, s) for s in cls]
+                               for cls in classes]}
+            if args.verify:
+                want = oracle_classes(system, tangle, s_family)
+                out["oracle_agrees"] = want == classes
+                if want != classes:
+                    out["oracle"] = [[separation_to_json(system, s) for s in cls]
+                                     for cls in want]
+                    _emit(dumps(out))
+                    return EXIT_VERIFY
+            _emit(dumps(out))
             return EXIT_OK
 
         if args.command == "flower":
@@ -178,14 +188,27 @@ def run(argv) -> int:
                 f = maximal_flower(system, tangle, s_family, seed)
             else:
                 raise PreconditionFailed("flower needs --petals or --seed-side")
-            classify(system, f)
+            klass = classify(system, f)
+            shown = displayed_kS(system, tangle, s_family, f)
+            if args.verify:
+                want_class = _flower_class_literal(system, Flower(f.petals, f.k))
+                want_shown = oracle_displayed_kS(system, tangle, s_family, f)
+                if (want_class, want_shown) != (klass, shown):
+                    _emit(dumps({"oracle_agrees": False, "class": klass,
+                                 "oracle_class": want_class,
+                                 "displayed_kS": [separation_to_json(system, s)
+                                                  for s in shown],
+                                 "oracle_displayed_kS": [separation_to_json(system, s)
+                                                         for s in want_shown]}))
+                    return EXIT_VERIFY
             if args.dot:
                 _emit(flower_to_dot(system, f))
             else:
                 out = flower_to_json(system, f)
                 out["loose_petals"] = loose_petals(system, tangle, f)
-                out["displayed_kS"] = [separation_to_json(system, s)
-                                       for s in displayed_kS(system, tangle, s_family, f)]
+                out["displayed_kS"] = [separation_to_json(system, s) for s in shown]
+                if args.verify:
+                    out["oracle_agrees"] = True
                 _emit(dumps(out))
             return EXIT_OK
 

@@ -9,7 +9,7 @@ consecutive ones).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from .core import ConnectivitySystem
 from .closure import (Separation, TreeCompatibleSet, full_closure)
@@ -103,10 +103,49 @@ def flower_shortcut_holds(sys: ConnectivitySystem, tangle: Tangle,
     return all(sys.lam(petals[i] | petals[i + 1]) <= k for i in range(n - 1))
 
 
-def _is_cyclic_run(indices: FrozenSet[int], n: int) -> bool:
-    """True iff the index set is consecutive in the cyclic order on [n]."""
-    boundaries = sum(1 for i in indices if (i + 1) % n not in indices)
-    return boundaries == 1
+def _is_cyclic_run(bits: int, n: int) -> bool:
+    """True iff the petal-index mask is consecutive in the cyclic order on
+    [n]: exactly one i in the mask has i+1 (mod n) outside it."""
+    rotated = ((bits << 1) | (bits >> (n - 1))) & ((1 << n) - 1)
+    return bin(rotated & ~bits).count("1") == 1
+
+
+def petal_unions(petals: Sequence[int]) -> List[int]:
+    """union[b] = union of the petals indexed by the bits of b, for every b
+    in [0, 2^m), by the subset DP union[b] = union[b & (b-1)] | petal[lowbit(b)]."""
+    union = [0] * (1 << len(petals))
+    for b in range(1, len(union)):
+        low = b & -b
+        union[b] = union[b ^ low] | petals[low.bit_length() - 1]
+    return union
+
+
+def _separating(sys: ConnectivitySystem, k: int, union: List[int]) -> List[int]:
+    """Index masks b of the proper petal unions with lambda(union[b]) <= k."""
+    lam = sys.lam
+    return [b for b in range(1, len(union) - 1) if lam(union[b]) <= k]
+
+
+def _cyclic_runs(n: int) -> List[int]:
+    """Index masks of the n(n-1) proper cyclic runs of [n]."""
+    full = (1 << n) - 1
+    out = []
+    for length in range(1, n):
+        run = (1 << length) - 1
+        for start in range(n):
+            shifted = run << start
+            out.append((shifted | shifted >> n) & full)
+    return out
+
+
+def _class_of_separating(n: int, separating: List[int]) -> Optional[str]:
+    """ANEMONE, DAISY or None (neither) from the separating index masks."""
+    if len(separating) == (1 << n) - 2:
+        return ANEMONE
+    if (len(separating) == n * (n - 1)
+            and all(_is_cyclic_run(b, n) for b in separating)):
+        return DAISY
+    return None
 
 
 def classify(sys: ConnectivitySystem, f: Flower) -> str:
@@ -119,27 +158,29 @@ def classify(sys: ConnectivitySystem, f: Flower) -> str:
     if n <= 2:
         f.klass = ANEMONE
         return ANEMONE
+    klass = _class_of_separating(n, _separating(sys, f.k, petal_unions(f.petals)))
+    if klass is None:
+        raise DichotomyViolation(_dichotomy_witness(sys, f))
+    f.klass = klass
+    return klass
+
+
+def _dichotomy_witness(sys: ConnectivitySystem, f: Flower) -> FrozenSet[int]:
+    """Petal indices of a union that breaks the dichotomy: a non-separating
+    cyclic run if there is one, else a separating non-run."""
+    n = f.n
     sep_sets: Set[FrozenSet[int]] = set()
     consec: Set[FrozenSet[int]] = set()
     for bits in range(1, (1 << n) - 1):
         idx = frozenset(i for i in range(n) if bits >> i & 1)
-        union = 0
-        for i in idx:
-            union |= f.petals[i]
-        if sys.lam(union) <= f.k:
+        if sys.lam(petal_union(f, idx)) <= f.k:
             sep_sets.add(idx)
-        if _is_cyclic_run(idx, n):
+        if _is_cyclic_run(bits, n):
             consec.add(idx)
-    if len(sep_sets) == (1 << n) - 2:
-        f.klass = ANEMONE
-        return ANEMONE
-    if sep_sets == consec:
-        f.klass = DAISY
-        return DAISY
     witness = next(iter(sep_sets.symmetric_difference(consec) - sep_sets), None)
     if witness is None:
         witness = next(iter(sep_sets - consec))
-    raise DichotomyViolation(witness)
+    return witness
 
 
 def concatenate(f: Flower, breakpoints: Sequence[int]) -> Flower:
@@ -172,14 +213,20 @@ def petal_union(f: Flower, indices) -> int:
 
 def displayed_separations(sys: ConnectivitySystem, tangle: Tangle,
                           f: Flower) -> List[Separation]:
-    """k-separations displayed by f: k-separating proper petal unions."""
-    n = f.n
-    out = set()
-    for bits in range(1, (1 << n) - 1):
-        union = petal_union(f, (i for i in range(n) if bits >> i & 1))
-        if sys.lam(union) <= f.k:
-            out.add(Separation.make(sys, union, f.k))
-    return sorted(out)
+    """k-separations displayed by f: k-separating proper petal unions.
+
+    A classified flower needs no lambda evaluation: an anemone displays
+    every proper union and a daisy exactly its cyclic runs.  Unclassified
+    flowers, and any other class (the oracle's "neither"), are scanned.
+    """
+    union = petal_unions(f.petals)
+    if f.klass == ANEMONE:
+        shown: Sequence[int] = range(1, len(union) - 1)
+    elif f.klass == DAISY:
+        shown = _cyclic_runs(f.n)
+    else:
+        shown = _separating(sys, f.k, union)
+    return sorted({Separation.make(sys, union[b], f.k) for b in shown})
 
 
 def displayed_kS(sys: ConnectivitySystem, tangle: Tangle,
@@ -239,7 +286,9 @@ def tighten(sys: ConnectivitySystem, tangle: Tangle, f: Flower,
             if j != i and cur.petals[i] & ~full_closure(sys, tangle, cur.petals[j]) == 0:
                 absorber = j
                 break
-        assert absorber is not None
+        if absorber is None:
+            raise ViolationFound("loose petal has no absorbing neighbour",
+                                 (cur.petals[i],))
         merged = list(cur.petals)
         merged[absorber] |= merged[i]
         del merged[i]
@@ -266,21 +315,46 @@ def crossing_profile(sys: ConnectivitySystem, tangle: Tangle, sep: Separation,
     return petal_cross_kind(tangle, union, r, g)
 
 
+def class_conforms(sys: ConnectivitySystem, members: Sequence[Separation],
+                   displayed: Set[Separation], parts: Sequence[int]) -> bool:
+    """True iff some member of the class is displayed or has a side inside
+    one of the parts (petals of a flower, bags of a tree)."""
+    for member in members:
+        if member in displayed:
+            return True
+        a, b = member.sides(sys)
+        for p in parts:
+            if a & ~p == 0 or b & ~p == 0:
+                return True
+    return False
+
+
+def first_nonconforming(sys: ConnectivitySystem, s_family: TreeCompatibleSet,
+                        displayed: Set[Separation],
+                        parts: Sequence[int]) -> Optional[Separation]:
+    """The first (k,S)-separation, by canonical side, whose class does not
+    conform with the display set and parts; None when every one conforms.
+    Conformance is a property of the class, so each class is tested once."""
+    verdicts: Dict[Optional[int], bool] = {}
+    for sep in s_family.separations():
+        cid = s_family.class_id(sep)
+        ok = verdicts.get(cid)
+        if ok is None:
+            ok = verdicts[cid] = class_conforms(sys, s_family.class_of(sep),
+                                                displayed, parts)
+        if not ok:
+            return sep
+    return None
+
+
 def conforms_with_flower(sys: ConnectivitySystem, tangle: Tangle,
                          s_family: TreeCompatibleSet, sep: Separation,
                          f: Flower) -> bool:
     """True iff some equivalent separation is displayed by f or has a side
     inside a petal.  The scan covers the whole equivalence class, which by
     (S1) is exactly the strong equivalents."""
-    displayed = set(displayed_separations(sys, tangle, f))
-    for member in s_family.class_of(sep):
-        if member in displayed:
-            return True
-        a, b = member.sides(sys)
-        for p in f.petals:
-            if a & ~p == 0 or b & ~p == 0:
-                return True
-    return False
+    return class_conforms(sys, s_family.class_of(sep),
+                          set(displayed_separations(sys, tangle, f)), f.petals)
 
 
 def phi_minimum_representative(sys: ConnectivitySystem, tangle: Tangle,
@@ -373,11 +447,8 @@ def maximal_flower_from(sys: ConnectivitySystem, tangle: Tangle,
     """
     while True:
         f = tighten(sys, tangle, f, s_family)
-        target = None
-        for sep in s_family.separations():
-            if not conforms_with_flower(sys, tangle, s_family, sep, f):
-                target = sep  # separations() is ordered by canonical side
-                break
+        target = first_nonconforming(sys, s_family,
+                                     set(displayed_separations(sys, tangle, f)), f.petals)
         if target is None:
             return f
         refined = refine_with(sys, tangle, s_family, f, target)
@@ -395,24 +466,3 @@ def maximal_flower(sys: ConnectivitySystem, tangle: Tangle,
     f = verify_flower(sys, tangle, seed.sides(sys), tangle.k)
     return maximal_flower_from(sys, tangle, s_family, f)
 
-
-def s_order(sys: ConnectivitySystem, tangle: Tangle,
-            s_family: TreeCompatibleSet, f: Flower,
-            max_petals: Optional[int] = None) -> int:
-    """Minimum petal count among flowers displaying the same (k,S)-classes.
-
-    Zero classes give 1, one class gives 2; otherwise exhaustive flower
-    enumeration at desk scale decides, which may raise SearchSpaceTooLarge.
-    """
-    classes = displayed_class_ids(sys, tangle, s_family, f)
-    if not classes:
-        return 1
-    if len(classes) == 1:
-        return 2
-    from .oracle import oracle_flowers
-    cap = max_petals if max_petals is not None else f.n
-    best = f.n
-    for g in oracle_flowers(sys, tangle, max_petals=cap):
-        if g.n < best and displayed_class_ids(sys, tangle, s_family, g) == classes:
-            best = g.n
-    return best

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .bitset import elements_of
 from .core import ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet
-from .errors import SearchSpaceTooLarge
-from .flowers import Flower
+from .errors import SearchSpaceTooLarge, ViolationFound
+from .flowers import Flower, displayed_class_ids
 from .tangles import Tangle
 from .trees import PiTree
 
@@ -66,7 +66,8 @@ def oracle_full_closure(sys: ConnectivitySystem, tangle: Tangle, x: int) -> int:
         if s == 0:
             break
         s = (s - 1) & rest
-    assert acc is not None, "E itself is always fully closed and k-separating"
+    if acc is None:
+        raise ViolationFound("E is not a fully closed k-separating superset", (x,))
     cache[x] = acc
     return acc
 
@@ -114,16 +115,6 @@ def oracle_classes(sys: ConnectivitySystem, tangle: Tangle,
     for cls in classes:
         cls.sort()
     return classes
-
-
-def _oracle_equivalent(sys, tangle, s1: Separation, s2: Separation) -> bool:
-    a, b = s1.sides(sys)
-    c, d = s2.sides(sys)
-    fa = oracle_full_closure(sys, tangle, a)
-    fb = oracle_full_closure(sys, tangle, b)
-    fc = oracle_full_closure(sys, tangle, c)
-    fd = oracle_full_closure(sys, tangle, d)
-    return {fa, fb} == {fc, fd}
 
 
 # -- flower enumeration ----------------------------------------------------
@@ -232,6 +223,27 @@ def oracle_flowers(sys: ConnectivitySystem, tangle: Tangle,
     return out
 
 
+def s_order(sys: ConnectivitySystem, tangle: Tangle,
+            s_family: TreeCompatibleSet, f: Flower,
+            max_petals: Optional[int] = None) -> int:
+    """Minimum petal count among flowers displaying the same (k,S)-classes.
+
+    Zero classes give 1, one class gives 2; otherwise exhaustive flower
+    enumeration at desk scale decides, which may raise SearchSpaceTooLarge.
+    """
+    classes = displayed_class_ids(sys, tangle, s_family, f)
+    if not classes:
+        return 1
+    if len(classes) == 1:
+        return 2
+    cap = max_petals if max_petals is not None else f.n
+    best = f.n
+    for g in oracle_flowers(sys, tangle, max_petals=cap):
+        if g.n < best and displayed_class_ids(sys, tangle, s_family, g) == classes:
+            best = g.n
+    return best
+
+
 # -- tree certification ----------------------------------------------------
 
 
@@ -251,24 +263,56 @@ def _tree_component_mask(t: PiTree, start: int, blocked: Tuple[int, int]) -> int
     return mask
 
 
-def _tree_displayed(sys: ConnectivitySystem, tangle: Tangle, t: PiTree) -> List[Separation]:
+def _vertex_petals(t: PiTree, v: int) -> Tuple[int, ...]:
+    order = t.cyclic.get(v, t.adj[v])
+    return tuple(_tree_component_mask(t, w, (v, w)) for w in order)
+
+
+def _displayed_unions(sys: ConnectivitySystem, k: int,
+                      petals: Sequence[int]) -> Set[Separation]:
+    """Every k-separating proper union of the petals, one union at a time."""
+    n = len(petals)
+    out = set()
+    for bits in range(1, (1 << n) - 1):
+        union = 0
+        for i in range(n):
+            if bits >> i & 1:
+                union |= petals[i]
+        if sys.lam(union) <= k:
+            out.add(Separation.make(sys, union, k))
+    return out
+
+
+def _kS_only(sys: ConnectivitySystem, tangle: Tangle,
+             s_family: Optional[TreeCompatibleSet], seps) -> List[Separation]:
+    return sorted(s for s in seps
+                  if _in_S(sys, tangle, s_family, s.side)
+                  and _in_S(sys, tangle, s_family, sys.full ^ s.side))
+
+
+def oracle_displayed_kS(sys: ConnectivitySystem, tangle: Tangle,
+                        s_family: Optional[TreeCompatibleSet],
+                        f: Flower) -> List[Separation]:
+    """The (k,S)-separations displayed by f, by the literal union scan."""
+    _guard(sys)
+    return _kS_only(sys, tangle, s_family, _displayed_unions(sys, f.k, f.petals))
+
+
+def _tree_displayed(sys: ConnectivitySystem,
+                    t: PiTree) -> Tuple[Set[Separation], Dict[int, Set[Separation]]]:
+    """Separations displayed by t: k-separating edge sides and the
+    k-separating petal unions of every flower vertex.  Returns the whole set
+    and the set shown at each flower vertex."""
     out = set()
     for u, v in t.edges():
         x = _tree_component_mask(t, u, (u, v))
         if 0 != x != sys.full and sys.lam(x) <= t.k:
             out.add(Separation.make(sys, x, t.k))
+    at = {}
     for v in t.labels:
-        order = t.cyclic.get(v, t.adj[v])
-        petals = [_tree_component_mask(t, w, (v, w)) for w in order]
-        n = len(petals)
-        for bits in range(1, (1 << n) - 1):
-            union = 0
-            for i in range(n):
-                if bits >> i & 1:
-                    union |= petals[i]
-            if sys.lam(union) <= t.k:
-                out.add(Separation.make(sys, union, t.k))
-    return sorted(out)
+        at[v] = _displayed_unions(sys, t.k, _vertex_petals(t, v))
+        out |= at[v]
+    return out, at
 
 
 def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
@@ -288,7 +332,7 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
     if union != sys.full:
         problems.append("bags do not cover E")
 
-    displayed = _tree_displayed(sys, tangle, t)
+    displayed, shown_at = _tree_displayed(sys, t)
     for u, v in t.edges():
         x = _tree_component_mask(t, u, (u, v))
         y = sys.full ^ x
@@ -299,8 +343,7 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
                 problems.append(f"P1 (k,S) clause fails at edge ({u},{v})")
 
     for v, lab in t.labels.items():
-        order = t.cyclic.get(v, t.adj[v])
-        petals = tuple(_tree_component_mask(t, w, (v, w)) for w in order)
+        petals = _vertex_petals(t, v)
         n = len(petals)
         ok = (n >= 3 and all(p for p in petals)
               and not any(_weak(tangle, p) for p in petals)
@@ -315,11 +358,8 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
             problems.append(f"P3 fails at vertex {v}: {klass}")
         if lab == "D" and klass != "daisy" and n > 3:
             problems.append(f"P4 fails at vertex {v}: {klass}")
-        shown = [s for s in _tree_displayed_at_vertex(sys, t, petals)
-                 if _in_S(sys, tangle, s_family, s.side)
-                 and _in_S(sys, tangle, s_family, sys.full ^ s.side)]
         keys = set()
-        for s in shown:
+        for s in _kS_only(sys, tangle, s_family, shown_at[v]):
             a, b = s.sides(sys)
             keys.add(frozenset((oracle_full_closure(sys, tangle, a),
                                 oracle_full_closure(sys, tangle, b))))
@@ -333,38 +373,20 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
                 if petals[i] & ~fcl_j == 0:
                     problems.append(f"petal {i} at vertex {v} is loose")
 
-    ks = oracle_kS_separations(sys, tangle, s_family)
     bags = [b for b in t.bags.values() if b]
-    for sep in ks:
-        cls = [o for o in ks if _oracle_equivalent(sys, tangle, sep, o)]
-        conf = False
-        for member in cls:
-            if member in displayed:
-                conf = True
-                break
-            a, b = member.sides(sys)
-            if any(a & ~bag == 0 or b & ~bag == 0 for bag in bags):
-                conf = True
-                break
-        if not conf:
+    verdicts: Dict[Separation, Tuple[bool, bool]] = {}
+    for cls in oracle_classes(sys, tangle, s_family):
+        shown = any(m in displayed for m in cls)
+        in_bag = any(side & ~bag == 0 for m in cls for side in m.sides(sys) for bag in bags)
+        for m in cls:
+            verdicts[m] = (shown or in_bag, shown)
+    for sep in sorted(verdicts):
+        conforms, shown = verdicts[sep]
+        if not conforms:
             problems.append(f"P5 fails for side {elements_of(sep.side)}")
-        elif require_maximal and not any(m in displayed for m in cls):
+        elif require_maximal and not shown:
             problems.append(f"class of side {elements_of(sep.side)} not displayed")
     return not problems, problems
-
-
-def _tree_displayed_at_vertex(sys: ConnectivitySystem, t: PiTree,
-                              petals: Tuple[int, ...]) -> List[Separation]:
-    n = len(petals)
-    out = set()
-    for bits in range(1, (1 << n) - 1):
-        union = 0
-        for i in range(n):
-            if bits >> i & 1:
-                union |= petals[i]
-        if sys.lam(union) <= t.k:
-            out.add(Separation.make(sys, union, t.k))
-    return sorted(out)
 
 
 # -- differential report ---------------------------------------------------

@@ -16,16 +16,20 @@ from .bitset import popcount, submasks
 from .core import ConnectivitySystem
 from .closure import (Separation, TreeCompatibleSet, closure_pair, full_closure,
                       full_closure_sequence)
-from .errors import (NotAFlowerVertex, PreconditionFailed, SearchSpaceTooLarge,
-                     TangleforgeError, ViolationFound)
-from .flowers import (ANEMONE, DAISY, Flower, classify, concatenate,
-                      displayed_kS, displayed_separations, loose_petals,
-                      maximal_flower_from, verify_flower)
+from .errors import (DichotomyViolation, NotAFlowerVertex, PreconditionFailed,
+                     SearchSpaceTooLarge, TangleforgeError, ViolationFound)
+from .flowers import (ANEMONE, DAISY, Flower, class_conforms, classify, concatenate,
+                      displayed_kS, displayed_separations, first_nonconforming,
+                      loose_petals, maximal_flower_from, verify_flower)
 from .tangles import Tangle, is_robust
 
 
 class PiTree:
-    """Immutable labelled tree; surgery returns new instances."""
+    """Immutable labelled tree; surgery returns new instances.
+
+    Edge sides are indexed at construction and the petals of a flower
+    vertex are kept once computed, so display queries do no graph search.
+    """
 
     def __init__(self, k: int, bags: Dict[int, int], labels: Dict[int, str],
                  edges: Sequence[Tuple[int, int]],
@@ -40,6 +44,64 @@ class PiTree:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self._sides = self._edge_sides()
+        self._petals: Dict[int, Tuple[int, ...]] = {}
+
+    def _edge_sides(self) -> Dict[Tuple[int, int], int]:
+        """side[(u, v)] for both orientations of every edge, by one rooted
+        DFS: a child's side is its subtree's bag union, the parent's side
+        the rest.  Inputs that are not a tree with disjoint bags get an
+        empty index and fall back to a component search per query."""
+        verts = self.vertices()
+        total = 0
+        for bag in self.bags.values():
+            if total & bag:
+                return {}
+            total |= bag
+        if len(self.edge_list) != len(verts) - 1:
+            return {}
+        parent = {verts[0]: None}
+        order = [verts[0]]
+        for v in order:
+            for w in self.adj[v]:
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+        if len(order) != len(verts):
+            return {}
+        down = {v: self.bags.get(v, 0) for v in verts}
+        sides = {}
+        for w in reversed(order[1:]):
+            down[parent[w]] |= down[w]
+            sides[(w, parent[w])] = down[w]
+            sides[(parent[w], w)] = total ^ down[w]
+        return sides
+
+    def side(self, u: int, v: int) -> int:
+        """Union of the bags in u's component of the tree minus the edge (u,v)."""
+        mask = self._sides.get((u, v))
+        if mask is None:
+            blocked = {u, v}
+            seen = {u}
+            stack = [u]
+            mask = 0
+            while stack:
+                x = stack.pop()
+                mask |= self.bags.get(x, 0)
+                for w in self.adj[x]:
+                    if w not in seen and {x, w} != blocked:
+                        seen.add(w)
+                        stack.append(w)
+        return mask
+
+    def petals_at(self, v: int) -> Tuple[int, ...]:
+        """Bag unions of the components at a flower vertex, in its edge order
+        (cyclic for D, sorted for A); computed once per vertex."""
+        petals = self._petals.get(v)
+        if petals is None:
+            order = self.cyclic.get(v, self.adj[v])
+            petals = self._petals[v] = tuple(self.side(w, v) for w in order)
+        return petals
 
     def vertices(self) -> List[int]:
         return sorted(set(self.bags) | set(self.labels))
@@ -106,33 +168,9 @@ def single_bag_tree(sys: ConnectivitySystem, k: int) -> PiTree:
     return PiTree(k, {0: sys.full}, {}, [])
 
 
-def _component_vertices(t: PiTree, start: int, blocked_edge: Tuple[int, int]) -> Set[int]:
-    blocked = set(blocked_edge)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in t.adj[v]:
-            if {v, w} == blocked:
-                continue
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def side_of_edge(t: PiTree, u: int, v: int) -> int:
-    """Union of bags in u's component of t minus the edge (u,v)."""
-    comp = _component_vertices(t, u, (u, v))
-    mask = 0
-    for w in comp:
-        mask |= t.bags.get(w, 0)
-    return mask
-
-
 def displayed_by_edge(sys: ConnectivitySystem, t: PiTree, edge: Tuple[int, int]) -> Separation:
     u, v = edge
-    return Separation.make(sys, side_of_edge(t, u, v), t.k)
+    return Separation.make(sys, t.side(u, v), t.k)
 
 
 def flower_at(sys: ConnectivitySystem, tangle: Tangle, t: PiTree, v: int) -> Flower:
@@ -140,21 +178,37 @@ def flower_at(sys: ConnectivitySystem, tangle: Tangle, t: PiTree, v: int) -> Flo
     vertex's edge order (cyclic for D, sorted for A)."""
     if t.is_bag_vertex(v):
         raise NotAFlowerVertex(f"vertex {v} is a bag vertex")
-    order = t.cyclic.get(v, t.adj[v])
-    petals = []
-    for w in order:
-        comp = _component_vertices(t, w, (v, w))
-        comp.discard(v)
-        mask = 0
-        for x in comp:
-            mask |= t.bags.get(x, 0)
-        petals.append(mask)
-    return verify_flower(sys, tangle, petals, t.k)
+    return verify_flower(sys, tangle, t.petals_at(v), t.k)
 
 
 def displayed_by_flower_vertex(sys: ConnectivitySystem, tangle: Tangle,
                                t: PiTree, v: int) -> List[Separation]:
     return displayed_separations(sys, tangle, flower_at(sys, tangle, t, v))
+
+
+def _tree_display(sys: ConnectivitySystem, tangle: Tangle, t: PiTree
+                  ) -> Tuple[Set[Separation], Dict[int, Tuple[Flower, List[Separation]]]]:
+    """The display set of t (k-separating edge sides and the displays of
+    every flower vertex), and each vertex that displays a flower mapped to
+    that flower and its displays.  Other flower vertices are skipped."""
+    out = set()
+    for u, v in t.edges():
+        x = t.side(u, v)
+        if x != 0 and x != sys.full and sys.lam(x) <= t.k:
+            out.add(Separation.make(sys, x, t.k))
+    at = {}
+    for v in t.labels:
+        try:
+            f = flower_at(sys, tangle, t, v)
+        except TangleforgeError:
+            continue  # bad flower vertices are (P3)/(P4) failures, not displays
+        try:
+            classify(sys, f)  # a classified flower displays without lambda calls
+        except DichotomyViolation:
+            pass  # a (P3)/(P4) failure; the lambda scan finds its displays
+        at[v] = (f, displayed_separations(sys, tangle, f))
+        out.update(at[v][1])
+    return out, at
 
 
 def displayed_by_tree(sys: ConnectivitySystem, tangle: Tangle, t: PiTree) -> List[Separation]:
@@ -163,23 +217,12 @@ def displayed_by_tree(sys: ConnectivitySystem, tangle: Tangle, t: PiTree) -> Lis
     Edge partitions that are not k-separations (or have an empty side) are
     omitted here; verification reports them separately under (P1).
     """
-    out = set()
-    for u, v in t.edges():
-        x = side_of_edge(t, u, v)
-        if x != 0 and x != sys.full and sys.lam(x) <= t.k:
-            out.add(Separation.make(sys, x, t.k))
-    for v in t.labels:
-        try:
-            out.update(displayed_by_flower_vertex(sys, tangle, t, v))
-        except TangleforgeError:
-            pass  # bad flower vertices are (P3)/(P4) failures, not displays
-    return sorted(out)
+    return sorted(_tree_display(sys, tangle, t)[0])
 
 
-def displayed_tree_class_ids(sys: ConnectivitySystem, tangle: Tangle,
-                             s_family: TreeCompatibleSet, t: PiTree) -> FrozenSet[int]:
+def _class_ids(s_family: TreeCompatibleSet, displayed) -> FrozenSet[int]:
     ids = set()
-    for sep in displayed_by_tree(sys, tangle, t):
+    for sep in displayed:
         if s_family.is_kS_separation(sep):
             cid = s_family.class_id(sep)
             if cid is not None:
@@ -187,21 +230,22 @@ def displayed_tree_class_ids(sys: ConnectivitySystem, tangle: Tangle,
     return frozenset(ids)
 
 
+def displayed_tree_class_ids(sys: ConnectivitySystem, tangle: Tangle,
+                             s_family: TreeCompatibleSet, t: PiTree) -> FrozenSet[int]:
+    return _class_ids(s_family, _tree_display(sys, tangle, t)[0])
+
+
+def _nonempty_bags(t: PiTree) -> List[int]:
+    return [b for b in t.bags.values() if b]
+
+
 def conforms_with_tree(sys: ConnectivitySystem, tangle: Tangle,
                        s_family: TreeCompatibleSet, sep: Separation,
                        t: PiTree) -> bool:
     """Equivalent to a displayed separation, or an equivalent has a side
     inside a bag."""
-    displayed = set(displayed_by_tree(sys, tangle, t))
-    bags = [b for b in t.bags.values() if b]
-    for member in s_family.class_of(sep):
-        if member in displayed:
-            return True
-        a, b = member.sides(sys)
-        for bag in bags:
-            if a & ~bag == 0 or b & ~bag == 0:
-                return True
-    return False
+    return class_conforms(sys, s_family.class_of(sep), _tree_display(sys, tangle, t)[0],
+                          _nonempty_bags(t))
 
 
 @dataclass
@@ -228,7 +272,9 @@ class TreeVerdict:
 
 def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,
                            s_family: TreeCompatibleSet, t: PiTree) -> TreeVerdict:
-    """Check (P1)-(P5); (P5) scans every enumerated (k,S)-separation."""
+    """Check (P1)-(P5).  The tree's display set is built once and serves
+    (P3)/(P4), (P5) and `verdict.displayed`; (P5) tests each class of the
+    enumerated (k,S)-separations once against it."""
     verdict = TreeVerdict()
     structural = t.validate_structure(sys)
     verdict.passed["P2"] = not structural
@@ -237,7 +283,7 @@ def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,
 
     ok1 = True
     for u, v in t.edges():
-        x = side_of_edge(t, u, v)
+        x = t.side(u, v)
         y = sys.full ^ x
         if sys.lam(x) > t.k or tangle.is_weak(x) or tangle.is_weak(y):
             ok1 = False
@@ -249,17 +295,20 @@ def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,
                 verdict.failures.append(("P1", (u, v)))
     verdict.passed["P1"] = ok1
 
+    displayed, at = _tree_display(sys, tangle, t)
     ok3 = ok4 = True
     for v, lab in t.labels.items():
         axiom = "P3" if lab == "A" else "P4"
         try:
-            f = flower_at(sys, tangle, t, v)
+            if v not in at:
+                flower_at(sys, tangle, t, v)  # raises the vertex's failure
+            f, shown = at[v]
             klass = classify(sys, f)
             want_ok = (klass == ANEMONE) if lab == "A" else (klass == DAISY or f.n <= 3)
-            classes = {s_family.class_id(s) for s in displayed_kS(sys, tangle, s_family, f)}
+            classes = {s_family.class_id(s) for s in shown if s_family.is_kS_separation(s)}
             if not want_ok or len(classes) < 2 or loose_petals(sys, tangle, f):
                 raise ViolationFound("flower vertex fails label/order/looseness", v)
-        except Exception as exc:
+        except TangleforgeError as exc:
             if lab == "A":
                 ok3 = False
             else:
@@ -268,22 +317,19 @@ def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,
     verdict.passed["P3"] = ok3
     verdict.passed["P4"] = ok4
 
-    ok5 = True
-    for sep in s_family.separations():
-        if not conforms_with_tree(sys, tangle, s_family, sep, t):
-            ok5 = False
-            verdict.failures.append(("P5", sep))
-            break
-    verdict.passed["P5"] = ok5
+    failing = first_nonconforming(sys, s_family, displayed, _nonempty_bags(t))
+    if failing is not None:
+        verdict.failures.append(("P5", failing))
+    verdict.passed["P5"] = failing is None
 
-    verdict.displayed = displayed_by_tree(sys, tangle, t)
+    verdict.displayed = sorted(displayed)
     return verdict
 
 
 def laminarity_check(sys: ConnectivitySystem, t: PiTree) -> bool:
     """Edge-displayed separations pairwise non-crossing (all four pairwise
     intersections non-empty means crossing)."""
-    sides = [side_of_edge(t, u, v) for u, v in t.edges()]
+    sides = [t.side(u, v) for u, v in t.edges()]
     full = sys.full
     for i in range(len(sides)):
         for j in range(i + 1, len(sides)):
@@ -370,17 +416,17 @@ def retarget_terminal_bag(sys: ConnectivitySystem, tangle: Tangle,
     for y in reversed(shrink_steps):
         cur = split_terminal_bag(sys, tangle, s_family, cur, holder, y)
         holder = max(cur.vertices())
-    assert cur.bags[holder] == c
+    if cur.bags[holder] != c:
+        raise ViolationFound("retargeted bag does not hold C", (cur.bags[holder], c))
     return cur, holder
 
 
 # -- the extension step and the main construction --------------------------
 
 
-def _find_rep_in_bag(sys, tangle, s_family, t, target):
+def _find_rep_in_bag(sys, s_family, t, displayed, target):
     """A class member of `target` with a side inside a bag; None if the
-    class is equivalent to a displayed separation instead."""
-    displayed = set(displayed_by_tree(sys, tangle, t))
+    class is equivalent to a separation in t's display set instead."""
     members = s_family.class_of(target)
     if any(m in displayed for m in members):
         return None
@@ -441,7 +487,8 @@ def _arrange_prefix(sys, tangle, f: Flower, c: int) -> Tuple[Flower, int]:
     the relabelled flower and the prefix length j."""
     klass = classify(sys, f)
     in_c = [i for i, p in enumerate(f.petals) if p & ~c == 0]
-    assert sum(popcount(f.petals[i]) for i in in_c) == popcount(c)
+    if sum(popcount(f.petals[i]) for i in in_c) != popcount(c):
+        raise ViolationFound("C is not a union of petals", (c,))
     if klass == ANEMONE:
         order = in_c + [i for i in range(f.n) if i not in in_c]
         g = Flower(tuple(f.petals[i] for i in order), f.k, ANEMONE)
@@ -452,7 +499,8 @@ def _arrange_prefix(sys, tangle, f: Flower, c: int) -> Tuple[Flower, int]:
         if (i - 1) % f.n not in in_c:
             start = i
             break
-    assert start is not None
+    if start is None:
+        raise ViolationFound("C's petals form no cyclic run", (c,))
     return f.rotated(start), len(in_c)
 
 
@@ -470,7 +518,8 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
     if not is_robust(tangle):
         raise PreconditionFailed("tangle is not robust")
     k = t.k
-    base_ids = displayed_tree_class_ids(sys, tangle, s_family, t)
+    displayed = _tree_display(sys, tangle, t)[0]
+    base_ids = _class_ids(s_family, displayed)
     all_ids = set(range(len(s_family.classes())))
     missing = sorted(all_ids - base_ids)
     if not missing:
@@ -482,18 +531,23 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
         # the target class (vacuously above the input in the quasi-order).
         return _seed_tree(sys, tangle, s_family, target)
     work = t
-    for _ in range(4 * (1 << sys.n) + 16):
-        if len(displayed_tree_class_ids(sys, tangle, s_family, work)) > len(base_ids):
-            return work
-        found = _find_rep_in_bag(sys, tangle, s_family, work, target)
-        assert found is not None
+    for step in range(4 * (1 << sys.n) + 16):
+        if step:
+            displayed = _tree_display(sys, tangle, work)[0]
+            if len(_class_ids(s_family, displayed)) > len(base_ids):
+                return work
+        found = _find_rep_in_bag(sys, s_family, work, displayed, target)
+        if found is None:
+            raise ViolationFound("target class displayed without a new class", target)
         rep, side, u = found
 
         if not work.is_leaf(u):
             # Case II: split the internal bag around a maximal Z and retry.
             z = _maximal_k_separating_between(sys, tangle, side, work.bags[u],
                                               allow_equal=True)
-            assert s_family.is_kS_separation(Separation.make(sys, z, k))
+            if not s_family.is_kS_separation(Separation.make(sys, z, k)):
+                raise ViolationFound("internal-bag Z is not a (k,S)-separation",
+                                     Separation.make(sys, z, k))
             v = work.fresh_vertex()
             bags = dict(work.bags)
             bags[u] = bags[u] & ~z
@@ -510,11 +564,13 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
             holder = max(work.vertices())
         b1 = sys.full ^ fcl_co
         r1 = sys.full ^ full_closure(sys, tangle, sys.full ^ side)
-        assert r1 and r1 & ~b1 == 0 and r1 != b1
+        if not r1 or r1 & ~b1 or r1 == b1:
+            raise ViolationFound("R1 is not a non-empty proper subset of B1", (r1, b1))
         z = _maximal_k_separating_between(sys, tangle, r1, b1, allow_equal=False)
         w = sys.full ^ z
         wz = Separation.make(sys, z, k)
-        assert s_family.is_kS_separation(wz)
+        if not s_family.is_kS_separation(wz):
+            raise ViolationFound("(W, Z) is not a (k,S)-separation", wz)
         bw = b1 & w
         if sys.lam(bw) > k:
             # New leaf Z; the old terminal vertex keeps B & W.
@@ -525,13 +581,15 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
             work = work.replaced(bags=bags, edges=list(work.edge_list) + [(holder, v)])
             continue
         # Flower route: (Z, B & W, E - B) seeds a maximal flower.
-        assert tangle.is_strong(bw)
+        if not tangle.is_strong(bw):
+            raise ViolationFound("B & W is weak on the flower route", (bw,))
         f0 = verify_flower(sys, tangle, (z, bw, sys.full ^ b1), k)
         fstar = maximal_flower_from(sys, tangle, s_family, f0)
         pair_b = closure_pair(sys, tangle, Separation.make(sys, b1, k))
         fcl_of_b1 = full_closure(sys, tangle, b1)
+        shown = displayed_kS(sys, tangle, s_family, fstar)
         c = None
-        for s in displayed_kS(sys, tangle, s_family, fstar):
+        for s in shown:
             if closure_pair(sys, tangle, s) == pair_b:
                 for cand in s.sides(sys):
                     if (full_closure(sys, tangle, cand) == fcl_of_b1
@@ -540,10 +598,12 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
                         break
             if c is not None:
                 break
-        assert c is not None, "maximal flower lost the terminal-bag class"
+        if c is None:
+            raise ViolationFound("maximal flower lost the terminal-bag class",
+                                 Separation.make(sys, b1, k))
         pair_wz = closure_pair(sys, tangle, wz)
         zprime = None
-        for s in displayed_kS(sys, tangle, s_family, fstar):
+        for s in shown:
             if closure_pair(sys, tangle, s) == pair_wz:
                 for cand in s.sides(sys):
                     if cand & ~c == 0:
@@ -551,7 +611,8 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
                         break
             if zprime is not None:
                 break
-        assert zprime is not None, "no displayed equivalent of (W,Z) inside C"
+        if zprime is None:
+            raise ViolationFound("no displayed equivalent of (W,Z) inside C", wz)
         arranged, j = _arrange_prefix(sys, tangle, fstar, c)
         fpp = concatenate(arranged, list(range(1, j + 1)) + [arranged.n])
         fpp = verify_flower(sys, tangle, fpp.petals, k)

@@ -178,3 +178,32 @@ def test_invalid_tangle_file_reports_witness(inputs, tmp_path, capsys):
     data = json.loads(out)
     assert data["error"] == "invalid_tangle"
     assert any(v["axiom"] == "T3" for v in data["report"])
+
+
+def test_separations_verify(inputs, capsys, monkeypatch):
+    argv = ["separations", "--input", inputs["r8.json"], "--k", "4", "--verify"]
+    code, out = invoke(capsys, argv)
+    assert code == 0 and json.loads(out)["oracle_agrees"]
+    # a disagreeing oracle makes the command fail with both partitions shown
+    from tangleforge import cli
+    monkeypatch.setattr(cli, "oracle_classes", lambda *a: [])
+    code, out = invoke(capsys, argv)
+    data = json.loads(out)
+    assert code == 2 and not data["oracle_agrees"] and data["oracle"] == []
+    assert len(data["classes"]) == 6
+
+
+def test_flower_verify(inputs, capsys, monkeypatch):
+    argv = ["flower", "--input", inputs["c6.json"], "--k", "2",
+            "--petals", "[[0],[1],[2],[3],[4],[5]]", "--verify"]
+    code, out = invoke(capsys, argv)
+    data = json.loads(out)
+    assert code == 0 and data["oracle_agrees"] and data["class"] == "daisy"
+    # a disagreeing literal classification makes the command fail
+    from tangleforge import cli
+    monkeypatch.setattr(cli, "_flower_class_literal", lambda *a: "anemone")
+    code, out = invoke(capsys, argv)
+    data = json.loads(out)
+    assert code == 2 and not data["oracle_agrees"]
+    assert (data["class"], data["oracle_class"]) == ("daisy", "anemone")
+    assert data["displayed_kS"] == data["oracle_displayed_kS"]

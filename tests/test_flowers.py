@@ -12,7 +12,7 @@ from tangleforge.errors import (InvalidBreakpoints, NonRobustObstruction,
 from tangleforge.flowers import (ANEMONE, DAISY, MIXED, STRONG, UNCROSSED, WEAK,
                                  Flower, displayed_class_ids,
                                  flower_shortcut_holds, petal_cross_kind)
-from tangleforge.oracle import oracle_flowers
+from tangleforge.oracle import _displayed_unions, oracle_flowers
 
 from conftest import lab
 
@@ -195,6 +195,18 @@ class TestDisplayed:
         f = verify_flower(ctx_r8p1.sys, ctx_r8p1.tangle,
                           [lab(1, 2, 3, 4), lab(5, 6, 7, 8)])
         assert s_order(ctx_r8p1.sys, ctx_r8p1.tangle, ctx_r8p1.S, f) == 2
+
+    @pytest.mark.parametrize("fixture", ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6",
+                                         "ctx_pc4", "ctx_barbell", "ctx_r8m3", "ctx_mk4"])
+    def test_displays_match_literal_union_scan(self, fixture, request):
+        # oracle flowers carry their literal class, so anemones and daisies
+        # take the class-derived path; unclassified copies take the scan
+        ctx = request.getfixturevalue(fixture)
+        for f in oracle_flowers(ctx.sys, ctx.tangle, 5):
+            want = sorted(_displayed_unions(ctx.sys, f.k, f.petals))
+            assert displayed_separations(ctx.sys, ctx.tangle, f) == want, f
+            assert (displayed_separations(ctx.sys, ctx.tangle, Flower(f.petals, f.k))
+                    == want), f
 
     def test_co_petals_enter_S(self, ctx_r8p1, ctx_c6, ctx_barbell):
         # flowers displaying any (k,S)-separation have every co-petal in S

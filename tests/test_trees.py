@@ -386,3 +386,76 @@ class TestJsonRoundTrip:
         assert back.labels == t.labels
         assert back.edges() == t.edges()
         assert back.cyclic == t.cyclic
+
+
+def _built_trees(ctx, chain):
+    """Every kind of tree this file builds: hand-made trees, surgery
+    results, a non-tree input, every extension step and the maximal trees."""
+    r8, c6, u56 = ctx["r8p1"], ctx["c6"], ctx["u56"]
+    out = [(r8, face_tree(r8)), (r8, phi_r8_tree(r8)),
+           (r8, PiTree(4, {0: lab(1, 2), 1: r8.sys.full ^ lab(1, 2)}, {}, [(0, 1)])),
+           (u56, PiTree(2, {0: u56.sys.mask([0]), 1: u56.sys.mask([1]),
+                            2: u56.sys.mask([2, 3, 4, 5])}, {}, [(0, 1), (1, 2)])),
+           (c6, PiTree(2, {i + 1: 1 << i for i in range(6)}, {0: "A"},
+                       [(0, i + 1) for i in range(6)])),
+           (c6, flower_to_tree(c6.sys, c6.tangle,
+                               verify_flower(c6.sys, c6.tangle, [1 << i for i in range(6)])))]
+    bb = ctx["barbell"]
+    two_bag = PiTree(2, {0: bb.sys.mask([0, 1]), 1: bb.sys.mask([2, 3, 4, 5, 6])},
+                     {}, [(0, 1)])
+    out += [(bb, two_bag),
+            (bb, grow_terminal_bag(bb.sys, bb.tangle, bb.S, two_bag, 0,
+                                   bb.sys.mask([3, 4, 5, 6]))),
+            (bb, retarget_terminal_bag(bb.sys, bb.tangle, bb.S, two_bag, 0,
+                                       bb.sys.mask([0, 1, 3, 4, 5, 6]))[0])]
+    u24 = ConnectivitySystem.matroid(RankFunction.uniform(2, 4))
+    u24_ctx = Ctx(u24, enumerate_tangles(u24, 2)[0])
+    out.append((u24_ctx, PiTree(2, {0: u24.mask([0, 1]), 1: u24.mask([2, 3]),
+                                    2: u24.mask([0, 2]), 3: u24.mask([1, 3])},
+                                {}, [(0, 1), (2, 3)])))
+    for c in (ctx["u26"], u56, c6, ctx["pc4"], bb, chain):
+        t = single_bag_tree(c.sys, c.k)
+        while t is not None:
+            out.append((c, t))
+            t = extend_tree(c.sys, c.tangle, c.S, t)
+    return out
+
+
+def test_tree_displays_match_oracle(ctx_r8p1, ctx_c6, ctx_u56, ctx_u26, ctx_pc4,
+                                    ctx_barbell, chain_ctx):
+    from tangleforge.oracle import _tree_displayed
+    from tangleforge.trees import displayed_by_tree
+    ctx = {"r8p1": ctx_r8p1, "c6": ctx_c6, "u56": ctx_u56, "u26": ctx_u26,
+           "pc4": ctx_pc4, "barbell": ctx_barbell}
+    trees = _built_trees(ctx, chain_ctx)
+    assert len(trees) > 25
+    for c, t in trees:
+        got = displayed_by_tree(c.sys, c.tangle, t)
+        assert got == sorted(_tree_displayed(c.sys, t)[0]), t.edges()
+        assert (verify_partial_kS_tree(c.sys, c.tangle, c.S, t).displayed == got)
+
+
+def test_lam_error_at_flower_vertex_propagates():
+    # a TypeError from lam is a bug, not a failed (P3)/(P4) verdict
+    from conftest import C6_EDGES
+    sys = ConnectivitySystem.graph(C6_EDGES)  # own instance: lam is replaced
+    tangle = enumerate_tangles(sys, 2)[0]
+    S = build_default_S(sys, tangle)
+    t = build_maximal_tree(sys, tangle, S)
+    (v,) = t.labels
+    petals = t.petals_at(v)
+    assert len(petals) == 6
+    broken = petals[0] | petals[2]  # not a cyclic run: only classify asks for it
+    inner = sys.lam
+    failed = []
+
+    def lam(mask):
+        if mask == broken and not failed:
+            failed.append(mask)
+            raise TypeError("lam cannot evaluate this union")
+        return inner(mask)
+
+    sys.lam = lam
+    with pytest.raises(TypeError):
+        verify_partial_kS_tree(sys, tangle, S, t)
+    assert failed == [broken]
