@@ -7,7 +7,8 @@ Everything here is total and closed over valid masks.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from functools import lru_cache
+from typing import Iterable, Iterator, List, Tuple
 
 
 def full_mask(n: int) -> int:
@@ -86,3 +87,45 @@ def masks_of_size(n: int, size: int) -> Iterator[int]:
         c = v & -v
         r = v + c
         v = (((r ^ v) >> 2) // c) | r
+
+
+# -- down-closed families ------------------------------------------------
+#
+# A family of subsets of an n-element ground set is one int of 2^n bits:
+# bit x is set iff the mask x belongs to the family.  Shifting the int by
+# 2^i moves every member across element i at once.
+
+
+def down_closure(mask: int) -> int:
+    """The family of all submasks of mask."""
+    family = 1 << mask
+    while mask:
+        low = mask & -mask
+        family |= family >> low  # add each member with element low removed
+        mask ^= low
+    return family
+
+
+@lru_cache(maxsize=8)
+def _element_absent(n: int) -> Tuple[int, ...]:
+    """For each element i < n, the family of masks x < 2^n without i:
+    runs of 2^i set bits and 2^i clear bits, repeated."""
+    width = 1 << n
+    out = []
+    for i in range(n):
+        run = 1 << i
+        period = (1 << 2 * run) - 1
+        out.append(((1 << width) - 1) // period * ((1 << run) - 1))
+    return tuple(out)
+
+
+def join(family: int, mask: int, n: int) -> int:
+    """{x : x & ~mask in family}; for a down-closed family this is the
+    down-closure of the unions of its members with mask."""
+    absent = _element_absent(n)
+    while mask:
+        low = mask & -mask
+        family &= absent[low.bit_length() - 1]
+        family |= family << low
+        mask ^= low
+    return family

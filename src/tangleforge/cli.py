@@ -50,7 +50,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-n", type=int, default=14, help="ground set safety cap")
         sp.add_argument("--seed", type=int, default=0, help="sampling seed")
         sp.add_argument("--verify", action="store_true",
-                        help="cross-check against the brute-force oracle")
+                        help="cross-check against the brute-force oracle "
+                             "(tangles: re-verify each tangle's axioms)")
         sp.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
 
     sp = sub.add_parser("check", help="verify the connectivity axioms")
@@ -132,6 +133,10 @@ def _emit(text: str):
 
 def run(argv) -> int:
     args = _parser().parse_args(argv)
+    if args.command == "oracle" and args.verify:
+        _emit(dumps({"error": "usage",
+                     "detail": "oracle takes no --verify: its report is the oracle's own"}))
+        return EXIT_USAGE
     try:
         system = _load(args)
         if args.command == "check":
@@ -141,8 +146,17 @@ def run(argv) -> int:
 
         if args.command == "tangles":
             found = enumerate_tangles(system, args.k)
-            _emit(dumps([tangle_to_json(t) for t in found]))
-            return EXIT_OK
+            out = [tangle_to_json(t) for t in found]
+            ok = True
+            if args.verify:
+                for entry, tangle in zip(out, found):
+                    report = verify_tangle(system, tangle)
+                    entry["verified"] = not report
+                    if report:
+                        entry["violations"] = [v.to_json() for v in report]
+                        ok = False
+            _emit(dumps(out))
+            return EXIT_OK if ok else EXIT_VERIFY
 
         tangle = _resolve_tangle(system, args)
         s_family = _resolve_S(system, tangle, args)

@@ -248,6 +248,7 @@ class ConnectivitySystem:
         self.kind = kind
         self.rank = rank
         self.meta = meta or {}
+        self._outside = ~ground.full  # bits of masks that leave the ground set
         n = ground.n
         if n <= LAMBDA_TABLE_N:
             self._table = [lam_fn(m) for m in range(1 << n)]
@@ -272,7 +273,7 @@ class ConnectivitySystem:
         return self.ground.full
 
     def lam(self, mask: int) -> int:
-        if mask & ~self.full:
+        if mask & self._outside:
             raise PreconditionFailed(f"mask {mask:#x} outside ground set")
         if self._table is not None:
             return self._table[mask]

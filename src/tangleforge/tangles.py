@@ -10,27 +10,22 @@ A tangle of order k in (E, lam) is a collection T of subsets with
 from __future__ import annotations
 
 import os
-import sys as _sys
 from itertools import combinations_with_replacement
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .bitset import elements_of, popcount
+from .bitset import down_closure, elements_of, join, popcount
 from .core import ConnectivitySystem, Violation, is_vertically_k_connected
 from .errors import NotAPartition, PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 
 DEFAULT_NODE_CAP = 1 << 20
-# Frames a leaf of the tangle search stacks on top of its recursion
-# (violates, Tangle, verify_tangle and the calls they make), with margin.
-_SEARCH_FRAME_SLACK = 16
+# verify_tangle scans all 2^n masks, and enumerate_tangles and is_robust
+# hold families of subsets as 2^n-bit ints (bitset.down_closure).
+TANGLE_SCAN_N = 20
 
 
-def _stack_depth() -> int:
-    frame = _sys._getframe(1)
-    depth = 0
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return depth
+def _check_scan_n(sys: ConnectivitySystem, what: str):
+    if sys.n > TANGLE_SCAN_N:
+        raise SearchSpaceTooLarge(f"{what} enumerates 2^n masks; n <= {TANGLE_SCAN_N} required")
 
 
 def _node_cap(explicit: Optional[int]) -> int:
@@ -105,22 +100,17 @@ def verify_tangle(sys: ConnectivitySystem, tangle: Tangle) -> List[Violation]:
 
     (T3) is checked over triples of maximal members only: any covering
     triple of members is dominated by the maximal members above them.
-    (T2) enumerates all X with lam(X) <= k-1, so needs n <= 20.
+    (T2) enumerates all X with lam(X) <= k-1, so needs n <= TANGLE_SCAN_N.
     """
-    if sys.n > 20:
-        raise SearchSpaceTooLarge("T2 verification enumerates 2^n masks; n <= 20 required")
+    _check_scan_n(sys, "T2 verification")
     k = tangle.k
     out = []
     for a in sorted(tangle.members):
         if sys.lam(a) >= k:
             out.append(Violation("T1", (a,)))
     full = sys.full
-    seen_t2 = set()
-    for x in range(1 << sys.n):
-        if x in seen_t2:
-            continue
+    for x in range(1 << (sys.n - 1)):  # one side of each pair: the one without n-1
         co = full ^ x
-        seen_t2.add(co)
         if sys.lam(x) <= k - 1:
             if x not in tangle.members and co not in tangle.members:
                 out.append(Violation("T2", (x,)))
@@ -136,36 +126,34 @@ def verify_tangle(sys: ConnectivitySystem, tangle: Tangle) -> List[Violation]:
 
 
 def is_robust(tangle: Tangle) -> bool:
-    """True iff no eight members cover E (axiom RT3).
+    """True iff no eight members cover E (axiom RT3); needs n <= TANGLE_SCAN_N.
 
     The search runs once per tangle; the verdict is stored on it.
     """
     if tangle._robust is None:
+        _check_scan_n(tangle.sys, "the robustness test")
         tangle._robust = _no_eight_members_cover(tangle)
     return tangle._robust
 
 
 def _no_eight_members_cover(tangle: Tangle) -> bool:
-    """Unions of at most eight maximal members dominate unions of arbitrary
-    members, so a breadth-first walk over subset-maximal unions decides RT3.
+    """Every member lies in a maximal one, so E is a union of eight members
+    iff it lies in the down-closed family C_8, where C_1 is the down-closure
+    of the maximal members and C_{j+1} joins C_j with each of them.
     """
-    full = tangle.sys.full
-    layer = set(tangle.maximal_members)
-    if full in layer:
-        return False
+    n = tangle.sys.n
+    maximal = tangle.maximal_members
+    covered = 0
+    for m in maximal:
+        covered |= down_closure(m)
     for _ in range(7):
-        nxt = set()
-        for u in layer:
-            for m in tangle.maximal_members:
-                v = u | m
-                if v == full:
-                    return False
-                nxt.add(v)
-        nxt_max = set(_maximal_antichain(nxt))
-        if nxt_max == layer:
-            return True  # closed under further unions
-        layer = nxt_max
-    return True
+        grown = 0
+        for m in maximal:
+            grown |= join(covered, m, n)
+        if grown == covered:
+            break  # closed under further unions
+        covered = grown
+    return not covered >> tangle.sys.full & 1
 
 
 def canonical_vertical_tangle(sys: ConnectivitySystem, k: int) -> Tangle:
@@ -192,61 +180,68 @@ def canonical_vertical_tangle(sys: ConnectivitySystem, k: int) -> Tangle:
 
 def enumerate_tangles(sys: ConnectivitySystem, k: int,
                       node_cap: Optional[int] = None) -> List[Tangle]:
-    """All tangles of order k, each verified.
+    """All tangles of order k, each verified; needs n <= TANGLE_SCAN_N.
 
     A tangle picks exactly one side of every (k-1)-separation (both sides
     would cover E with any third member), so we branch on orientations in
-    increasing order of small-side size, pruning on T3 and T4.
+    increasing order of small-side size, pruning on T3 and T4.  A leaf whose
+    verification fails raises ViolationFound with the first violation.
+
+    T3 pruning keeps, per depth, the down-closed families `one` of subsets
+    of a chosen side and `two` of subsets of a union of two chosen sides:
+    a candidate C completes a covering triple iff E - C is in `two`.
     """
+    _check_scan_n(sys, "tangle search")
     cap = _node_cap(node_cap)
+    n = sys.n
     full = sys.full
     pairs = []
-    seen = set()
-    for x in range(1 << sys.n):
-        if x in seen:
-            continue
+    for x in range(1 << (n - 1)):  # one side of each pair: the one without n-1
         co = full ^ x
-        seen.add(x)
-        seen.add(co)
         if sys.lam(x) <= k - 1:
             small, big = sorted((x, co), key=lambda m: (popcount(m), m))
             pairs.append((small, big))
     pairs.sort(key=lambda p: (popcount(p[0]), p[0]))
-    # The search recurses once per pair; refuse depths the interpreter's
-    # recursion limit cannot hold instead of failing part-way.
-    headroom = _sys.getrecursionlimit() - _stack_depth() - _SEARCH_FRAME_SLACK
-    if len(pairs) > headroom:
-        raise SearchSpaceTooLarge(
-            f"tangle search needs recursion depth {len(pairs)}; at most {headroom} available")
 
     results: List[Tangle] = []
     chosen: List[int] = []
     nodes = 0
 
-    def violates(candidate: int) -> bool:
-        if popcount(candidate) >= sys.n - 1:
-            return True  # T4, and E itself via T3 with repetition
-        for a, b in combinations_with_replacement(chosen + [candidate], 2):
-            if a | b | candidate == full:
-                return True
-        return False
-
-    def dfs(i: int):
+    def visit() -> bool:
+        """Count a node; at a leaf, verify and keep the tangle."""
         nonlocal nodes
         nodes += 1
         if nodes > cap:
             raise SearchSpaceTooLarge(f"tangle search exceeded {cap} nodes")
-        if i == len(pairs):
-            tangle = Tangle(sys, k, chosen)
-            if not verify_tangle(sys, tangle):
-                results.append(tangle)
-            return
-        for side in pairs[i]:
-            if not violates(side):
-                chosen.append(side)
-                dfs(i + 1)
-                chosen.pop()
+        if len(chosen) < len(pairs):
+            return True
+        tangle = Tangle(sys, k, chosen)
+        bad = verify_tangle(sys, tangle)
+        if bad:
+            raise ViolationFound("tangle search produced a non-tangle", bad[0])
+        results.append(tangle)
+        return False
 
-    dfs(0)
+    # One frame per open depth: its remaining sides and the families of the
+    # sides chosen above it.  Depth-first, smaller side first.
+    stack = [(iter(pairs[0]), 0, 0)] if visit() else []
+    while stack:
+        sides, one, two = stack[-1]
+        for side in sides:
+            # T4 (and E itself), then T3
+            if popcount(side) < n - 1 and not two >> (full ^ side) & 1:
+                break
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        chosen.append(side)
+        if visit():
+            one_below = one | down_closure(side)
+            stack.append((iter(pairs[len(chosen)]), one_below,
+                          two | join(one_below, side, n)))
+        else:
+            chosen.pop()
     results.sort(key=lambda t: t.member_key())
     return results

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from tangleforge.bitset import (complement, elements_of, full_mask, is_subset,
-                                mask_of, masks_of_size, nonempty_submasks,
-                                popcount, submasks, submasks_by_size)
+from tangleforge.bitset import (complement, down_closure, elements_of, full_mask,
+                                is_subset, join, mask_of, masks_of_size,
+                                nonempty_submasks, popcount, submasks, submasks_by_size)
 
 
 def test_mask_roundtrip():
@@ -61,3 +61,21 @@ def test_masks_of_size():
     assert all(popcount(m) == 2 for m in got)
     assert got == sorted(got)
     assert list(masks_of_size(4, 0)) == [0]
+
+
+def members(family):
+    return {x for x in range(family.bit_length()) if family >> x & 1}
+
+
+def test_down_closure_and_join_match_set_definitions():
+    rng = random.Random(3)
+    for n in range(1, 6):
+        for _ in range(40):
+            gens = [rng.getrandbits(n) for _ in range(rng.randint(0, 3))]
+            family = 0
+            for g in gens:
+                family |= down_closure(g)
+            assert members(family) == {x for g in gens for x in submasks(g)}
+            m = rng.getrandbits(n)
+            want = {x for x in range(1 << n) if x & ~m in members(family)}
+            assert members(join(family, m, n)) == want

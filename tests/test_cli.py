@@ -207,3 +207,26 @@ def test_flower_verify(inputs, capsys, monkeypatch):
     assert code == 2 and not data["oracle_agrees"]
     assert (data["class"], data["oracle_class"]) == ("daisy", "anemone")
     assert data["displayed_kS"] == data["oracle_displayed_kS"]
+
+
+def test_tangles_verify(inputs, capsys, monkeypatch):
+    argv = ["tangles", "--input", inputs["barbell.json"], "--k", "2"]
+    _, plain = invoke(capsys, argv)
+    code, out = invoke(capsys, argv + ["--verify"])
+    data = json.loads(out)
+    assert code == 0 and all(t["verified"] for t in data)
+    assert [{k: v for k, v in t.items() if k != "verified"} for t in data] == json.loads(plain)
+    # a tangle failing its axioms makes the command fail with the witness
+    from tangleforge import cli
+    from tangleforge.core import Violation
+    monkeypatch.setattr(cli, "verify_tangle", lambda *a: [Violation("T3", (0b111, 0b1111000))])
+    code, out = invoke(capsys, argv + ["--verify"])
+    data = json.loads(out)
+    assert code == 2 and not any(t["verified"] for t in data)
+    assert data[0]["violations"] == [{"axiom": "T3", "witness": [[0, 1, 2], [3, 4, 5, 6]]}]
+
+
+def test_oracle_verify_is_rejected(inputs, capsys):
+    code, out = invoke(capsys, ["oracle", "--input", inputs["r8.json"], "--k", "4",
+                                "--verify"])
+    assert code == 1 and json.loads(out)["error"] == "usage"

@@ -4,9 +4,11 @@ import pytest
 
 from tangleforge import (ConnectivitySystem, RankFunction,
                          canonical_vertical_tangle, enumerate_tangles,
-                         is_robust, verify_tangle)
-from tangleforge.errors import NotAPartition, PreconditionFailed, SearchSpaceTooLarge
-from tangleforge.tangles import Tangle
+                         is_robust, tangles, verify_tangle)
+from tangleforge.core import Violation
+from tangleforge.errors import (NotAPartition, PreconditionFailed, SearchSpaceTooLarge,
+                                ViolationFound)
+from tangleforge.tangles import TANGLE_SCAN_N, Tangle
 
 from conftest import lab
 
@@ -70,11 +72,28 @@ class TestRobustness:
         assert is_robust(t)
 
 
-def test_search_deeper_than_recursion_limit_is_refused():
-    # 8192 separation pairs at order 5: the search would recurse 8192 deep.
+def test_search_deeper_than_recursion_limit_finds_no_tangle():
+    # 8192 separation pairs at order 5, deeper than the interpreter's
+    # recursion limit; the search keeps its own stack and finds no tangle.
     sys = ConnectivitySystem.matroid(RankFunction.uniform(3, 14), verify=False)
-    with pytest.raises(SearchSpaceTooLarge, match="recursion depth 8192"):
-        enumerate_tangles(sys, 5)
+    assert enumerate_tangles(sys, 5) == []
+
+
+def test_scans_above_the_cap_are_refused():
+    n = TANGLE_SCAN_N + 1
+    sys = ConnectivitySystem.graph([(i, i + 1) for i in range(n)], verify=False)
+    with pytest.raises(SearchSpaceTooLarge, match=f"n <= {TANGLE_SCAN_N}"):
+        is_robust(Tangle(sys, 2, [0]))
+    with pytest.raises(SearchSpaceTooLarge, match=f"n <= {TANGLE_SCAN_N}"):
+        enumerate_tangles(sys, 2)
+
+
+def test_search_leaf_failing_verification_raises(u24, monkeypatch):
+    bad = Violation("T2", (0b0011,))
+    monkeypatch.setattr(tangles, "verify_tangle", lambda sys, t: [bad])
+    with pytest.raises(ViolationFound) as caught:
+        enumerate_tangles(u24, 2)
+    assert caught.value.witness == bad
 
 
 class TestCanonical:
