@@ -74,6 +74,17 @@ def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 
 
+def maximal_masks(masks: Iterable[int]) -> Tuple[int, ...]:
+    """The subset-maximal masks among `masks`, largest first.  A mask is
+    kept iff no kept mask contains it: any strict superset is larger, so it
+    was met earlier and is itself kept or inside a kept one."""
+    out: List[int] = []
+    for m in sorted(set(masks), key=popcount, reverse=True):
+        if not any(m & ~kept == 0 for kept in out):
+            out.append(m)
+    return tuple(out)
+
+
 def masks_of_size(n: int, size: int) -> Iterator[int]:
     """All masks over n elements with exactly `size` bits, ascending."""
     if size == 0:

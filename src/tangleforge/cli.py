@@ -34,25 +34,46 @@ EXIT_VERIFY = 2
 EXIT_TOO_LARGE = 3
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error by raising, so `run` answers it as JSON with
+    EXIT_USAGE instead of argparse's stderr text and exit 2.  Flags must be
+    spelled out: an abbreviation could name another flag (flower's
+    --seed-side for a --seed it does not take)."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)  # subcommand parsers too
+        super().__init__(*args, **kwargs)
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="tangleforge",
-                                description="tangles, closures, flowers, and partial k-trees")
+    p = _Parser(prog="tangleforge",
+                description="tangles, closures, flowers, and partial k-trees")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_k=True):
+    # Each subcommand registers only the flags it reads.
+    def common(sp, tangle=True, s_family=True, verify=True, dot=False):
         sp.add_argument("--input", required=True, help="system JSON file")
-        if need_k:
-            sp.add_argument("--k", type=int, required=True, help="order of the tangle")
-        sp.add_argument("--tangle", default="canonical",
-                        help="'canonical' or a tangle JSON file")
-        sp.add_argument("--S", dest="s_mode", default="default",
-                        help="'default' or an explicit S JSON file")
+        sp.add_argument("--k", type=int, required=True, help="order of the tangle")
+        if tangle:
+            sp.add_argument("--tangle", default="canonical",
+                            help="'canonical' or a tangle JSON file")
+        if s_family:
+            sp.add_argument("--S", dest="s_mode", default="default",
+                            help="'default' or an explicit S JSON file")
         sp.add_argument("--max-n", type=int, default=14, help="ground set safety cap")
-        sp.add_argument("--seed", type=int, default=0, help="sampling seed")
-        sp.add_argument("--verify", action="store_true",
-                        help="cross-check against the brute-force oracle "
-                             "(tangles: re-verify each tangle's axioms)")
-        sp.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
+        if verify:
+            sp.add_argument("--verify", action="store_true",
+                            help="cross-check against the brute-force oracle "
+                                 "(tangles: re-verify each tangle's axioms)")
+        if dot:
+            sp.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
 
     sp = sub.add_parser("check", help="verify the connectivity axioms")
     sp.add_argument("--input", required=True)
@@ -60,25 +81,26 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("tangles", help="enumerate all tangles of order k")
-    common(sp)
+    common(sp, tangle=False, s_family=False)
 
     sp = sub.add_parser("fcl", help="full closure of a set")
-    common(sp)
+    common(sp, s_family=False)
     sp.add_argument("--x", required=True, help="comma-separated element indices")
 
     sp = sub.add_parser("separations", help="(k,S)-separations and equivalence classes")
     common(sp)
 
     sp = sub.add_parser("flower", help="verify a flower or build a maximal one")
-    common(sp)
+    common(sp, dot=True)
     sp.add_argument("--petals", help="JSON list of element lists to verify")
     sp.add_argument("--seed-side", help="comma-separated side of the seed separation")
 
     sp = sub.add_parser("tree", help="build the maximal partial (k,S)-tree")
-    common(sp)
+    common(sp, dot=True)
 
+    # The report is the oracle's own, so there is nothing to --verify it against.
     sp = sub.add_parser("oracle", help="differential engine-vs-oracle report")
-    common(sp)
+    common(sp, verify=False)
     sp.add_argument("--max-petals", type=int, default=4)
     return p
 
@@ -132,12 +154,8 @@ def _emit(text: str):
 
 
 def run(argv) -> int:
-    args = _parser().parse_args(argv)
-    if args.command == "oracle" and args.verify:
-        _emit(dumps({"error": "usage",
-                     "detail": "oracle takes no --verify: its report is the oracle's own"}))
-        return EXIT_USAGE
     try:
+        args = _parser().parse_args(argv)
         system = _load(args)
         if args.command == "check":
             report = verify_connectivity_axioms(system, seed=args.seed)
@@ -159,8 +177,6 @@ def run(argv) -> int:
             return EXIT_OK if ok else EXIT_VERIFY
 
         tangle = _resolve_tangle(system, args)
-        s_family = _resolve_S(system, tangle, args)
-
         if args.command == "fcl":
             x = _parse_elements(system, args.x)
             got = full_closure(system, tangle, x)
@@ -175,6 +191,7 @@ def run(argv) -> int:
             _emit(dumps(out))
             return EXIT_OK
 
+        s_family = _resolve_S(system, tangle, args)
         if args.command == "separations":
             seps = s_family.separations()
             classes = s_family.classes()
@@ -263,7 +280,7 @@ def run(argv) -> int:
     except TangleforgeError as exc:
         _emit(dumps({"error": type(exc).__name__, "detail": str(exc)}))
         return EXIT_VERIFY if hasattr(exc, "witness") else EXIT_USAGE
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (_UsageError, OSError, ValueError, json.JSONDecodeError) as exc:
         _emit(dumps({"error": "usage", "detail": str(exc)}))
         return EXIT_USAGE
 

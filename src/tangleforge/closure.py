@@ -12,10 +12,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .bitset import nonempty_submasks, popcount
 from .core import ConnectivitySystem, Violation
-from .errors import PreconditionFailed, SearchSpaceTooLarge
-from .tangles import Tangle
-
-ENUM_CAP_N = 20
+from .errors import PreconditionFailed
+from .tangles import Tangle, check_scan_n
 
 
 def _require_strong_k_separating(sys: ConnectivitySystem, tangle: Tangle, x: int):
@@ -158,7 +156,9 @@ class TreeCompatibleSet:
 
     Default mode: all non-sequential k-separating sets with T-strong
     complements.  Explicit mode: a fixed family, verified against (S1)/(S2)
-    on demand.  Membership and the (k,S)-separation index are cached.
+    on demand.  Membership and the (k,S)-separation index are cached; the
+    classes are indexed both by member and by closure pair, and every class
+    question is answered from those two maps.
     """
 
     def __init__(self, sys: ConnectivitySystem, tangle: Tangle,
@@ -174,6 +174,7 @@ class TreeCompatibleSet:
         self._separations: Optional[List[Separation]] = None
         self._classes: Optional[List[List[Separation]]] = None
         self._class_index: Dict[Separation, int] = {}
+        self._pair_index: Dict[FrozenSet[int], int] = {}
 
     @property
     def k(self) -> int:
@@ -203,65 +204,63 @@ class TreeCompatibleSet:
         return self._separations
 
     def classes(self) -> List[List[Separation]]:
+        """The (k,S)-separations grouped by closure pair; classes ordered by
+        their first member, members ascending (the enumeration order)."""
         if self._classes is None:
             groups: Dict[FrozenSet[int], List[Separation]] = {}
             for sep in self.separations():
                 groups.setdefault(closure_pair(self.sys, self.tangle, sep), []).append(sep)
-            classes = sorted(groups.values(), key=lambda g: min(s.side for s in g))
-            for cls in classes:
-                cls.sort()
-            self._classes = classes
-            self._class_index = {s: i for i, cls in enumerate(classes) for s in cls}
+            pairs = sorted(groups, key=lambda pair: groups[pair][0].side)
+            self._classes = [groups[pair] for pair in pairs]
+            self._pair_index = {pair: i for i, pair in enumerate(pairs)}
+            self._class_index = {s: i for i, cls in enumerate(self._classes) for s in cls}
         return self._classes
 
-    def class_of(self, sep: Separation) -> List[Separation]:
-        self.classes()
-        idx = self._class_index.get(sep)
-        if idx is not None:
-            return self._classes[idx]
-        # Not a (k,S)-separation of record; compare closure pairs directly.
-        key = closure_pair(self.sys, self.tangle, sep)
-        for cls in self._classes:
-            if closure_pair(self.sys, self.tangle, cls[0]) == key:
-                return cls
-        return [sep]
-
     def class_id(self, sep: Separation) -> Optional[int]:
+        """Index of sep's class if sep is a (k,S)-separation of the tangle's
+        order, else None."""
         self.classes()
         return self._class_index.get(sep)
+
+    def class_of(self, sep: Separation) -> List[Separation]:
+        """sep's class; a separation outside the index is looked up by its
+        closure pair, and one equivalent to no class forms its own."""
+        idx = self.class_id(sep)
+        if idx is None:
+            idx = self._pair_index.get(closure_pair(self.sys, self.tangle, sep))
+            if idx is None:
+                return [sep]
+        return self._classes[idx]
+
+    def class_ids(self, seps: Iterable[Separation]) -> FrozenSet[Optional[int]]:
+        """Class ids of the (k,S)-separations among seps; a (k,S)-separation
+        whose order is not the tangle's contributes None."""
+        return frozenset(self.class_id(s) for s in seps if self.is_kS_separation(s))
 
 
 def build_default_S(sys: ConnectivitySystem, tangle: Tangle) -> TreeCompatibleSet:
     return TreeCompatibleSet(sys, tangle)
 
 
+def _canonical_sides(sys: ConnectivitySystem) -> range:
+    """The side containing element 0 of every separation of E, ascending;
+    refused before the scan when 2^n masks are too many."""
+    check_scan_n(sys, "separation scan")
+    return range(1, 1 << sys.n, 2)
+
+
 def strong_k_separations(sys: ConnectivitySystem, tangle: Tangle) -> List[Separation]:
     """All T-strong k-separations, canonical sides ascending."""
-    if sys.n > ENUM_CAP_N:
-        raise SearchSpaceTooLarge(f"separation scan needs n <= {ENUM_CAP_N}")
     k = tangle.k
-    out = []
-    for x in range(1 << sys.n):
-        if not x & 1:
-            continue
-        co = sys.full ^ x
-        if sys.lam(x) <= k and tangle.is_strong(x) and tangle.is_strong(co):
-            out.append(Separation(x, k))
-    return out
+    return [Separation(x, k) for x in _canonical_sides(sys)
+            if sys.lam(x) <= k and tangle.is_strong(x) and tangle.is_strong(sys.full ^ x)]
 
 
 def enumerate_kS_separations(sys: ConnectivitySystem, tangle: Tangle,
                              s_family: TreeCompatibleSet) -> List[Separation]:
     """All (k,S)-separations, canonicalized and deduplicated."""
-    if sys.n > ENUM_CAP_N:
-        raise SearchSpaceTooLarge(f"separation scan needs n <= {ENUM_CAP_N}")
-    out = []
-    for x in range(1 << sys.n):
-        if not x & 1:
-            continue
-        if s_family.contains(x) and s_family.contains(sys.full ^ x):
-            out.append(Separation(x, tangle.k))
-    return out
+    return [Separation(x, tangle.k) for x in _canonical_sides(sys)
+            if s_family.contains(x) and s_family.contains(sys.full ^ x)]
 
 
 def verify_tree_compatible(sys: ConnectivitySystem, tangle: Tangle,
@@ -270,21 +269,21 @@ def verify_tree_compatible(sys: ConnectivitySystem, tangle: Tangle,
     k-separating sets with strong complements), then (S1) closure under
     equivalence and (S2) upward closure along strong k-separations.
     Exhaustive, so desk scale only."""
-    out = []
-    for x in range(1 << sys.n):
-        if not s_family.contains(x):
-            continue
-        if (sys.lam(x) > tangle.k or tangle.is_weak(sys.full ^ x)
-                or is_sequential(sys, tangle, x)):
-            out.append(Violation("S-definition", (x,)))
+    members = sorted(y for x in _canonical_sides(sys) for y in (x, sys.full ^ x)
+                     if s_family.contains(y))
+    out = [Violation("S-definition", (x,)) for x in members
+           if (sys.lam(x) > tangle.k or tangle.is_weak(sys.full ^ x)
+               or is_sequential(sys, tangle, x))]
     strong = strong_k_separations(sys, tangle)
     ks_seps = [s for s in strong if s_family.is_kS_separation(s)]
-    for sep in ks_seps:
+    if ks_seps:  # closures are needed only to check some (k,S)-separation's class
+        equivalent: Dict[FrozenSet[int], List[Separation]] = {}
         for other in strong:
-            if equivalent_separations(sys, tangle, sep, other):
+            equivalent.setdefault(closure_pair(sys, tangle, other), []).append(other)
+        for sep in ks_seps:
+            for other in equivalent[closure_pair(sys, tangle, sep)]:
                 if not s_family.is_kS_separation(other):
                     out.append(Violation("S1", (sep.side, other.side)))
-    members = [x for x in range(1 << sys.n) if s_family.contains(x)]
     for x in members:
         for sep in strong:
             for y in sep.sides(sys):

@@ -67,7 +67,7 @@ class RankFunction:
     sampling above that.
     """
 
-    def __init__(self, n: int, table: List[int], source: str, verify: bool = True, seed: int = 0):
+    def __init__(self, n: int, table: List[int], source: str, verify: bool = True):
         if len(table) != 1 << n:
             raise ValueError("rank table must have 2^n entries")
         self.n = n

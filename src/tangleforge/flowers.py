@@ -238,8 +238,7 @@ def displayed_kS(sys: ConnectivitySystem, tangle: Tangle,
 def displayed_class_ids(sys: ConnectivitySystem, tangle: Tangle,
                         s_family: TreeCompatibleSet, f: Flower) -> FrozenSet[int]:
     """Equivalence-class ids of the displayed (k,S)-separations."""
-    return frozenset(s_family.class_id(s)
-                     for s in displayed_kS(sys, tangle, s_family, f))
+    return s_family.class_ids(displayed_separations(sys, tangle, f))
 
 
 def loose_petals(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> List[int]:

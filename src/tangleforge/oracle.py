@@ -72,13 +72,6 @@ def oracle_full_closure(sys: ConnectivitySystem, tangle: Tangle, x: int) -> int:
     return acc
 
 
-def _sequential(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
-    co = sys.full ^ x
-    if _weak(tangle, co):
-        return False
-    return oracle_full_closure(sys, tangle, co) == sys.full
-
-
 def _in_S(sys: ConnectivitySystem, tangle: Tangle,
           s_family: Optional[TreeCompatibleSet], x: int) -> bool:
     """Membership recomputed from the definition for default mode; explicit
@@ -102,15 +95,18 @@ def oracle_kS_separations(sys: ConnectivitySystem, tangle: Tangle,
     return out
 
 
+def _oracle_key(sys: ConnectivitySystem, tangle: Tangle, sep: Separation) -> FrozenSet[int]:
+    """The pair of oracle closures of sep's sides: equal iff equivalent."""
+    a, b = sep.sides(sys)
+    return frozenset((oracle_full_closure(sys, tangle, a), oracle_full_closure(sys, tangle, b)))
+
+
 def oracle_classes(sys: ConnectivitySystem, tangle: Tangle,
                    s_family: Optional[TreeCompatibleSet] = None) -> List[List[Separation]]:
     """T-equivalence classes of the (k,S)-separations, by closure pairs."""
     groups: Dict[FrozenSet[int], List[Separation]] = {}
     for sep in oracle_kS_separations(sys, tangle, s_family):
-        a, b = sep.sides(sys)
-        key = frozenset((oracle_full_closure(sys, tangle, a),
-                         oracle_full_closure(sys, tangle, b)))
-        groups.setdefault(key, []).append(sep)
+        groups.setdefault(_oracle_key(sys, tangle, sep), []).append(sep)
     classes = sorted(groups.values(), key=lambda g: min(s.side for s in g))
     for cls in classes:
         cls.sort()
@@ -358,11 +354,8 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
             problems.append(f"P3 fails at vertex {v}: {klass}")
         if lab == "D" and klass != "daisy" and n > 3:
             problems.append(f"P4 fails at vertex {v}: {klass}")
-        keys = set()
-        for s in _kS_only(sys, tangle, s_family, shown_at[v]):
-            a, b = s.sides(sys)
-            keys.add(frozenset((oracle_full_closure(sys, tangle, a),
-                                oracle_full_closure(sys, tangle, b))))
+        keys = {_oracle_key(sys, tangle, s)
+                for s in _kS_only(sys, tangle, s_family, shown_at[v])}
         if len(keys) < 2:
             problems.append(f"flower vertex {v} has S-order < 3")
         for i in range(n):

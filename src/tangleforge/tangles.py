@@ -13,17 +13,18 @@ import os
 from itertools import combinations_with_replacement
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .bitset import down_closure, elements_of, join, popcount
+from .bitset import down_closure, elements_of, join, maximal_masks, popcount
 from .core import ConnectivitySystem, Violation, is_vertically_k_connected
 from .errors import NotAPartition, PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 
 DEFAULT_NODE_CAP = 1 << 20
-# verify_tangle scans all 2^n masks, and enumerate_tangles and is_robust
-# hold families of subsets as 2^n-bit ints (bitset.down_closure).
+# verify_tangle and the separation scans of `closure` visit all 2^n masks,
+# and enumerate_tangles and is_robust hold families of subsets as 2^n-bit
+# ints (bitset.down_closure).
 TANGLE_SCAN_N = 20
 
 
-def _check_scan_n(sys: ConnectivitySystem, what: str):
+def check_scan_n(sys: ConnectivitySystem, what: str):
     if sys.n > TANGLE_SCAN_N:
         raise SearchSpaceTooLarge(f"{what} enumerates 2^n masks; n <= {TANGLE_SCAN_N} required")
 
@@ -33,16 +34,6 @@ def _node_cap(explicit: Optional[int]) -> int:
         return explicit
     env = os.environ.get("TANGLEFORGE_MAX_NODES")
     return int(env) if env else DEFAULT_NODE_CAP
-
-
-def _maximal_antichain(masks: Iterable[int]) -> Tuple[int, ...]:
-    """Subset-maximal elements, largest first for early weak-test hits."""
-    ms = sorted(set(masks), key=popcount, reverse=True)
-    out: List[int] = []
-    for m in ms:
-        if not any(m & ~kept == 0 for kept in out):
-            out.append(m)
-    return tuple(out)
 
 
 class Tangle:
@@ -60,7 +51,7 @@ class Tangle:
         for m in self.members:
             if m & ~sys.full:
                 raise PreconditionFailed("member outside ground set")
-        self.maximal_members = _maximal_antichain(self.members)
+        self.maximal_members = maximal_masks(self.members)  # largest first: early weak hits
         self._fcl_cache: dict = {}
         self._robust: Optional[bool] = None
 
@@ -102,7 +93,7 @@ def verify_tangle(sys: ConnectivitySystem, tangle: Tangle) -> List[Violation]:
     triple of members is dominated by the maximal members above them.
     (T2) enumerates all X with lam(X) <= k-1, so needs n <= TANGLE_SCAN_N.
     """
-    _check_scan_n(sys, "T2 verification")
+    check_scan_n(sys, "T2 verification")
     k = tangle.k
     out = []
     for a in sorted(tangle.members):
@@ -131,7 +122,7 @@ def is_robust(tangle: Tangle) -> bool:
     The search runs once per tangle; the verdict is stored on it.
     """
     if tangle._robust is None:
-        _check_scan_n(tangle.sys, "the robustness test")
+        check_scan_n(tangle.sys, "the robustness test")
         tangle._robust = _no_eight_members_cover(tangle)
     return tangle._robust
 
@@ -191,7 +182,7 @@ def enumerate_tangles(sys: ConnectivitySystem, k: int,
     of a chosen side and `two` of subsets of a union of two chosen sides:
     a candidate C completes a covering triple iff E - C is in `two`.
     """
-    _check_scan_n(sys, "tangle search")
+    check_scan_n(sys, "tangle search")
     cap = _node_cap(node_cap)
     n = sys.n
     full = sys.full

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .bitset import popcount, submasks
+from .bitset import maximal_masks, popcount, submasks
 from .core import ConnectivitySystem
-from .closure import (Separation, TreeCompatibleSet, closure_pair, full_closure,
-                      full_closure_sequence)
+from .closure import Separation, TreeCompatibleSet, full_closure, full_closure_sequence
 from .errors import (DichotomyViolation, NotAFlowerVertex, PreconditionFailed,
                      SearchSpaceTooLarge, TangleforgeError, ViolationFound)
 from .flowers import (ANEMONE, DAISY, Flower, class_conforms, classify, concatenate,
@@ -108,9 +107,6 @@ class PiTree:
 
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         return self.edge_list
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self.adj[v]
 
     def is_leaf(self, v: int) -> bool:
         return len(self.adj[v]) == 1
@@ -220,19 +216,10 @@ def displayed_by_tree(sys: ConnectivitySystem, tangle: Tangle, t: PiTree) -> Lis
     return sorted(_tree_display(sys, tangle, t)[0])
 
 
-def _class_ids(s_family: TreeCompatibleSet, displayed) -> FrozenSet[int]:
-    ids = set()
-    for sep in displayed:
-        if s_family.is_kS_separation(sep):
-            cid = s_family.class_id(sep)
-            if cid is not None:
-                ids.add(cid)
-    return frozenset(ids)
-
-
 def displayed_tree_class_ids(sys: ConnectivitySystem, tangle: Tangle,
                              s_family: TreeCompatibleSet, t: PiTree) -> FrozenSet[int]:
-    return _class_ids(s_family, _tree_display(sys, tangle, t)[0])
+    """Classes displayed by t; a tree of another order displays none."""
+    return s_family.class_ids(_tree_display(sys, tangle, t)[0]) - {None}
 
 
 def _nonempty_bags(t: PiTree) -> List[int]:
@@ -305,8 +292,7 @@ def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,
             f, shown = at[v]
             klass = classify(sys, f)
             want_ok = (klass == ANEMONE) if lab == "A" else (klass == DAISY or f.n <= 3)
-            classes = {s_family.class_id(s) for s in shown if s_family.is_kS_separation(s)}
-            if not want_ok or len(classes) < 2 or loose_petals(sys, tangle, f):
+            if not want_ok or len(s_family.class_ids(shown)) < 2 or loose_petals(sys, tangle, f):
                 raise ViolationFound("flower vertex fails label/order/looseness", v)
         except TangleforgeError as exc:
             if lab == "A":
@@ -445,18 +431,11 @@ def _maximal_k_separating_between(sys, tangle, lower: int, upper: int,
     upper unless allow_equal); ties broken by smallest mask."""
     k = tangle.k
     gap = upper & ~lower
-    candidates = []
-    for s in submasks(gap):
-        z = lower | s
-        if z == upper and not allow_equal:
-            continue
-        if sys.lam(z) <= k:
-            candidates.append(z)
+    candidates = [z for z in (lower | s for s in submasks(gap))
+                  if (z != upper or allow_equal) and sys.lam(z) <= k]
     if not candidates:
         raise PreconditionFailed("no k-separating set in the interval")
-    maximal = [z for z in candidates
-               if not any(z != w and z & ~w == 0 for w in candidates)]
-    return min(maximal)
+    return min(maximal_masks(candidates))
 
 
 def _attach_flower_star(sys, tangle, s_family, t, holder, flower_prefix, klass):
@@ -519,7 +498,7 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
         raise PreconditionFailed("tangle is not robust")
     k = t.k
     displayed = _tree_display(sys, tangle, t)[0]
-    base_ids = _class_ids(s_family, displayed)
+    base_ids = s_family.class_ids(displayed) - {None}  # None: t has another order
     all_ids = set(range(len(s_family.classes())))
     missing = sorted(all_ids - base_ids)
     if not missing:
@@ -534,7 +513,7 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
     for step in range(4 * (1 << sys.n) + 16):
         if step:
             displayed = _tree_display(sys, tangle, work)[0]
-            if len(_class_ids(s_family, displayed)) > len(base_ids):
+            if len(s_family.class_ids(displayed)) > len(base_ids):
                 return work
         found = _find_rep_in_bag(sys, s_family, work, displayed, target)
         if found is None:
@@ -585,33 +564,17 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
             raise ViolationFound("B & W is weak on the flower route", (bw,))
         f0 = verify_flower(sys, tangle, (z, bw, sys.full ^ b1), k)
         fstar = maximal_flower_from(sys, tangle, s_family, f0)
-        pair_b = closure_pair(sys, tangle, Separation.make(sys, b1, k))
+        class_b = set(s_family.class_of(Separation.make(sys, b1, k)))
         fcl_of_b1 = full_closure(sys, tangle, b1)
         shown = displayed_kS(sys, tangle, s_family, fstar)
-        c = None
-        for s in shown:
-            if closure_pair(sys, tangle, s) == pair_b:
-                for cand in s.sides(sys):
-                    if (full_closure(sys, tangle, cand) == fcl_of_b1
-                            and b1 & ~cand == 0):
-                        c = cand
-                        break
-            if c is not None:
-                break
+        c = next((cand for s in shown if s in class_b for cand in s.sides(sys)
+                  if full_closure(sys, tangle, cand) == fcl_of_b1 and b1 & ~cand == 0),
+                 None)
         if c is None:
             raise ViolationFound("maximal flower lost the terminal-bag class",
                                  Separation.make(sys, b1, k))
-        pair_wz = closure_pair(sys, tangle, wz)
-        zprime = None
-        for s in shown:
-            if closure_pair(sys, tangle, s) == pair_wz:
-                for cand in s.sides(sys):
-                    if cand & ~c == 0:
-                        zprime = cand
-                        break
-            if zprime is not None:
-                break
-        if zprime is None:
+        class_wz = set(s_family.class_of(wz))
+        if not any(side & ~c == 0 for s in shown if s in class_wz for side in s.sides(sys)):
             raise ViolationFound("no displayed equivalent of (W,Z) inside C", wz)
         arranged, j = _arrange_prefix(sys, tangle, fstar, c)
         fpp = concatenate(arranged, list(range(1, j + 1)) + [arranged.n])

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tangleforge.bitset import (complement, down_closure, elements_of, full_mask,
-                                is_subset, join, mask_of, masks_of_size,
+                                is_subset, join, mask_of, masks_of_size, maximal_masks,
                                 nonempty_submasks, popcount, submasks, submasks_by_size)
 
 
@@ -79,3 +79,15 @@ def test_down_closure_and_join_match_set_definitions():
             m = rng.getrandbits(n)
             want = {x for x in range(1 << n) if x & ~m in members(family)}
             assert members(join(family, m, n)) == want
+
+
+def test_maximal_masks_are_the_subset_maximal_ones():
+    rng = random.Random(5)
+    for n in range(1, 6):
+        for _ in range(40):
+            masks = [rng.getrandbits(n) for _ in range(rng.randint(1, 8))]
+            got = maximal_masks(masks)
+            assert set(got) == {m for m in masks
+                                if not any(m != w and m & ~w == 0 for w in masks)}
+            assert len(got) == len(set(got))
+            assert [popcount(m) for m in got] == sorted(map(popcount, got), reverse=True)

@@ -230,3 +230,43 @@ def test_oracle_verify_is_rejected(inputs, capsys):
     code, out = invoke(capsys, ["oracle", "--input", inputs["r8.json"], "--k", "4",
                                 "--verify"])
     assert code == 1 and json.loads(out)["error"] == "usage"
+
+
+def test_missing_required_flag_is_a_usage_error(inputs, capsys):
+    code, out = invoke(capsys, ["tangles", "--input", inputs["r8.json"]])
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "usage" and "--k" in data["detail"]
+
+
+def test_unknown_flag_is_a_usage_error(inputs, capsys):
+    code, out = invoke(capsys, ["tree", "--input", inputs["u26.json"], "--k", "2",
+                                "--no-such-flag"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "usage" and "--no-such-flag" in data["detail"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("check", ["--k", "2"]),
+    ("tangles", ["--seed", "1"]),
+    ("tangles", ["--dot"]),
+    ("tangles", ["--tangle", "canonical"]),
+    ("tangles", ["--S", "default"]),
+    ("fcl", ["--S", "default"]),
+    ("fcl", ["--dot"]),
+    ("separations", ["--dot"]),
+    ("flower", ["--seed", "1"]),
+    ("tree", ["--seed", "1"]),
+    ("oracle", ["--dot"]),
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(inputs, capsys, command, extra):
+    argv = [command, "--input", inputs["u26.json"]]
+    if command != "check":
+        argv += ["--k", "2"]
+    if command == "fcl":
+        argv += ["--x", "0"]
+    code, out = invoke(capsys, argv + extra)
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "usage" and extra[0] in data["detail"]

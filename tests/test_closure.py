@@ -7,7 +7,8 @@ from tangleforge.bitset import elements_of
 from tangleforge.closure import (Separation, TreeCompatibleSet, closure_pair,
                                  full_closure_sequence, strong_k_separations,
                                  weak_extension_candidates)
-from tangleforge.errors import PreconditionFailed
+from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge
+from tangleforge.tangles import Tangle
 
 from conftest import lab
 
@@ -247,6 +248,14 @@ class TestTreeCompatible:
                                   explicit=range(1, sys.full))
         assert verify_tree_compatible(sys, t, every) != []
 
+    def test_refused_above_scan_cap_before_any_lambda(self):
+        from tangleforge import ConnectivitySystem
+        path = ConnectivitySystem.graph([(i, i + 1) for i in range(21)])
+        t = Tangle(path, 2, [0])
+        with pytest.raises(SearchSpaceTooLarge):
+            verify_tree_compatible(path, t, TreeCompatibleSet(path, t))
+        assert path._memo == {}
+
     def test_r8_diagonal_in_default_S(self, ctx_r8p1):
         assert ctx_r8p1.S.contains(lab(1, 3, 5, 7))
         assert not ctx_r8p1.S.contains(lab(1, 2))  # sequential side
@@ -311,3 +320,73 @@ class TestEnumerationAndClasses:
             a, b = sep.sides(sys)
             assert not is_sequential(sys, t, a)
             assert not is_sequential(sys, t, b)
+
+
+def explicit_family(ctx, drop=(), add=()):
+    """The default family's members minus `drop` plus `add`, as an explicit S."""
+    sys = ctx.sys
+    members = [x for x in range(1 << sys.n) if ctx.S.contains(x) and x not in drop]
+    return TreeCompatibleSet(sys, ctx.tangle, mode="explicit",
+                             explicit=members + list(add))
+
+
+def violations(ctx, family):
+    return [v.to_json() for v in verify_tree_compatible(ctx.sys, ctx.tangle, family)]
+
+
+class TestTreeCompatibleViolations:
+    """Full violation lists: S-definition first, then (S1), then (S2)."""
+
+    def test_pc4_definition_s1_and_s2(self, ctx_pc4):
+        sys = ctx_pc4.sys
+        # {0,2} is not 2-separating and E has a weak complement; dropping
+        # {0,4} leaves its class mate ({0}, E-{0}) alone in S.
+        family = explicit_family(ctx_pc4, drop=[sys.mask([0, 4])],
+                                 add=[sys.mask([0, 2]), sys.full])
+        assert violations(ctx_pc4, family) == [
+            {"axiom": "S-definition", "witness": [[0, 2]]},
+            {"axiom": "S-definition", "witness": [[0, 1, 2, 3, 4]]},
+            {"axiom": "S1", "witness": [[0], [0, 4]]},
+            {"axiom": "S2", "witness": [[0], [0, 4]]},
+        ]
+
+    def test_barbell_dropped_class_member(self, ctx_barbell):
+        family = explicit_family(ctx_barbell, drop=[ctx_barbell.sys.mask([0, 1, 3, 4, 5, 6])])
+        assert violations(ctx_barbell, family) == [
+            {"axiom": "S1", "witness": [[0, 1], [0, 1, 3, 4, 5, 6]]},
+            {"axiom": "S2", "witness": [[0], [0, 1, 3, 4, 5, 6]]},
+            {"axiom": "S2", "witness": [[1], [0, 1, 3, 4, 5, 6]]},
+            {"axiom": "S2", "witness": [[0, 1], [0, 1, 3, 4, 5, 6]]},
+            {"axiom": "S2", "witness": [[1, 3, 4, 5, 6], [0, 1, 3, 4, 5, 6]]},
+        ]
+
+    def test_c6_dropped_superset_breaks_only_s2(self, ctx_c6):
+        # every class of C6 is a singleton, so dropping {0,1,2} breaks no (S1)
+        family = explicit_family(ctx_c6, drop=[ctx_c6.sys.mask([0, 1, 2])])
+        assert violations(ctx_c6, family) == [
+            {"axiom": "S2", "witness": [[0], [0, 1, 2]]},
+            {"axiom": "S2", "witness": [[1], [0, 1, 2]]},
+            {"axiom": "S2", "witness": [[0, 1], [0, 1, 2]]},
+            {"axiom": "S2", "witness": [[2], [0, 1, 2]]},
+            {"axiom": "S2", "witness": [[1, 2], [0, 1, 2]]},
+        ]
+
+
+def test_class_of_outside_the_index_matches_a_closure_pair_scan(
+        ctx_r8p1, ctx_r8m3, ctx_pc4, ctx_barbell):
+    families = [(ctx_r8p1, ctx_r8p1.S), (ctx_r8m3, ctx_r8m3.S),
+                (ctx_pc4, explicit_family(ctx_pc4, drop=[ctx_pc4.sys.mask([0, 4])])),
+                (ctx_barbell, explicit_family(
+                    ctx_barbell, drop=[ctx_barbell.sys.mask([0, 1, 3, 4, 5, 6])]))]
+    outcomes = set()
+    for ctx, family in families:
+        sys, t = ctx.sys, ctx.tangle
+        for sep in strong_k_separations(sys, t):
+            if family.is_kS_separation(sep):
+                continue
+            key = closure_pair(sys, t, sep)
+            want = next((cls for cls in family.classes()
+                         if closure_pair(sys, t, cls[0]) == key), [sep])
+            assert family.class_of(sep) == want
+            outcomes.add(want == [sep])
+    assert outcomes == {True, False}  # both a matching class and none occur
