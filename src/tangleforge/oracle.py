@@ -3,6 +3,15 @@
 Shares only the lambda evaluation with the engines; weak tests, closures,
 classes, flowers, and tree certification are recomputed literally from the
 definitions so differential tests mean something.
+
+Literalness rule: every predicate here is the definition, evaluated by an
+exhaustive walk.  A memo table of such a predicate is allowed, as long as
+each entry is what the literal walk returns (the weak set below is the
+definition "X lies inside a member" tabulated once per tangle by a submask
+walk of each member).  Derived structure is not allowed: no antichains of
+maximal members, no greedy sequences, no bit families, and nothing taken
+from the engine but `lam`.  Memo tables live in oracle-private attributes
+of the tangle (`_oracle_*`), so two tangles never share one.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from .bitset import elements_of
 from .core import ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet
 from .errors import SearchSpaceTooLarge, ViolationFound
-from .flowers import Flower, displayed_class_ids
+from .flowers import Flower
 from .tangles import Tangle
 from .trees import PiTree
 
@@ -28,27 +37,60 @@ def _guard(sys: ConnectivitySystem):
         raise SearchSpaceTooLarge(f"oracle requires n <= {ORACLE_MAX_N}")
 
 
+def _weak_set(tangle: Tangle) -> Set[int]:
+    """Every subset of every member, by a submask walk of each member;
+    a member already in the set adds nothing and is skipped."""
+    weak = tangle.__dict__.get("_oracle_weak")
+    if weak is None:
+        weak = set()
+        for m in tangle.members:
+            if m in weak:
+                continue
+            y = m
+            while True:
+                weak.add(y)
+                if y == 0:
+                    break
+                y = (y - 1) & m
+        tangle._oracle_weak = weak
+    return weak
+
+
 def _weak(tangle: Tangle, x: int) -> bool:
-    return any(x & ~m == 0 for m in tangle.members)
+    """X is weak iff it lies inside some member."""
+    return x in _weak_set(tangle)
 
 
 def _fully_closed(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
-    """Literal definition: no non-empty weak Y in E-X keeps X|Y k-separating."""
+    """Literal definition: no non-empty weak Y in E-X keeps X|Y k-separating.
+
+    Memoized per (tangle, X) in `_oracle_fc_cache`."""
+    cache = tangle.__dict__.setdefault("_oracle_fc_cache", {})
+    hit = cache.get(x)
+    if hit is not None:
+        return hit
     k = tangle.k
+    weak = _weak_set(tangle)
     rest = sys.full ^ x
+    closed = True
     y = rest
     while y:
-        if _weak(tangle, y) and sys.lam(x | y) <= k:
-            return False
+        if y in weak and sys.lam(x | y) <= k:
+            closed = False
+            break
         y = (y - 1) & rest
-    return True
+    cache[x] = closed
+    return closed
 
 
 def oracle_full_closure(sys: ConnectivitySystem, tangle: Tangle, x: int) -> int:
     """Intersection of every fully-closed k-separating superset of X.
 
-    Memoized on the tangle (recomputation is deterministic, so caching does
-    not compromise independence from the greedy engine).
+    Two memos on the tangle keep this literal: the closure of X in
+    `_oracle_fcl_cache`, and each superset's fully-closed verdict in
+    `_oracle_fc_cache` (see `_fully_closed`).  Each entry is what the
+    exhaustive walk returns, so caching does not borrow from the greedy
+    engine.
     """
     _guard(sys)
     cache = tangle.__dict__.setdefault("_oracle_fcl_cache", {})
@@ -224,10 +266,14 @@ def s_order(sys: ConnectivitySystem, tangle: Tangle,
             max_petals: Optional[int] = None) -> int:
     """Minimum petal count among flowers displaying the same (k,S)-classes.
 
+    A class is the oracle closure pair of a displayed (k,S)-separation.
     Zero classes give 1, one class gives 2; otherwise exhaustive flower
     enumeration at desk scale decides, which may raise SearchSpaceTooLarge.
     """
-    classes = displayed_class_ids(sys, tangle, s_family, f)
+    def shown(g: Flower) -> Set[FrozenSet[int]]:
+        return _class_keys(sys, tangle, s_family, _displayed_unions(sys, g.k, g.petals))
+
+    classes = shown(f)
     if not classes:
         return 1
     if len(classes) == 1:
@@ -235,7 +281,7 @@ def s_order(sys: ConnectivitySystem, tangle: Tangle,
     cap = max_petals if max_petals is not None else f.n
     best = f.n
     for g in oracle_flowers(sys, tangle, max_petals=cap):
-        if g.n < best and displayed_class_ids(sys, tangle, s_family, g) == classes:
+        if g.n < best and shown(g) == classes:
             best = g.n
     return best
 
@@ -284,6 +330,13 @@ def _kS_only(sys: ConnectivitySystem, tangle: Tangle,
     return sorted(s for s in seps
                   if _in_S(sys, tangle, s_family, s.side)
                   and _in_S(sys, tangle, s_family, sys.full ^ s.side))
+
+
+def _class_keys(sys: ConnectivitySystem, tangle: Tangle,
+                s_family: Optional[TreeCompatibleSet], seps) -> Set[FrozenSet[int]]:
+    """The classes of the (k,S)-separations among seps, each as its oracle
+    closure pair."""
+    return {_oracle_key(sys, tangle, s) for s in _kS_only(sys, tangle, s_family, seps)}
 
 
 def oracle_displayed_kS(sys: ConnectivitySystem, tangle: Tangle,
@@ -354,9 +407,7 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
             problems.append(f"P3 fails at vertex {v}: {klass}")
         if lab == "D" and klass != "daisy" and n > 3:
             problems.append(f"P4 fails at vertex {v}: {klass}")
-        keys = {_oracle_key(sys, tangle, s)
-                for s in _kS_only(sys, tangle, s_family, shown_at[v])}
-        if len(keys) < 2:
+        if len(_class_keys(sys, tangle, s_family, shown_at[v])) < 2:
             problems.append(f"flower vertex {v} has S-order < 3")
         for i in range(n):
             for j in (range(n) if klass == "anemone" else [(i - 1) % n, (i + 1) % n]):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .bitset import maximal_masks, popcount, submasks
+from .bitset import elements_of, maximal_masks, popcount, submasks
 from .core import ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet, full_closure, full_closure_sequence
 from .errors import (DichotomyViolation, NotAFlowerVertex, PreconditionFailed,
@@ -248,13 +248,26 @@ class TreeVerdict:
         return all(self.passed.values())
 
     def to_json(self):
-        from .bitset import elements_of
         return {
             "ok": self.ok,
             "passed": self.passed,
-            "failures": [{"axiom": a, "witness": repr(w)} for a, w in self.failures],
+            "failures": [{"axiom": a, "witness": _witness_json(a, w)}
+                         for a, w in self.failures],
             "displayed": [sorted(elements_of(s.side)) for s in self.displayed],
         }
+
+
+def _witness_json(axiom: str, witness):
+    """P1: the edge [u, v]; P3/P4: the vertex and the failure detail; P5:
+    the side's elements; P2: the structure message as it is."""
+    if axiom == "P1":
+        return list(witness)
+    if axiom in ("P3", "P4"):
+        vertex, detail = witness
+        return {"vertex": vertex, "detail": detail}
+    if axiom == "P5":
+        return elements_of(witness.side)
+    return witness
 
 
 def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,

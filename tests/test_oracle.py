@@ -1,15 +1,21 @@
 import pytest
 
-from tangleforge import (ConnectivitySystem, build_maximal_tree,
+from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
                          enumerate_tangles, full_closure, verify_flower)
+from tangleforge.closure import build_default_S
 from tangleforge.errors import SearchSpaceTooLarge
-from tangleforge.flowers import Flower, classify
-from tangleforge.oracle import (differential_report, oracle_certify_tree,
+from tangleforge.flowers import Flower, classify, displayed_class_ids
+from tangleforge.oracle import (ORACLE_MAX_N, _fully_closed, _weak,
+                                differential_report, oracle_certify_tree,
                                 oracle_classes, oracle_flowers,
-                                oracle_full_closure)
+                                oracle_full_closure, s_order)
+from tangleforge.tangles import Tangle
 from tangleforge.trees import PiTree, flower_to_tree
 
 from conftest import lab
+
+CTX_NAMES = ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6", "ctx_pc4",
+             "ctx_barbell", "ctx_r8m3", "ctx_mk4"]
 
 
 def strong_domain(ctx):
@@ -79,6 +85,21 @@ class TestOracleClasses:
             assert engine == oracle
 
 
+class TestSOrder:
+    # U_{5,6} is left out for time: each of its many flowers re-enumerates
+    # them all, about a second in total.
+    @pytest.mark.parametrize("name", [c for c in CTX_NAMES if c != "ctx_u56"])
+    def test_matches_engine_class_ids(self, name, request):
+        # the oracle compares closure pairs; the engine's class ids must agree
+        ctx = request.getfixturevalue(name)
+        sys, tangle, S = ctx.sys, ctx.tangle, ctx.S
+        flowers = oracle_flowers(sys, tangle, 4)
+        ids = [displayed_class_ids(sys, tangle, S, f) for f in flowers]
+        for f, own in zip(flowers, ids):
+            want = min(g.n for g, other in zip(flowers, ids) if other == own)
+            assert s_order(sys, tangle, S, f) == {0: 1, 1: 2}.get(len(own), want)
+
+
 class TestOracleCertify:
     def test_built_tree_certified(self, ctx_barbell):
         t = build_maximal_tree(ctx_barbell.sys, ctx_barbell.tangle, ctx_barbell.S)
@@ -110,3 +131,55 @@ class TestDifferential:
             assert report.closure_checks > 0
             data = report.to_json()
             assert data["ok"] and data["class_count"] == len(ctx.S.classes())
+
+
+class TestOracleMemos:
+    """The weak set and the fully-closed memo are tables of the literal
+    predicates: every entry equals what the definition gives."""
+
+    @pytest.mark.parametrize("name", CTX_NAMES)
+    def test_weak_set_is_the_member_scan(self, name, request):
+        ctx = request.getfixturevalue(name)
+        members = ctx.tangle.members
+        for x in range(1 << ctx.sys.n):
+            assert _weak(ctx.tangle, x) == any(x & ~m == 0 for m in members)
+
+    @pytest.mark.parametrize("name", CTX_NAMES)
+    def test_memoized_fully_closed_matches_fresh(self, name, request):
+        ctx = request.getfixturevalue(name)
+        sys, tangle = ctx.sys, ctx.tangle
+        masks = range(1 << sys.n)
+        for x in masks:
+            _fully_closed(sys, tangle, x)
+        fresh = Tangle(sys, tangle.k, tangle.members)
+        for x in masks:
+            assert x in tangle._oracle_fc_cache
+            assert _fully_closed(sys, tangle, x) == _fully_closed(sys, fresh, x)
+
+    def test_tangles_of_one_system_keep_their_own_memos(self, barbell):
+        first, second = enumerate_tangles(barbell, 2)[:2]
+        masks = range(1 << barbell.n)
+        verdicts = [[_fully_closed(barbell, t, x) for x in masks] for t in (first, second)]
+        closures = [[oracle_full_closure(barbell, t, x) for x in masks
+                     if barbell.lam(x) <= 2 and not _weak(t, x)] for t in (first, second)]
+        assert verdicts[0] != verdicts[1] and closures[0] != closures[1]
+        for attr in ("_oracle_weak", "_oracle_fc_cache", "_oracle_fcl_cache"):
+            assert getattr(first, attr) is not getattr(second, attr)
+        for t, got in zip((first, second), verdicts):
+            fresh = Tangle(barbell, 2, t.members)
+            assert got == [_fully_closed(barbell, fresh, x) for x in masks]
+
+
+class TestOracleCap:
+    @pytest.mark.parametrize("build", [
+        lambda: ConnectivitySystem.graph(
+            [(i, (i + 1) % ORACLE_MAX_N) for i in range(ORACLE_MAX_N)], verify=False),
+        lambda: ConnectivitySystem.matroid(RankFunction.uniform(11, 12), verify=False),
+    ], ids=["C14", "U11_12"])
+    def test_built_tree_certified_at_desk_scale(self, build):
+        system = build()
+        tangle = enumerate_tangles(system, 2)[0]
+        s_family = build_default_S(system, tangle)
+        tree = build_maximal_tree(system, tangle, s_family)
+        ok, problems = oracle_certify_tree(system, tangle, s_family, tree)
+        assert ok, problems

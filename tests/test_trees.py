@@ -111,6 +111,24 @@ class TestVerify:
         verdict = verify_partial_kS_tree(sys, tangle, S, t)
         assert not verdict.passed["P3"]
 
+    def test_failing_verdict_json_has_structured_witnesses(self, ctx_r8p1, ctx_c6):
+        sys = ctx_r8p1.sys
+        t = PiTree(4, {0: lab(1, 2), 1: sys.full ^ lab(1, 2)}, {}, [(0, 1)])
+        data = verify_partial_kS_tree(sys, ctx_r8p1.tangle, ctx_r8p1.S, t).to_json()
+        assert not data["ok"]
+        assert data["failures"] == [{"axiom": "P1", "witness": [0, 1]},
+                                    {"axiom": "P5", "witness": [0, 2, 4, 6]}]
+        bags = {i + 1: 1 << i for i in range(6)}
+        t = PiTree(2, bags, {0: "A"}, [(0, i + 1) for i in range(6)])
+        data = verify_partial_kS_tree(ctx_c6.sys, ctx_c6.tangle, ctx_c6.S, t).to_json()
+        assert data["failures"] == [{"axiom": "P3", "witness": {
+            "vertex": 0, "detail": "flower vertex fails label/order/looseness"}}]
+        t = PiTree(2, {0: 0b11, 1: ctx_c6.sys.full ^ 0b1}, {}, [(0, 1)])
+        data = verify_partial_kS_tree(ctx_c6.sys, ctx_c6.tangle, ctx_c6.S, t).to_json()
+        assert data["failures"] == [
+            {"axiom": "P2", "witness": "bags overlap"},
+            {"axiom": "P2", "witness": "bags do not cover the ground set"}]
+
 
 class TestConformsWithTree:
     def test_displayed_conforms(self, ctx_r8p1):
