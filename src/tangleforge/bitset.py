@@ -117,8 +117,19 @@ def down_closure(mask: int) -> int:
     return family
 
 
+def up_closure(mask: int, n: int) -> int:
+    """The family of all supersets of mask among the masks below 2^n."""
+    family = 1 << mask
+    free = full_mask(n) ^ mask
+    while free:
+        low = free & -free
+        family |= family << low  # add each member with element low added
+        free ^= low
+    return family
+
+
 @lru_cache(maxsize=8)
-def _element_absent(n: int) -> Tuple[int, ...]:
+def element_absent(n: int) -> Tuple[int, ...]:
     """For each element i < n, the family of masks x < 2^n without i:
     runs of 2^i set bits and 2^i clear bits, repeated."""
     width = 1 << n
@@ -133,10 +144,26 @@ def _element_absent(n: int) -> Tuple[int, ...]:
 def join(family: int, mask: int, n: int) -> int:
     """{x : x & ~mask in family}; for a down-closed family this is the
     down-closure of the unions of its members with mask."""
-    absent = _element_absent(n)
+    absent = element_absent(n)
     while mask:
         low = mask & -mask
         family &= absent[low.bit_length() - 1]
         family |= family << low
         mask ^= low
     return family
+
+
+# -- byte lanes ------------------------------------------------------------
+#
+# A table of small values, one per mask, is one int with one byte per mask:
+# byte x (little-endian) holds the value at mask x.  Adding two such ints
+# adds mask by mask as long as every lane stays in 0..255, and shifting by
+# 8 * 2^i bits reads the value at x + 2^i into lane x.
+
+_BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def byte_lanes(family: int, n: int) -> int:
+    """The family as an int with one byte per mask, 1 at members, else 0."""
+    bits = format(family, f"0{1 << n}b")[::-1].encode()
+    return int.from_bytes(bits.translate(_BIT_TO_BYTE), "little")

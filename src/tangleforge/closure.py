@@ -252,8 +252,8 @@ def _canonical_sides(sys: ConnectivitySystem) -> range:
 def strong_k_separations(sys: ConnectivitySystem, tangle: Tangle) -> List[Separation]:
     """All T-strong k-separations, canonical sides ascending."""
     k = tangle.k
-    return [Separation(x, k) for x in _canonical_sides(sys)
-            if sys.lam(x) <= k and tangle.is_strong(x) and tangle.is_strong(sys.full ^ x)]
+    return [Separation(x, k) for x in sys.lam_at_most(k, _canonical_sides(sys))
+            if tangle.is_strong(x) and tangle.is_strong(sys.full ^ x)]
 
 
 def enumerate_kS_separations(sys: ConnectivitySystem, tangle: Tangle,

@@ -10,17 +10,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .bitset import elements_of, full_mask, mask_of, popcount
+from .bitset import (byte_lanes, down_closure, element_absent, elements_of, full_mask,
+                     mask_of, popcount, up_closure)
 from .errors import PreconditionFailed, ViolationFound
 
 MAX_GROUND = 64
 # Full lambda tables and exhaustive axiom checks up to this n; beyond it,
 # the checks run on SAMPLE_PAIRS seeded random sets.
 LAMBDA_TABLE_N = 16
-AUTO_VERIFY_N = 10
+AUTO_VERIFY_N = LAMBDA_TABLE_N
 SAMPLE_PAIRS = 20000
+# The axiom checks run on byte lanes when every value lies in 0..LANE_MAX:
+# a sum of four such values plus 128 then stays inside its byte.
+LANE_MAX = 63
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,41 @@ class Violation:
         return {"axiom": self.axiom, "witness": [elements_of(m) for m in self.witness]}
 
 
+# -- byte tables -----------------------------------------------------------
+#
+# A table whose values all lie in 0..255 is also kept as bytes (byte x is the
+# value at mask x).  `lam` and `rank` keep indexing the list, which is faster
+# for single lookups; the bytes serve scans, which `translate` and `compress`
+# run without a Python loop, and lane arithmetic (`bitset.byte_lanes`).
+
+_UP_TO_127 = bytes(range(128))
+_LANE_VALUES = bytes(range(LANE_MAX + 1))
+_PLUS_ONE = bytes(range(1, 256)) + b"\xff"
+
+
+def _byte_table(values: Sequence[int]) -> Optional[bytes]:
+    """The values as bytes, or None if one lies outside 0..255."""
+    if isinstance(values, bytes):
+        return values
+    if min(values) < 0 or max(values) > 255:
+        return None
+    return bytes(values)
+
+
+def _at_most(table: Optional[bytes], value: Callable[[int], int], k: int,
+             masks: range) -> List[int]:
+    """The masks of `masks` whose value is at most k, in order: one
+    `compress` over the byte table's slice, else one value call per mask."""
+    if table is None:
+        return [x for x in masks if value(x) <= k]
+    keep = bytes(v <= k for v in range(256))
+    return list(compress(masks, table[masks.start:masks.stop:masks.step].translate(keep)))
+
+
+def _lanes(table: bytes) -> int:
+    return int.from_bytes(table, "little")
+
+
 class RankFunction:
     """Matroid rank function over masks, memoized as a full table.
 
@@ -67,12 +107,13 @@ class RankFunction:
     sampling above that.
     """
 
-    def __init__(self, n: int, table: List[int], source: str, verify: bool = True):
+    def __init__(self, n: int, table: Sequence[int], source: str, verify: bool = True):
         if len(table) != 1 << n:
             raise ValueError("rank table must have 2^n entries")
         self.n = n
         self.source = source
-        self._table = table
+        self._table = list(table) if isinstance(table, bytes) else table
+        self._bytes = _byte_table(table)
         if verify:
             bad = verify_rank_axioms(self)
             if bad:
@@ -81,9 +122,28 @@ class RankFunction:
     def rank(self, mask: int) -> int:
         return self._table[mask]
 
+    def rank_at_most(self, k: int, masks: range) -> List[int]:
+        """The masks of `masks` of rank at most k, ascending."""
+        return _at_most(self._bytes, self._table.__getitem__, k, masks)
+
     @property
     def full_rank(self) -> int:
         return self._table[full_mask(self.n)]
+
+    def lam_bytes(self) -> Optional[bytes]:
+        """lambda_M(X) = r(X) + r(E-X) - r(E) + 1 for every X, as bytes; the
+        table of r(E-X) is the rank table reversed.  None when the table has
+        no bytes, or when a lane would leave 0..255, which an unverified
+        table can make happen; callers then use the formula."""
+        table = self._bytes
+        if table is None or table.translate(None, _UP_TO_127):
+            return None  # a value above 127 could carry into the next lane
+        total = (_lanes(table) + _lanes(table[::-1])).to_bytes(len(table), "little")
+        drop = self.full_rank - 1
+        if drop > 0 and total.translate(None, bytes(range(drop, 256))):
+            return None  # some r(X) + r(E-X) < r(E) - 1: lambda would be negative
+        # the lanes that occur lie in max(drop, 0)..254, so the mask never wraps one
+        return total.translate(bytes((v - drop) & 0xFF for v in range(256)))
 
     @classmethod
     def from_table(cls, n: int, values: Sequence[int], verify: bool = True) -> "RankFunction":
@@ -93,40 +153,40 @@ class RankFunction:
     def uniform(cls, r: int, n: int) -> "RankFunction":
         if not 0 <= r <= n:
             raise ValueError("uniform matroid needs 0 <= r <= n")
-        table = [min(popcount(m), r) for m in range(1 << n)]
-        return cls(n, table, f"uniform({r},{n})", verify=False)
+        counts = b"\0"  # popcounts of the masks below 2^i, for i = 0..n
+        for _ in range(n):
+            counts += counts.translate(_PLUS_ONE)
+        capped = counts.translate(bytes(min(v, r) for v in range(256)))
+        return cls(n, capped, f"uniform({r},{n})", verify=False)
 
     @classmethod
     def graphic(cls, edges: Sequence[Tuple[object, object]]) -> "RankFunction":
-        """Cycle-matroid rank: touched vertices minus components of (V, X)."""
+        """Cycle-matroid rank, greedy by edge index: edge e adds one to r(X)
+        iff e is in X and its ends are not joined by the edges of X below e.
+
+        "Joined" is a reachability fixpoint on families of edge sets:
+        reach[w] holds every X whose edges below e join e's first end to w.
+        """
         n = len(edges)
         if n == 0:
             raise ValueError("graphic matroid needs at least one edge")
-        verts = sorted({v for e in edges for v in e}, key=repr)
-        vid = {v: i for i, v in enumerate(verts)}
-        pairs = [(vid[u], vid[v]) for u, v in edges]
-        table = []
-        for m in range(1 << n):
-            parent = list(range(len(verts)))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            touched = set()
-            r = 0
-            for i, (u, v) in enumerate(pairs):
-                if m >> i & 1:
-                    touched.add(u)
-                    touched.add(v)
-                    ru, rv = find(u), find(v)
-                    if ru != rv:
-                        parent[ru] = rv
-                        r += 1
-            table.append(r)
-        return cls(n, table, "graphic", verify=False)
+        every = (1 << (1 << n)) - 1
+        present = [every ^ a for a in element_absent(n)]
+        total = 0
+        for e, (u, v) in enumerate(edges):
+            reach = {u: every}
+            grown = True
+            while grown:
+                grown = False
+                for f in range(e):
+                    a, b = edges[f]
+                    for s, t in ((a, b), (b, a)):
+                        new = reach.get(s, 0) & present[f] & ~reach.get(t, 0)
+                        if new:
+                            reach[t] = reach.get(t, 0) | new
+                            grown = True
+            total += byte_lanes(present[e] & ~reach.get(v, 0), n)
+        return cls(n, total.to_bytes(1 << n, "little"), "graphic", verify=False)
 
     @classmethod
     def from_bases(cls, n: int, bases: Sequence[int]) -> "RankFunction":
@@ -154,8 +214,9 @@ def _local_submodularity_failure(value: Callable[[int], int], n: int,
     Over every X and pair this is equivalent to submodularity on 2^E: each
     pairwise inequality is a telescoping sum of local ones (Fujishige,
     Submodular Functions and Optimization).  Exhaustive for
-    n <= LAMBDA_TABLE_N; above, one seeded random pair at each of
-    SAMPLE_PAIRS seeded random sets X.
+    n <= LAMBDA_TABLE_N, returning the least (X, e, f); above, one seeded
+    random pair at each of SAMPLE_PAIRS seeded random sets X.  Tables that
+    `_lane_table` accepts take `_lane_submodularity_failure` instead.
     """
     if n > LAMBDA_TABLE_N:
         rng = random.Random(seed)
@@ -181,26 +242,103 @@ def _local_submodularity_failure(value: Callable[[int], int], n: int,
     return None
 
 
+# -- axiom checks on byte lanes ----------------------------------------------
+#
+# Lane X of a table's lane int holds the value at X; shifting right by
+# 8 * 2^e bits puts the value at X + 2^e there.  Lanes at masks that contain
+# e read another mask's value, so every check keeps only the lanes at masks
+# without the elements it adds, and reports the least failing X.
+
+def _lane_table(table: Optional[bytes], n: int) -> Optional[bytes]:
+    """The byte table if the lane checks apply: n <= LAMBDA_TABLE_N and every
+    value in 0..LANE_MAX."""
+    if table is None or n > LAMBDA_TABLE_N or table.translate(None, _LANE_VALUES):
+        return None
+    return table
+
+
+def _without(n: int, e: int) -> int:
+    """Lanes set to 1 at the masks below 2^n without element e."""
+    run = 1 << e
+    return _lanes((b"\1" * run + bytes(run)) * ((1 << n) >> (e + 1)))
+
+
+def _lowest_lane(x: int) -> int:
+    return ((x & -x).bit_length() - 1) >> 3
+
+
+def _lane_submodularity_failure(table: bytes, n: int) -> Optional[Tuple[int, int, int]]:
+    """`_local_submodularity_failure`, exhaustive, on a `_lane_table`.
+
+    For each pair e < f, lane X of L>>2^e + L>>2^f + 128 - L>>(2^e+2^f) - L
+    (each shift by whole lanes) is v(X+e) + v(X+f) + 128 - v(X+e+f) - v(X),
+    which stays in 2..254, so no lane borrows from the next; its bit 7 is
+    clear iff the local inequality fails at X.  The least (X, e, f) is
+    returned, as the per-mask walk finds it.
+    """
+    lam = _lanes(table)
+    base = _lanes(b"\x80" * len(table)) - lam  # lane X: 128 - v(X)
+    shifted = [lam >> (8 << e) for e in range(n)]
+    free = [_without(n, e) << 7 for e in range(n)]  # bit 7 of the lanes without e
+    best = None
+    for e in range(n):
+        part = shifted[e] + base
+        for f in range(e + 1, n):
+            local = part + shifted[f] - (lam >> ((8 << e) + (8 << f)))
+            bad = free[e] & free[f] & ~local
+            if bad:
+                x = _lowest_lane(bad)
+                if best is None or x < best[0]:
+                    best = (x, 1 << e, 1 << f)
+    return best
+
+
+def _lane_unit_increment_failure(table: bytes, n: int) -> Optional[Tuple[int, int]]:
+    """The least (X, {e}), e outside X, with r(X+e) - r(X) not 0 or 1, on a
+    `_lane_table`: lane X of R>>2^e + 128 - R is r(X+e) - r(X) + 128, which
+    is 128 or 129 exactly when the step is 0 or 1."""
+    r = _lanes(table)
+    high = _lanes(b"\x80" * len(table))
+    best = None
+    for e in range(n):
+        step = (r >> (8 << e)) + high - r
+        bad = (step ^ high) & (_without(n, e) * 0xFE)
+        if bad:
+            x = _lowest_lane(bad)
+            if best is None or x < best[0]:
+                best = (x, 1 << e)
+    return best
+
+
 def verify_rank_axioms(rank: RankFunction, seed: int = 0) -> List[Violation]:
     """Check r(empty)=0, unit increments, and submodularity.
 
     Unit increments give monotonicity for free; local submodularity
     (r(X+e)+r(X+f) >= r(X+e+f)+r(X)) is equivalent to the pairwise form.
-    Exhaustive for n <= LAMBDA_TABLE_N, on a seeded sample above.
+    Exhaustive for n <= LAMBDA_TABLE_N, on byte lanes when the values allow
+    it; on a seeded sample above.
     """
     out = []
     r = rank._table.__getitem__
     n = rank.n
     if r(0) != 0:
         out.append(Violation("rank_empty", (0,)))
-    for x in _checked_sets(n, seed):
-        rx = r(x)
-        for e in range(n):
-            be = 1 << e
-            if not x & be and r(x | be) - rx not in (0, 1):
-                out.append(Violation("rank_unit_increment", (x, be)))
-                return out
-    bad = _local_submodularity_failure(r, n, seed)
+    lanes = _lane_table(rank._bytes, n)
+    if lanes is not None:
+        step = _lane_unit_increment_failure(lanes, n)
+        if step:
+            out.append(Violation("rank_unit_increment", step))
+            return out
+        bad = _lane_submodularity_failure(lanes, n)
+    else:
+        for x in _checked_sets(n, seed):
+            rx = r(x)
+            for e in range(n):
+                be = 1 << e
+                if not x & be and r(x | be) - rx not in (0, 1):
+                    out.append(Violation("rank_unit_increment", (x, be)))
+                    return out
+        bad = _local_submodularity_failure(r, n, seed)
     if bad:
         out.append(Violation("rank_submodular", bad))
     return out
@@ -243,7 +381,11 @@ class ConnectivitySystem:
 
     def __init__(self, ground: GroundSet, kind: str, lam_fn: Callable[[int], int],
                  rank: Optional[RankFunction] = None, verify: Optional[bool] = None,
-                 meta: Optional[dict] = None):
+                 meta: Optional[dict] = None,
+                 tabulate: Optional[Callable[[], Optional[Sequence[int]]]] = None):
+        """For n <= LAMBDA_TABLE_N the whole table is built at once, by
+        `tabulate` when given and it does not return None, else by one
+        lam_fn call per mask; above that lam_fn is memoized per mask."""
         self.ground = ground
         self.kind = kind
         self.rank = rank
@@ -251,10 +393,14 @@ class ConnectivitySystem:
         self._outside = ~ground.full  # bits of masks that leave the ground set
         n = ground.n
         if n <= LAMBDA_TABLE_N:
-            self._table = [lam_fn(m) for m in range(1 << n)]
+            table = tabulate() if tabulate is not None else None
+            if table is None:
+                table = [lam_fn(m) for m in range(1 << n)]
+            self._table = list(table) if isinstance(table, bytes) else table
+            self._bytes = _byte_table(table)
             self._fn = None
         else:
-            self._table = None
+            self._table = self._bytes = None
             self._fn = lam_fn
             self._memo: dict = {}
         if verify is None:
@@ -283,6 +429,11 @@ class ConnectivitySystem:
             self._memo[mask] = v
         return v
 
+    def lam_at_most(self, k: int, masks: range) -> List[int]:
+        """The masks of `masks` with lam <= k, ascending; from the byte table
+        without a lam call when there is one."""
+        return _at_most(self._bytes, self.lam, k, masks)
+
     def mask(self, elements: Iterable[int]) -> int:
         return self.ground.mask(elements)
 
@@ -297,7 +448,7 @@ class ConnectivitySystem:
         def lam(m, _r=rank.rank, _full=full, _rm=rm):
             return _r(m) + _r(_full ^ m) - _rm + 1
 
-        return cls(ground, "matroid", lam, rank=rank, verify=verify)
+        return cls(ground, "matroid", lam, rank=rank, verify=verify, tabulate=rank.lam_bytes)
 
     @classmethod
     def graph(cls, edges: Sequence[Tuple[object, object]], labels=None,
@@ -322,7 +473,16 @@ class ConnectivitySystem:
             co = _full ^ x
             return sum(1 for m in _inc if m & x and m & co)
 
-        return cls(ground, "graph", lam, verify=verify, meta={"edges": list(edges)})
+        def tabulate():
+            # vertex v counts at X iff X meets inc(v) but does not contain it
+            every = (1 << (1 << n)) - 1
+            total = 0
+            for m in inc:
+                total += byte_lanes(every ^ down_closure(full ^ m) ^ up_closure(m, n), n)
+            return total.to_bytes(1 << n, "little")
+
+        return cls(ground, "graph", lam, verify=verify, meta={"edges": list(edges)},
+                   tabulate=tabulate)
 
     @classmethod
     def r8_polymatroid(cls, ell: int, verify: Optional[bool] = None) -> "ConnectivitySystem":
@@ -348,7 +508,8 @@ class ConnectivitySystem:
         vals = list(values)
         if len(vals) != 1 << n:
             raise ValueError("lambda table must have 2^n entries")
-        return cls(GroundSet(n, labels), "table", lambda m: vals[m], verify=verify)
+        return cls(GroundSet(n, labels), "table", vals.__getitem__, verify=verify,
+                   tabulate=lambda: vals)
 
 
 def verify_connectivity_axioms(sys: ConnectivitySystem, seed: int = 0) -> List[Violation]:
@@ -360,15 +521,22 @@ def verify_connectivity_axioms(sys: ConnectivitySystem, seed: int = 0) -> List[V
     (X+e, X+f).  Together the two imply lam(X) >= lam(empty) and
     lam(X)+lam(Y) >= lam(X-Y)+lam(Y-X).  Both checks are exhaustive for
     n <= LAMBDA_TABLE_N (construction runs them for n <= AUTO_VERIFY_N) and
-    run on a seeded sample above that.
+    run on a seeded sample above that; on byte lanes when the values allow.
     """
-    lam = sys.lam if sys._table is None else sys._table.__getitem__
     n = sys.n
-    full = sys.full
-    for x in _checked_sets(n, seed):
-        if lam(x) != lam(full ^ x):
-            return [Violation("symmetry", (x,))]
-    bad = _local_submodularity_failure(lam, n, seed)
+    lanes = _lane_table(sys._bytes, n)
+    if lanes is not None:
+        flipped = lanes[::-1]  # lane X holds lam(E-X)
+        if lanes != flipped:
+            return [Violation("symmetry", (_lowest_lane(_lanes(lanes) ^ _lanes(flipped)),))]
+        bad = _lane_submodularity_failure(lanes, n)
+    else:
+        lam = sys.lam if sys._table is None else sys._table.__getitem__
+        full = sys.full
+        for x in _checked_sets(n, seed):
+            if lam(x) != lam(full ^ x):
+                return [Violation("symmetry", (x,))]
+        bad = _local_submodularity_failure(lam, n, seed)
     if bad:
         x, be, bf = bad
         return [Violation("submodularity", (x | be, x | bf))]
@@ -393,9 +561,10 @@ def is_vertically_k_connected(rank: RankFunction, k: int) -> bool:
     n = rank.n
     full = full_mask(n)
     rm = rank.full_rank
-    for x in range(1 << n):
-        rx = rank.rank(x)
-        ry = rank.rank(full ^ x)
-        if rx + ry - rm + 1 <= k - 1 and rx > k - 2 and ry > k - 2:
-            return False
-    return True
+    r = rank.rank
+
+    def lam(x):
+        return r(x) + r(full ^ x) - rm + 1
+
+    return all(r(x) <= k - 2 or r(full ^ x) <= k - 2
+               for x in _at_most(rank.lam_bytes(), lam, k - 1, range(1 << n)))

@@ -218,10 +218,21 @@ def _daisy_canonical(petals: Tuple[int, ...]) -> Tuple[int, ...]:
 def oracle_flowers(sys: ConnectivitySystem, tangle: Tangle,
                    max_petals: int) -> List[Flower]:
     """Every verified flower with at most max_petals petals, deduplicated up
-    to labels (any permutation for anemones, n-gon symmetry for daisies)."""
+    to labels (any permutation for anemones, n-gon symmetry for daisies).
+
+    Memoized per (tangle, max_petals) in `_oracle_flowers`; each call gets
+    its own list."""
     _guard(sys)
     if max_petals > ORACLE_MAX_PETALS:
         raise SearchSpaceTooLarge(f"petal cap is {ORACLE_MAX_PETALS}")
+    memo = tangle.__dict__.setdefault("_oracle_flowers", {})
+    if max_petals not in memo:
+        memo[max_petals] = _enumerate_flowers(sys, tangle, max_petals)
+    return list(memo[max_petals])
+
+
+def _enumerate_flowers(sys: ConnectivitySystem, tangle: Tangle,
+                       max_petals: int) -> List[Flower]:
     k = tangle.k
     seen_keys: Set[object] = set()
     out: List[Flower] = []
@@ -269,9 +280,17 @@ def s_order(sys: ConnectivitySystem, tangle: Tangle,
     A class is the oracle closure pair of a displayed (k,S)-separation.
     Zero classes give 1, one class gives 2; otherwise exhaustive flower
     enumeration at desk scale decides, which may raise SearchSpaceTooLarge.
+    The flowers and each flower's classes are memoized on the tangle
+    (`_oracle_flowers`, and `_oracle_shown` per S family).
     """
+    memo = tangle.__dict__.setdefault("_oracle_shown", {})
+
     def shown(g: Flower) -> Set[FrozenSet[int]]:
-        return _class_keys(sys, tangle, s_family, _displayed_unions(sys, g.k, g.petals))
+        key = (s_family, g.k, g.petals)
+        if key not in memo:
+            memo[key] = _class_keys(sys, tangle, s_family,
+                                    _displayed_unions(sys, g.k, g.petals))
+        return memo[key]
 
     classes = shown(f)
     if not classes:

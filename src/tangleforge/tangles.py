@@ -100,11 +100,10 @@ def verify_tangle(sys: ConnectivitySystem, tangle: Tangle) -> List[Violation]:
         if sys.lam(a) >= k:
             out.append(Violation("T1", (a,)))
     full = sys.full
-    for x in range(1 << (sys.n - 1)):  # one side of each pair: the one without n-1
-        co = full ^ x
-        if sys.lam(x) <= k - 1:
-            if x not in tangle.members and co not in tangle.members:
-                out.append(Violation("T2", (x,)))
+    # one side of each pair: the one without n-1
+    for x in sys.lam_at_most(k - 1, range(1 << (sys.n - 1))):
+        if x not in tangle.members and full ^ x not in tangle.members:
+            out.append(Violation("T2", (x,)))
     for a, b, c in combinations_with_replacement(sorted(tangle.maximal_members), 3):
         if a | b | c == full:
             out.append(Violation("T3", (a, b, c)))
@@ -161,7 +160,7 @@ def canonical_vertical_tangle(sys: ConnectivitySystem, k: int) -> Tangle:
         raise PreconditionFailed(f"rank bound violated: r(M)={rank.full_rank} < {bound}")
     if not is_vertically_k_connected(rank, k):
         raise PreconditionFailed("matroid is not vertically k-connected")
-    members = [m for m in range(1 << sys.n) if rank.rank(m) <= k - 2]
+    members = rank.rank_at_most(k - 2, range(1 << sys.n))
     tangle = Tangle(sys, k, members)
     bad = verify_tangle(sys, tangle)
     if bad:
@@ -187,11 +186,10 @@ def enumerate_tangles(sys: ConnectivitySystem, k: int,
     n = sys.n
     full = sys.full
     pairs = []
-    for x in range(1 << (n - 1)):  # one side of each pair: the one without n-1
-        co = full ^ x
-        if sys.lam(x) <= k - 1:
-            small, big = sorted((x, co), key=lambda m: (popcount(m), m))
-            pairs.append((small, big))
+    # one side of each pair: the one without n-1
+    for x in sys.lam_at_most(k - 1, range(1 << (n - 1))):
+        small, big = sorted((x, full ^ x), key=lambda m: (popcount(m), m))
+        pairs.append((small, big))
     pairs.sort(key=lambda p: (popcount(p[0]), p[0]))
 
     results: List[Tangle] = []

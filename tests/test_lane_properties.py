@@ -1,0 +1,207 @@
+"""Property tests: byte-lane tables, lane axiom checks and the lam scan
+against literal definitions written out here.
+
+Tables: the graph boundary count, a union-find cycle-matroid rank, the
+uniform rank and the matroid formula r(X) + r(E-X) - r(E) + 1, on
+multigraphs with loops and vertices that only carry loops.  Checks: the
+first witness of the lane submodularity and unit-increment checks against
+per-triple loops, on perturbed tables.  Scans: `lam_at_most` against a
+filter, with and without a byte table.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tangleforge import ConnectivitySystem, RankFunction
+from tangleforge.core import (_lane_submodularity_failure, _lane_table,
+                              _lane_unit_increment_failure,
+                              _local_submodularity_failure, verify_connectivity_axioms,
+                              verify_rank_axioms)
+
+MAX_EDGES = 12
+
+
+def boundary_count(edges, x):
+    """Vertices with a non-loop edge in X and one outside X."""
+    inside, outside = set(), set()
+    for i, (u, v) in enumerate(edges):
+        if u != v:
+            (inside if x >> i & 1 else outside).update((u, v))
+    return len(inside & outside)
+
+
+def union_find_rank(edges, x):
+    parent = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    rank = 0
+    for i, (u, v) in enumerate(edges):
+        if x >> i & 1:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                rank += 1
+    return rank
+
+
+def matroid_formula(rank, n):
+    full = (1 << n) - 1
+    return [rank[x] + rank[full ^ x] - rank[full] + 1 for x in range(1 << n)]
+
+
+def first_local_failure(value, n):
+    """The least (X, {e}, {f}), e < f outside X, breaking local submodularity."""
+    for x in range(1 << n):
+        for e in range(n):
+            for f in range(e + 1, n):
+                be, bf = 1 << e, 1 << f
+                if x & (be | bf):
+                    continue
+                if value(x | be) + value(x | bf) < value(x | be | bf) + value(x):
+                    return x, be, bf
+    return None
+
+
+def first_unit_step_failure(value, n):
+    for x in range(1 << n):
+        for e in range(n):
+            if not x >> e & 1 and value(x | 1 << e) - value(x) not in (0, 1):
+                return x, 1 << e
+    return None
+
+
+multigraphs = st.integers(1, 7).flatmap(
+    lambda nv: st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
+                        min_size=1, max_size=MAX_EDGES))
+
+
+@settings(max_examples=30, deadline=None)
+@given(edges=multigraphs)
+def test_graph_tables_match_definitions(edges):
+    n = len(edges)
+    graph = ConnectivitySystem.graph(edges, verify=False)
+    assert graph._table == [boundary_count(edges, x) for x in range(1 << n)]
+    rank = RankFunction.graphic(edges)
+    want = [union_find_rank(edges, x) for x in range(1 << n)]
+    assert rank._table == want
+    assert ConnectivitySystem.matroid(rank, verify=False)._table == matroid_formula(want, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, MAX_EDGES).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+def test_uniform_tables_match_definitions(case):
+    r, n = case
+    rank = RankFunction.uniform(r, n)
+    want = [min(bin(x).count("1"), r) for x in range(1 << n)]
+    assert rank._table == want
+    assert ConnectivitySystem.matroid(rank, verify=False)._table == matroid_formula(want, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 300), min_size=1 << n,
+                                             max_size=1 << n))))
+def test_unverified_rank_tables_keep_the_formula(case):
+    # Values past a byte, and tables whose lambda goes negative, are
+    # computed by the formula, values and all.
+    n, table = case
+    system = ConnectivitySystem.matroid(RankFunction.from_table(n, table, verify=False),
+                                        verify=False)
+    assert system._table == matroid_formula(table, n)
+
+
+def test_negative_lambda_from_an_unverified_rank_table():
+    # r(E) = 3 above r({0}) + r({1}) = 0: lambda({0}) = 0 + 0 - 3 + 1 = -2
+    system = ConnectivitySystem.matroid(RankFunction.from_table(2, [0, 0, 0, 3], verify=False),
+                                        verify=False)
+    assert system._table == [1, -2, -2, 1]
+    assert system.lam_at_most(-2, range(4)) == [1, 2]
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A graph's boundary count, a few entries nudged by -2..2 and kept
+    within the lane range, so the lane checks apply."""
+    edges = draw(multigraphs.filter(lambda e: len(e) <= 8))
+    n = len(edges)
+    table = [boundary_count(edges, x) for x in range(1 << n)]
+    for _ in range(draw(st.integers(0, 3))):
+        x = draw(st.integers(0, (1 << n) - 1))
+        table[x] = min(max(table[x] + draw(st.integers(-2, 2)), 0), 63)
+        if draw(st.booleans()):
+            table[((1 << n) - 1) ^ x] = table[x]
+    return n, table
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_tables())
+def test_lane_checks_report_the_first_witness(case):
+    n, table = case
+    lanes = _lane_table(bytes(table), n)
+    assert lanes is not None
+    want = first_local_failure(table.__getitem__, n)
+    assert _lane_submodularity_failure(lanes, n) == want
+    assert _local_submodularity_failure(table.__getitem__, n, 0) == want
+    assert _lane_unit_increment_failure(lanes, n) == first_unit_step_failure(table.__getitem__, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_tables())
+def test_axiom_reports_match_literal_loops(case):
+    n, table = case
+    full = (1 << n) - 1
+    report = verify_connectivity_axioms(ConnectivitySystem.from_table(n, table, verify=False))
+    # A constant shift keeps both axioms and every witness, and takes the
+    # values past LANE_MAX, so the per-mask walk runs instead.
+    shifted = ConnectivitySystem.from_table(n, [v + 100 for v in table], verify=False)
+    assert verify_connectivity_axioms(shifted) == report
+    asymmetric = [x for x in range(1 << n) if table[x] != table[full ^ x]]
+    if asymmetric:
+        assert [(v.axiom, v.witness) for v in report] == [("symmetry", (asymmetric[0],))]
+    else:
+        bad = first_local_failure(table.__getitem__, n)
+        want = [] if bad is None else [("submodularity", (bad[0] | bad[1], bad[0] | bad[2]))]
+        assert [(v.axiom, v.witness) for v in report] == want
+    rank_report = verify_rank_axioms(RankFunction.from_table(n, table, verify=False))
+    want = [("rank_empty", (0,))] if table[0] else []
+    step = first_unit_step_failure(table.__getitem__, n)
+    if step:
+        want.append(("rank_unit_increment", step))
+    elif first_local_failure(table.__getitem__, n):
+        want.append(("rank_submodular", first_local_failure(table.__getitem__, n)))
+    assert [(v.axiom, v.witness) for v in rank_report] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(edges=multigraphs, k=st.integers(-1, 8), start=st.integers(0, 5), step=st.integers(1, 3))
+def test_scan_matches_filter_on_a_byte_table(edges, k, start, step):
+    system = ConnectivitySystem.graph(edges, verify=False)
+    assert system._bytes is not None
+    masks = range(start, 1 << system.n, step)
+    assert system.lam_at_most(k, masks) == [x for x in masks if system.lam(x) <= k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.integers(-3, 300), min_size=1 << n, max_size=1 << n)),
+    st.integers(-4, 300))
+def test_scan_matches_filter_on_a_list_table(table, k):
+    n = len(table).bit_length() - 1
+    system = ConnectivitySystem.from_table(n, table, verify=False)
+    assert (system._bytes is None) == (min(table) < 0 or max(table) > 255)
+    masks = range(1 << n)
+    assert system.lam_at_most(k, masks) == [x for x in masks if table[x] <= k]
+
+
+def test_scan_above_the_table_cap_uses_the_memo():
+    path = ConnectivitySystem.graph([(i, i + 1) for i in range(17)], verify=False)
+    assert path._bytes is None and path._memo == {}
+    masks = range(1, 1 << 17, 1031)
+    got = path.lam_at_most(1, masks)
+    assert set(path._memo) == set(masks)
+    assert got == [x for x in masks if boundary_count([(i, i + 1) for i in range(17)], x) <= 1]
+    assert got[0] == 1  # {0}: only vertex 1 is on the boundary

@@ -1,5 +1,6 @@
 import pytest
 
+from tangleforge import oracle
 from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
                          enumerate_tangles, full_closure, verify_flower)
 from tangleforge.closure import build_default_S
@@ -86,9 +87,7 @@ class TestOracleClasses:
 
 
 class TestSOrder:
-    # U_{5,6} is left out for time: each of its many flowers re-enumerates
-    # them all, about a second in total.
-    @pytest.mark.parametrize("name", [c for c in CTX_NAMES if c != "ctx_u56"])
+    @pytest.mark.parametrize("name", CTX_NAMES)
     def test_matches_engine_class_ids(self, name, request):
         # the oracle compares closure pairs; the engine's class ids must agree
         ctx = request.getfixturevalue(name)
@@ -98,6 +97,29 @@ class TestSOrder:
         for f, own in zip(flowers, ids):
             want = min(g.n for g, other in zip(flowers, ids) if other == own)
             assert s_order(sys, tangle, S, f) == {0: 1, 1: 2}.get(len(own), want)
+
+
+    def test_repeated_calls_enumerate_nothing(self, ctx_u56, monkeypatch):
+        sys = ctx_u56.sys
+        tangle = Tangle(sys, ctx_u56.tangle.k, ctx_u56.tangle.members)  # empty memos
+        S = build_default_S(sys, tangle)
+        counts = {"_partitions_into_blocks": 0, "_displayed_unions": 0}
+        for name in counts:
+            def counted(*args, _real=getattr(oracle, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(oracle, name, counted)
+        flowers = oracle_flowers(sys, tangle, 4)
+        assert counts["_partitions_into_blocks"] == 1
+        f = flowers[-1]  # four petals, so s_order has to search the flowers
+        want = s_order(sys, tangle, S, f)
+        after_first = dict(counts)
+        assert s_order(sys, tangle, S, f) == want
+        assert counts == after_first
+        for g in flowers:  # the same petal cap: one enumeration serves all
+            s_order(sys, tangle, S, g, max_petals=4)
+        assert counts["_partitions_into_blocks"] == 1
+        assert oracle_flowers(sys, tangle, 4) == flowers
 
 
 class TestOracleCertify:
