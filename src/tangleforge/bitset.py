@@ -59,17 +59,6 @@ def submasks(mask: int) -> Iterator[int]:
         s = (s - 1) & mask
 
 
-def nonempty_submasks(mask: int) -> Iterator[int]:
-    for s in submasks(mask):
-        if s:
-            yield s
-
-
-def submasks_by_size(mask: int) -> List[int]:
-    """Submasks sorted by (popcount, value): smallest witnesses first."""
-    return sorted(submasks(mask), key=lambda s: (popcount(s), s))
-
-
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 
@@ -100,11 +89,12 @@ def masks_of_size(n: int, size: int) -> Iterator[int]:
         v = (((r ^ v) >> 2) // c) | r
 
 
-# -- down-closed families ------------------------------------------------
+# -- families of subsets ------------------------------------------------
 #
 # A family of subsets of an n-element ground set is one int of 2^n bits:
 # bit x is set iff the mask x belongs to the family.  Shifting the int by
-# 2^i moves every member across element i at once.
+# 2^i moves every member across element i at once; ANDing with
+# element_absent(n)[i] first keeps the members the move is defined on.
 
 
 def down_closure(mask: int) -> int:
@@ -117,15 +107,39 @@ def down_closure(mask: int) -> int:
     return family
 
 
-def up_closure(mask: int, n: int) -> int:
-    """The family of all supersets of mask among the masks below 2^n."""
-    family = 1 << mask
-    free = full_mask(n) ^ mask
-    while free:
-        low = free & -free
-        family |= family << low  # add each member with element low added
-        free ^= low
+def up_closure(family: int, n: int) -> int:
+    """The family of all masks below 2^n that contain a member of family."""
+    for i, absent in enumerate(element_absent(n)):
+        family |= (family & absent) << (1 << i)  # add each member with i added
     return family
+
+
+def maximal_family(family: int, n: int) -> int:
+    """The subset-maximal members of family: those strictly inside no member."""
+    below = 0  # after element i: the X strictly inside a member F with F - X in 0..i
+    for i, absent in enumerate(element_absent(n)):
+        below |= ((family | below) >> (1 << i)) & absent
+    return family & ~below
+
+
+def disjoint_from(family: int, mask: int, n: int) -> int:
+    """The members of family disjoint from mask."""
+    absent = element_absent(n)
+    while mask:
+        low = mask & -mask
+        family &= absent[low.bit_length() - 1]
+        mask ^= low
+    return family
+
+
+@lru_cache(maxsize=8)
+def popcount_layers(n: int) -> Tuple[int, ...]:
+    """For each size j = 0..n, the family of masks below 2^n with j bits."""
+    layers = [1]
+    for i in range(n):
+        run = 1 << i
+        layers = [a | b << run for a, b in zip(layers + [0], [0] + layers)]
+    return tuple(layers)
 
 
 @lru_cache(maxsize=8)
@@ -161,9 +175,19 @@ def join(family: int, mask: int, n: int) -> int:
 # 8 * 2^i bits reads the value at x + 2^i into lane x.
 
 _BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE_TO_BIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def flags(family: int, n: int) -> bytes:
+    """The family as one byte per mask below 2^n: 1 at members, else 0."""
+    return format(family, f"0{1 << n}b")[::-1].encode().translate(_BIT_TO_BYTE)
+
+
+def family_of(table: bytes) -> int:
+    """The inverse of `flags`: the masks whose byte is 1, every byte 0 or 1."""
+    return int(table[::-1].translate(_BYTE_TO_BIT), 2)
 
 
 def byte_lanes(family: int, n: int) -> int:
     """The family as an int with one byte per mask, 1 at members, else 0."""
-    bits = format(family, f"0{1 << n}b")[::-1].encode()
-    return int.from_bytes(bits.translate(_BIT_TO_BYTE), "little")
+    return int.from_bytes(flags(family, n), "little")

@@ -3,6 +3,12 @@
 The full closure fcl(X) of a strong k-separating set X is the minimal fully
 closed k-separating superset; it is computed greedily by absorbing weak sets
 (a maximal partial k-sequence), which is order-independent.
+
+Both questions are family arithmetic on two 2^n-bit ints built once: the
+k-separating family K_k of the system and the weak family W of the tangle.
+For Y inside E-X, bit Y of K_k >> X is set iff lam(X | Y) <= k, so the weak
+sets that X can absorb are (K_k >> X) & W', where W' keeps the non-empty
+members of W inside E-X: one shift per greedy step.
 """
 
 from __future__ import annotations
@@ -10,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .bitset import nonempty_submasks, popcount
-from .core import ConnectivitySystem, Violation
+from .bitset import disjoint_from, popcount_layers
+from .core import ConnectivitySystem, Violation, check_scan_n
 from .errors import PreconditionFailed
-from .tangles import Tangle, check_scan_n
+from .tangles import Tangle
 
 
 def _require_strong_k_separating(sys: ConnectivitySystem, tangle: Tangle, x: int):
@@ -23,50 +29,47 @@ def _require_strong_k_separating(sys: ConnectivitySystem, tangle: Tangle, x: int
         raise PreconditionFailed("set is weak in the tangle")
 
 
-def weak_extension_candidates(tangle: Tangle, rest: int) -> List[int]:
-    """Non-empty weak subsets of `rest`, smallest first, lexicographic in size.
-
-    Every weak set lies inside a maximal member, so candidates are submasks
-    of (member & rest) only.
-    """
-    seen = set()
-    for m in tangle.maximal_members:
-        inter = m & rest
-        if inter:
-            for y in nonempty_submasks(inter):
-                seen.add(y)
-    return sorted(seen, key=lambda y: (popcount(y), y))
+def _tables(sys: ConnectivitySystem, tangle: Tangle, x: int) -> Tuple[int, int]:
+    """K_k and the non-empty weak subsets of E-X, after the precondition on
+    X; both tables refuse n > TANGLE_SCAN_N before any lam call."""
+    separating = sys.k_separating(tangle.k)
+    weak = tangle.weak_family & ~1
+    _require_strong_k_separating(sys, tangle, x)
+    return separating, disjoint_from(weak, x, sys.n)
 
 
 def is_fully_closed(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
     """No non-empty weak Y inside E-X keeps X | Y k-separating."""
-    _require_strong_k_separating(sys, tangle, x)
-    k = tangle.k
-    rest = sys.full ^ x
-    return all(sys.lam(x | y) > k for y in weak_extension_candidates(tangle, rest))
+    separating, free = _tables(sys, tangle, x)
+    return not (separating >> x) & free
 
 
 def full_closure_sequence(sys: ConnectivitySystem, tangle: Tangle,
                           x: int) -> Tuple[int, List[int]]:
     """fcl(X) together with the greedy maximal partial k-sequence reaching it.
 
-    Greedy order: smallest candidate first, lexicographic within a size;
-    the endpoint is order-independent, the recorded steps are not.
+    Greedy order: smallest weak extension first, least mask within a size,
+    read off the popcount layers of (K_k >> cur) & free; the endpoint is
+    order-independent, the recorded steps are not.
     """
-    _require_strong_k_separating(sys, tangle, x)
-    k = tangle.k
+    separating, free = _tables(sys, tangle, x)
+    n = sys.n
+    layers = popcount_layers(n)
     cur = x
     steps: List[int] = []
     while True:
-        rest = sys.full ^ cur
-        for y in weak_extension_candidates(tangle, rest):
-            if sys.lam(cur | y) <= k:
-                cur |= y
-                steps.append(y)
-                break
-        else:
+        ext = (separating >> cur) & free
+        if not ext:
             tangle._fcl_cache[x] = cur
             return cur, steps
+        for layer in layers:  # layer 0 is {empty}, never in free
+            smallest = ext & layer
+            if smallest:
+                break
+        y = (smallest & -smallest).bit_length() - 1
+        cur |= y
+        steps.append(y)
+        free = disjoint_from(free, y, n)
 
 
 def full_closure(sys: ConnectivitySystem, tangle: Tangle, x: int) -> int:
@@ -258,9 +261,11 @@ def strong_k_separations(sys: ConnectivitySystem, tangle: Tangle) -> List[Separa
 
 def enumerate_kS_separations(sys: ConnectivitySystem, tangle: Tangle,
                              s_family: TreeCompatibleSet) -> List[Separation]:
-    """All (k,S)-separations, canonicalized and deduplicated."""
-    return [Separation(x, tangle.k) for x in _canonical_sides(sys)
-            if s_family.contains(x) and s_family.contains(sys.full ^ x)]
+    """All (k,S)-separations, canonicalized and deduplicated; members are
+    k-separating, so only the canonical sides with lam <= k are tried."""
+    full = sys.full
+    return [Separation(x, tangle.k) for x in sys.lam_at_most(tangle.k, _canonical_sides(sys))
+            if s_family.contains(x) and s_family.contains(full ^ x)]
 
 
 def verify_tree_compatible(sys: ConnectivitySystem, tangle: Tangle,

@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .bitset import (byte_lanes, down_closure, element_absent, elements_of, full_mask,
-                     mask_of, popcount, up_closure)
-from .errors import PreconditionFailed, ViolationFound
+from .bitset import (byte_lanes, down_closure, element_absent, elements_of, family_of,
+                     full_mask, mask_of, popcount, popcount_layers, up_closure)
+from .errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 
 MAX_GROUND = 64
 # Full lambda tables and exhaustive axiom checks up to this n; beyond it,
@@ -26,6 +26,15 @@ SAMPLE_PAIRS = 20000
 # The axiom checks run on byte lanes when every value lies in 0..LANE_MAX:
 # a sum of four such values plus 128 then stays inside its byte.
 LANE_MAX = 63
+# The separation scans visit all 2^n masks, and families of subsets are held
+# as 2^n-bit ints (bitset.down_closure): the k-separating family here, the
+# weak family and the tangle search in `tangles`.
+TANGLE_SCAN_N = 20
+
+
+def check_scan_n(sys: "ConnectivitySystem", what: str):
+    if sys.n > TANGLE_SCAN_N:
+        raise SearchSpaceTooLarge(f"{what} enumerates 2^n masks; n <= {TANGLE_SCAN_N} required")
 
 
 @dataclass(frozen=True)
@@ -190,12 +199,20 @@ class RankFunction:
 
     @classmethod
     def from_bases(cls, n: int, bases: Sequence[int]) -> "RankFunction":
-        """r(X) = max over bases B of |X & B|."""
+        """r(X) = max over bases B of |X & B|, which is the number of sizes
+        j >= 1 at which X contains a subset of a basis: a sum of one 0/1
+        lane table per size, the up-closure of the j-sets in the
+        down-closure of the bases."""
         if not bases:
             raise ValueError("need at least one basis")
-        bl = list(bases)
-        table = [max(popcount(m & b) for b in bl) for m in range(1 << n)]
-        return cls(n, table, "bases")
+        full = full_mask(n)
+        independent = 0
+        for b in bases:
+            independent |= down_closure(b & full)
+        total = 0
+        for layer in popcount_layers(n)[1:]:
+            total += byte_lanes(up_closure(independent & layer, n), n)
+        return cls(n, total.to_bytes(1 << n, "little"), "bases")
 
 
 def _checked_sets(n: int, seed: int):
@@ -375,8 +392,9 @@ def build_r8_rank() -> RankFunction:
 class ConnectivitySystem:
     """A ground set plus a memoized symmetric submodular lambda.
 
-    Immutable after construction apart from the lambda memo, whose inserts
-    are idempotent, so concurrent reads are safe.
+    Immutable after construction apart from the lambda memo and the
+    per-k k-separating families, whose inserts are idempotent, so concurrent
+    reads are safe.
     """
 
     def __init__(self, ground: GroundSet, kind: str, lam_fn: Callable[[int], int],
@@ -387,11 +405,13 @@ class ConnectivitySystem:
         `tabulate` when given and it does not return None, else by one
         lam_fn call per mask; above that lam_fn is memoized per mask."""
         self.ground = ground
+        self.n = n = ground.n
+        self.full = ground.full
         self.kind = kind
         self.rank = rank
         self.meta = meta or {}
-        self._outside = ~ground.full  # bits of masks that leave the ground set
-        n = ground.n
+        self._outside = ~self.full  # bits of masks that leave the ground set
+        self._k_separating: Dict[int, int] = {}
         if n <= LAMBDA_TABLE_N:
             table = tabulate() if tabulate is not None else None
             if table is None:
@@ -410,14 +430,6 @@ class ConnectivitySystem:
             if bad:
                 raise ViolationFound(f"not a connectivity function: {bad[0].axiom}", bad[0])
 
-    @property
-    def n(self) -> int:
-        return self.ground.n
-
-    @property
-    def full(self) -> int:
-        return self.ground.full
-
     def lam(self, mask: int) -> int:
         if mask & self._outside:
             raise PreconditionFailed(f"mask {mask:#x} outside ground set")
@@ -433,6 +445,18 @@ class ConnectivitySystem:
         """The masks of `masks` with lam <= k, ascending; from the byte table
         without a lam call when there is one."""
         return _at_most(self._bytes, self.lam, k, masks)
+
+    def k_separating(self, k: int) -> int:
+        """The family of masks X with lam(X) <= k as a 2^n-bit int, built
+        once per k from the byte table; refused when n > TANGLE_SCAN_N."""
+        family = self._k_separating.get(k)
+        if family is None:
+            check_scan_n(self, "the k-separating family")
+            table = self._bytes
+            at_most = (table.translate(bytes(v <= k for v in range(256))) if table is not None
+                       else bytes(self.lam(x) <= k for x in range(1 << self.n)))
+            family = self._k_separating[k] = family_of(at_most)
+        return family
 
     def mask(self, elements: Iterable[int]) -> int:
         return self.ground.mask(elements)
@@ -478,7 +502,7 @@ class ConnectivitySystem:
             every = (1 << (1 << n)) - 1
             total = 0
             for m in inc:
-                total += byte_lanes(every ^ down_closure(full ^ m) ^ up_closure(m, n), n)
+                total += byte_lanes(every ^ down_closure(full ^ m) ^ up_closure(1 << m, n), n)
             return total.to_bytes(1 << n, "little")
 
         return cls(ground, "graph", lam, verify=verify, meta={"edges": list(edges)},

@@ -13,20 +13,12 @@ import os
 from itertools import combinations_with_replacement
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .bitset import down_closure, elements_of, join, maximal_masks, popcount
-from .core import ConnectivitySystem, Violation, is_vertically_k_connected
+from .bitset import down_closure, elements_of, flags, join, maximal_masks, popcount
+from .core import (TANGLE_SCAN_N, ConnectivitySystem, Violation, check_scan_n,
+                   is_vertically_k_connected)
 from .errors import NotAPartition, PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 
 DEFAULT_NODE_CAP = 1 << 20
-# verify_tangle and the separation scans of `closure` visit all 2^n masks,
-# and enumerate_tangles and is_robust hold families of subsets as 2^n-bit
-# ints (bitset.down_closure).
-TANGLE_SCAN_N = 20
-
-
-def check_scan_n(sys: ConnectivitySystem, what: str):
-    if sys.n > TANGLE_SCAN_N:
-        raise SearchSpaceTooLarge(f"{what} enumerates 2^n masks; n <= {TANGLE_SCAN_N} required")
 
 
 def _node_cap(explicit: Optional[int]) -> int:
@@ -39,9 +31,11 @@ def _node_cap(explicit: Optional[int]) -> int:
 class Tangle:
     """An order plus the explicit member collection, bound to its system.
 
-    Immutable after construction; the derived maximal-member antichain makes
-    the weak test a containment scan.  The full-closure cache and the
-    robustness verdict live here because both are functions of (sys, T).
+    Immutable after construction apart from caches.  The weak family, every
+    subset of a member as a 2^n-bit int, is built on first use together with
+    a copy of one byte per mask, so the weak test is one index.  The
+    full-closure cache and the robustness verdict live here because both are
+    functions of (sys, T).
     """
 
     def __init__(self, sys: ConnectivitySystem, k: int, members: Iterable[int]):
@@ -51,12 +45,28 @@ class Tangle:
         for m in self.members:
             if m & ~sys.full:
                 raise PreconditionFailed("member outside ground set")
-        self.maximal_members = maximal_masks(self.members)  # largest first: early weak hits
+        self.maximal_members = maximal_masks(self.members)
         self._fcl_cache: dict = {}
         self._robust: Optional[bool] = None
+        self._weak_family: Optional[int] = None
+        self._weak_flags: Optional[bytes] = None
+
+    @property
+    def weak_family(self) -> int:
+        """Every subset of a member; refused when n > TANGLE_SCAN_N."""
+        if self._weak_family is None:
+            check_scan_n(self.sys, "the weak family")
+            family = 0
+            for m in self.maximal_members:
+                family |= down_closure(m)
+            self._weak_family = family
+        return self._weak_family
 
     def is_weak(self, x: int) -> bool:
-        return any(x & ~m == 0 for m in self.maximal_members)
+        table = self._weak_flags
+        if table is None:
+            table = self._weak_flags = flags(self.weak_family, self.sys.n)
+        return table[x] == 1
 
     def is_strong(self, x: int) -> bool:
         return not self.is_weak(x)
@@ -128,14 +138,12 @@ def is_robust(tangle: Tangle) -> bool:
 
 def _no_eight_members_cover(tangle: Tangle) -> bool:
     """Every member lies in a maximal one, so E is a union of eight members
-    iff it lies in the down-closed family C_8, where C_1 is the down-closure
-    of the maximal members and C_{j+1} joins C_j with each of them.
+    iff it lies in the down-closed family C_8, where C_1 is the weak family
+    and C_{j+1} joins C_j with each maximal member.
     """
     n = tangle.sys.n
     maximal = tangle.maximal_members
-    covered = 0
-    for m in maximal:
-        covered |= down_closure(m)
+    covered = tangle.weak_family
     for _ in range(7):
         grown = 0
         for m in maximal:

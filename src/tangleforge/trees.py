@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .bitset import elements_of, maximal_masks, popcount, submasks
+from .bitset import down_closure, elements_of, maximal_family, popcount
 from .core import ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet, full_closure, full_closure_sequence
 from .errors import (DichotomyViolation, NotAFlowerVertex, PreconditionFailed,
@@ -441,14 +441,16 @@ def _find_rep_in_bag(sys, s_family, t, displayed, target):
 def _maximal_k_separating_between(sys, tangle, lower: int, upper: int,
                                   allow_equal: bool) -> int:
     """Subset-maximal k-separating Z with lower <= Z <= upper (Z proper in
-    upper unless allow_equal); ties broken by smallest mask."""
-    k = tangle.k
+    upper unless allow_equal); ties broken by smallest mask.  Bit S of the
+    family below is set iff lower | S is such a Z, for S inside the gap."""
     gap = upper & ~lower
-    candidates = [z for z in (lower | s for s in submasks(gap))
-                  if (z != upper or allow_equal) and sys.lam(z) <= k]
-    if not candidates:
+    found = (sys.k_separating(tangle.k) >> lower) & down_closure(gap)
+    if not allow_equal and lower | gap == upper:
+        found &= ~(1 << gap)
+    if not found:
         raise PreconditionFailed("no k-separating set in the interval")
-    return min(maximal_masks(candidates))
+    maximal = maximal_family(found, sys.n)
+    return lower | ((maximal & -maximal).bit_length() - 1)
 
 
 def _attach_flower_star(sys, tangle, s_family, t, holder, flower_prefix, klass):

@@ -89,6 +89,19 @@ def mk4():
     return ConnectivitySystem.matroid(RankFunction.graphic(K4_EDGES))
 
 
+def weak_extension_candidates(tangle, rest):
+    """The non-empty weak subsets of `rest`, read off the members literally:
+    every non-empty submask of rest inside some member, smallest first and
+    ascending within a size."""
+    out = []
+    y = rest
+    while y:
+        if any(y & ~m == 0 for m in tangle.members):
+            out.append(y)
+        y = (y - 1) & rest
+    return sorted(out, key=lambda m: (bin(m).count("1"), m))
+
+
 def unique_tangle(sys, k):
     found = enumerate_tangles(sys, k)
     assert len(found) == 1

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from tangleforge.bitset import (complement, down_closure, elements_of, full_mask,
-                                is_subset, join, mask_of, masks_of_size, maximal_masks,
-                                nonempty_submasks, popcount, submasks, submasks_by_size)
+from tangleforge.bitset import (byte_lanes, complement, disjoint_from, down_closure,
+                                elements_of, family_of, flags, full_mask, is_subset, join,
+                                mask_of, masks_of_size, maximal_family, maximal_masks,
+                                popcount, popcount_layers, submasks, up_closure)
 
 
 def test_mask_roundtrip():
@@ -42,17 +43,6 @@ def test_submasks_count_and_membership():
     assert len(set(subs)) == len(subs)
     assert all(is_subset(s, m) for s in subs)
     assert 0 in subs and m in subs
-    assert sum(1 for _ in nonempty_submasks(m)) == len(subs) - 1
-
-
-def test_submasks_by_size_ordering():
-    ordered = submasks_by_size(0b1011)
-    sizes = [popcount(s) for s in ordered]
-    assert sizes == sorted(sizes)
-    assert ordered[0] == 0
-    # lexicographic within a size class
-    singles = [s for s in ordered if popcount(s) == 1]
-    assert singles == sorted(singles)
 
 
 def test_masks_of_size():
@@ -91,3 +81,54 @@ def test_maximal_masks_are_the_subset_maximal_ones():
                                 if not any(m != w and m & ~w == 0 for w in masks)}
             assert len(got) == len(set(got))
             assert [popcount(m) for m in got] == sorted(map(popcount, got), reverse=True)
+
+
+def random_family(rng, n):
+    return rng.getrandbits(1 << n)
+
+
+def test_flags_and_byte_lanes_invert_to_the_family():
+    rng = random.Random(13)
+    for n in range(1, 9):
+        for _ in range(20):
+            family = random_family(rng, n)
+            table = flags(family, n)
+            assert len(table) == 1 << n
+            assert list(table) == [family >> x & 1 for x in range(1 << n)]
+            assert family_of(table) == family
+            assert family_of(byte_lanes(family, n).to_bytes(1 << n, "little")) == family
+        assert family_of(flags(0, n)) == 0
+
+
+def test_popcount_layers_partition_the_masks():
+    for n in range(0, 9):
+        layers = popcount_layers(n)
+        assert len(layers) == n + 1
+        union = 0
+        for j, layer in enumerate(layers):
+            assert members(layer) == {x for x in range(1 << n) if popcount(x) == j}
+            assert union & layer == 0
+            union |= layer
+        assert union == (1 << (1 << n)) - 1
+
+
+def test_family_up_closure_matches_per_mask_check():
+    rng = random.Random(17)
+    for n in range(1, 7):
+        for _ in range(30):
+            gens = [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]
+            family = sum(1 << g for g in set(gens))
+            want = {x for x in range(1 << n) if any(g & ~x == 0 for g in gens)}
+            assert members(up_closure(family, n)) == want
+
+
+def test_maximal_family_and_disjoint_members():
+    rng = random.Random(19)
+    for n in range(1, 7):
+        for _ in range(30):
+            family = random_family(rng, n)
+            got = members(maximal_family(family, n))
+            assert got == set(maximal_masks(members(family)))
+            m = rng.getrandbits(n)
+            assert members(disjoint_from(family, m, n)) == {x for x in members(family)
+                                                            if not x & m}

@@ -5,12 +5,11 @@ from tangleforge import (equivalent_one_sided, equivalent_separations,
                          validate_partial_k_sequence, verify_tree_compatible)
 from tangleforge.bitset import elements_of
 from tangleforge.closure import (Separation, TreeCompatibleSet, closure_pair,
-                                 full_closure_sequence, strong_k_separations,
-                                 weak_extension_candidates)
+                                 full_closure_sequence, strong_k_separations)
 from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge
 from tangleforge.tangles import Tangle
 
-from conftest import lab
+from conftest import lab, weak_extension_candidates
 
 
 def strong_k_separating_sets(ctx):
@@ -90,6 +89,43 @@ class TestFullClosure:
                     else:
                         break
                 assert cur == full_closure(sys, t, x)
+
+    @pytest.mark.parametrize("fixture", ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6",
+                                         "ctx_pc4", "ctx_barbell", "ctx_r8m3", "ctx_mk4"])
+    def test_steps_equal_the_literal_greedy(self, fixture, request):
+        # smallest weak extension first, least mask within a size
+        ctx = request.getfixturevalue(fixture)
+        sys, t = ctx.sys, ctx.tangle
+        for x in strong_k_separating_sets(ctx):
+            cur, steps = x, []
+            while True:
+                for y in weak_extension_candidates(t, sys.full ^ cur):
+                    if sys.lam(cur | y) <= t.k:
+                        cur |= y
+                        steps.append(y)
+                        break
+                else:
+                    break
+            assert full_closure_sequence(sys, t, x) == (cur, steps), x
+            assert is_fully_closed(sys, t, x) == (steps == [])
+
+    def test_tables_match_lambda_and_members(self, ctx_r8p1, ctx_barbell, ctx_mk4):
+        for ctx in (ctx_r8p1, ctx_barbell, ctx_mk4):
+            sys, t = ctx.sys, ctx.tangle
+            for k in range(t.k + 2):
+                family = sys.k_separating(k)
+                assert all((family >> x & 1) == (sys.lam(x) <= k) for x in range(1 << sys.n))
+            weak = {x for x in range(1 << sys.n) if any(x & ~m == 0 for m in t.members)}
+            assert {x for x in range(1 << sys.n) if t.weak_family >> x & 1} == weak
+            assert all(t.is_weak(x) == (x in weak) for x in range(1 << sys.n))
+
+    def test_k_separating_family_without_a_byte_table(self):
+        # values above 255 leave the byte table out; the family is read off lam
+        from tangleforge import ConnectivitySystem
+        table = [300 + bin(x).count("1") * (3 - bin(x).count("1")) for x in range(8)]
+        sys = ConnectivitySystem.from_table(3, table, verify=False)
+        assert sys._bytes is None
+        assert sys.k_separating(302) == sum(1 << x for x in range(8) if table[x] <= 302)
 
     def test_recorded_sequence_is_partial_k_sequence(self, ctx_barbell):
         sys, t = ctx_barbell.sys, ctx_barbell.tangle
@@ -254,6 +290,10 @@ class TestTreeCompatible:
         t = Tangle(path, 2, [0])
         with pytest.raises(SearchSpaceTooLarge):
             verify_tree_compatible(path, t, TreeCompatibleSet(path, t))
+        with pytest.raises(SearchSpaceTooLarge):
+            full_closure(path, t, 1)
+        with pytest.raises(SearchSpaceTooLarge):
+            t.is_weak(1)
         assert path._memo == {}
 
     def test_r8_diagonal_in_default_S(self, ctx_r8p1):

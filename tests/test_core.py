@@ -72,6 +72,44 @@ def test_uniform_rank_values():
     assert u.rank(0b0001) == 1
 
 
+def _acyclic(edges, mask):
+    parent = {}
+
+    def root(v):
+        while parent.get(v, v) != v:
+            v = parent[v]
+        return v
+
+    for i, (a, b) in enumerate(edges):
+        if mask >> i & 1:
+            ra, rb = root(a), root(b)
+            if ra == rb:
+                return False
+            parent[ra] = rb
+    return True
+
+
+@pytest.mark.parametrize("name", ["U36", "U510", "U612", "K4", "K5", "C6+chord"])
+def test_from_bases_matches_the_max_formula(name):
+    from itertools import combinations
+    if name.startswith("U"):
+        r, n = int(name[1]), int(name[2:])
+        bases = [sum(1 << e for e in c) for c in combinations(range(n), r)]
+        other = RankFunction.uniform(r, n)
+    else:
+        edges = {"K4": list(combinations(range(4), 2)),
+                 "K5": list(combinations(range(5), 2)),
+                 "C6+chord": [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]}[name]
+        n = len(edges)
+        r = max(bin(m).count("1") for m in range(1 << n) if _acyclic(edges, m))
+        bases = [m for m in range(1 << n) if bin(m).count("1") == r and _acyclic(edges, m)]
+        other = RankFunction.graphic(edges)
+    got = RankFunction.from_bases(n, bases)
+    want = [max(bin(m & b).count("1") for b in bases) for m in range(1 << n)]
+    assert [got.rank(m) for m in range(1 << n)] == want
+    assert [other.rank(m) for m in range(1 << n)] == want
+
+
 def test_graphic_rank_triangle():
     r = RankFunction.graphic([(0, 1), (1, 2), (0, 2)])
     assert r.full_rank == 2

@@ -477,3 +477,28 @@ def test_lam_error_at_flower_vertex_propagates():
     with pytest.raises(TypeError):
         verify_partial_kS_tree(sys, tangle, S, t)
     assert failed == [broken]
+
+
+def test_maximal_k_separating_between_matches_the_submask_walk(ctx_barbell, ctx_r8p1,
+                                                               ctx_mk4):
+    import random
+    from tangleforge.bitset import maximal_masks, submasks
+    from tangleforge.trees import _maximal_k_separating_between
+    rng = random.Random(23)
+    for ctx in (ctx_barbell, ctx_r8p1, ctx_mk4):
+        sys, t = ctx.sys, ctx.tangle
+        for _ in range(200):
+            upper = rng.getrandbits(sys.n)
+            lower = rng.getrandbits(sys.n)
+            if rng.random() < 0.8:
+                lower &= upper
+            allow_equal = rng.random() < 0.5
+            gap = upper & ~lower
+            found = [z for z in (lower | s for s in submasks(gap))
+                     if (z != upper or allow_equal) and sys.lam(z) <= t.k]
+            if not found:
+                with pytest.raises(PreconditionFailed):
+                    _maximal_k_separating_between(sys, t, lower, upper, allow_equal)
+            else:
+                assert (_maximal_k_separating_between(sys, t, lower, upper, allow_equal)
+                        == min(maximal_masks(found)))
