@@ -112,11 +112,11 @@ def _is_cyclic_run(bits: int, n: int) -> bool:
 
 def petal_unions(petals: Sequence[int]) -> List[int]:
     """union[b] = union of the petals indexed by the bits of b, for every b
-    in [0, 2^m), by the subset DP union[b] = union[b & (b-1)] | petal[lowbit(b)]."""
-    union = [0] * (1 << len(petals))
-    for b in range(1, len(union)):
-        low = b & -b
-        union[b] = union[b ^ low] | petals[low.bit_length() - 1]
+    in [0, 2^m): each petal doubles the list, the new half being the old
+    half with that petal added."""
+    union = [0]
+    for p in petals:
+        union += [u | p for u in union]
     return union
 
 

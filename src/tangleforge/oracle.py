@@ -5,13 +5,17 @@ classes, flowers, and tree certification are recomputed literally from the
 definitions so differential tests mean something.
 
 Literalness rule: every predicate here is the definition, evaluated by an
-exhaustive walk.  A memo table of such a predicate is allowed, as long as
-each entry is what the literal walk returns (the weak set below is the
-definition "X lies inside a member" tabulated once per tangle by a submask
-walk of each member).  Derived structure is not allowed: no antichains of
-maximal members, no greedy sequences, no bit families, and nothing taken
-from the engine but `lam`.  Memo tables live in oracle-private attributes
-of the tangle (`_oracle_*`), so two tangles never share one.
+exhaustive walk.  A walk may stop once its answer cannot change: an
+existence test at its first witness, an intersection once it equals its
+lower bound X.  A quantifier over weak sets may range over the weak table
+itself rather than over the submasks of a region.  A memo table of such a
+predicate is allowed, as long as each entry is what the literal walk
+returns (the weak set below is the definition "X lies inside a member"
+tabulated once per tangle by a submask walk of each member).  Derived
+structure is not allowed: no antichains of maximal members, no greedy
+sequences, no bit families, and nothing taken from the engine but `lam`.
+Memo tables live in oracle-private attributes of the tangle (`_oracle_*`),
+so two tangles never share one.
 """
 
 from __future__ import annotations
@@ -64,27 +68,27 @@ def _weak(tangle: Tangle, x: int) -> bool:
 def _fully_closed(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
     """Literal definition: no non-empty weak Y in E-X keeps X|Y k-separating.
 
-    Memoized per (tangle, X) in `_oracle_fc_cache`."""
+    Y ranges over the weak set itself (every weak Y disjoint from X), not
+    over the submasks of E-X.  Memoized per (tangle, X) in
+    `_oracle_fc_cache`."""
     cache = tangle.__dict__.setdefault("_oracle_fc_cache", {})
     hit = cache.get(x)
     if hit is not None:
         return hit
     k = tangle.k
-    weak = _weak_set(tangle)
-    rest = sys.full ^ x
-    closed = True
-    y = rest
-    while y:
-        if y in weak and sys.lam(x | y) <= k:
-            closed = False
-            break
-        y = (y - 1) & rest
+    lam = sys.lam
+    closed = not any(y and not y & x and lam(x | y) <= k for y in _weak_set(tangle))
     cache[x] = closed
     return closed
 
 
 def oracle_full_closure(sys: ConnectivitySystem, tangle: Tangle, x: int) -> int:
     """Intersection of every fully-closed k-separating superset of X.
+
+    The supersets X|s are walked in ascending order of s, so X itself comes
+    first and E last.  Every member contains X, so the walk stops once the
+    running intersection is X; when no superset qualifies it reaches E and
+    raises `ViolationFound`.
 
     Two memos on the tangle keep this literal: the closure of X in
     `_oracle_fcl_cache`, and each superset's fully-closed verdict in
@@ -100,14 +104,16 @@ def oracle_full_closure(sys: ConnectivitySystem, tangle: Tangle, x: int) -> int:
     k = tangle.k
     rest = sys.full ^ x
     acc = None
-    s = rest
+    s = 0
     while True:
         f = x | s
         if sys.lam(f) <= k and _fully_closed(sys, tangle, f):
             acc = f if acc is None else acc & f
-        if s == 0:
+            if acc == x:
+                break
+        if s == rest:
             break
-        s = (s - 1) & rest
+        s = (s - rest) & rest
     if acc is None:
         raise ViolationFound("E is not a fully closed k-separating superset", (x,))
     cache[x] = acc

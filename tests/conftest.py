@@ -102,6 +102,43 @@ def weak_extension_candidates(tangle, rest):
     return sorted(out, key=lambda m: (bin(m).count("1"), m))
 
 
+def literal_fully_closed(sys, tangle, x, weak):
+    """X is fully closed: the submask walk of E-X meets no non-empty Y in
+    `weak` with X|Y k-separating."""
+    rest = sys.full ^ x
+    y = rest
+    while y:
+        if y in weak and sys.lam(x | y) <= tangle.k:
+            return False
+        y = (y - 1) & rest
+    return True
+
+
+def literal_full_closure(sys, tangle, x, weak):
+    """The intersection of every fully closed k-separating superset of X,
+    by the descending superset walk with no early exit; None when no
+    superset qualifies."""
+    rest = sys.full ^ x
+    acc = None
+    s = rest
+    while True:
+        f = x | s
+        if sys.lam(f) <= tangle.k and literal_fully_closed(sys, tangle, f, weak):
+            acc = f if acc is None else acc & f
+        if s == 0:
+            return acc
+        s = (s - 1) & rest
+
+
+def literal_petal_unions(petals):
+    """union[b] for every petal-index mask b, by the lowbit subset DP."""
+    union = [0] * (1 << len(petals))
+    for b in range(1, len(union)):
+        low = b & -b
+        union[b] = union[b ^ low] | petals[low.bit_length() - 1]
+    return union
+
+
 def unique_tangle(sys, k):
     found = enumerate_tangles(sys, k)
     assert len(found) == 1

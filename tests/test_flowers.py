@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tangleforge import (classify, concatenate, conforms_with_flower,
                          crossing_profile, displayed_kS, displayed_separations,
@@ -11,10 +13,11 @@ from tangleforge.errors import (InvalidBreakpoints, NonRobustObstruction,
                                 WeakPetal)
 from tangleforge.flowers import (ANEMONE, DAISY, MIXED, STRONG, UNCROSSED, WEAK,
                                  Flower, displayed_class_ids,
-                                 flower_shortcut_holds, petal_cross_kind)
+                                 flower_shortcut_holds, petal_cross_kind,
+                                 petal_unions)
 from tangleforge.oracle import _displayed_unions, oracle_flowers
 
-from conftest import lab
+from conftest import lab, literal_petal_unions
 
 
 def phi_r8(ctx):
@@ -442,3 +445,9 @@ class TestFlowerEquivalenceLaws:
                         g = concatenate(fl, [j, f.n])
                         g = verify_flower(sys, t, g.petals)
                         assert loose_petals(sys, t, g) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(petals=st.lists(st.integers(0, (1 << 16) - 1), max_size=9))
+def test_petal_unions_match_the_lowbit_dp(petals):
+    assert petal_unions(petals) == literal_petal_unions(petals)

@@ -4,16 +4,16 @@ from tangleforge import oracle
 from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
                          enumerate_tangles, full_closure, verify_flower)
 from tangleforge.closure import build_default_S
-from tangleforge.errors import SearchSpaceTooLarge
+from tangleforge.errors import SearchSpaceTooLarge, ViolationFound
 from tangleforge.flowers import Flower, classify, displayed_class_ids
-from tangleforge.oracle import (ORACLE_MAX_N, _fully_closed, _weak,
+from tangleforge.oracle import (ORACLE_MAX_N, _fully_closed, _weak, _weak_set,
                                 differential_report, oracle_certify_tree,
                                 oracle_classes, oracle_flowers,
                                 oracle_full_closure, s_order)
 from tangleforge.tangles import Tangle
 from tangleforge.trees import PiTree, flower_to_tree
 
-from conftest import lab
+from conftest import lab, literal_full_closure, literal_fully_closed
 
 CTX_NAMES = ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6", "ctx_pc4",
              "ctx_barbell", "ctx_r8m3", "ctx_mk4"]
@@ -190,6 +190,97 @@ class TestOracleMemos:
         for t, got in zip((first, second), verdicts):
             fresh = Tangle(barbell, 2, t.members)
             assert got == [_fully_closed(barbell, fresh, x) for x in masks]
+
+
+def assert_walks_are_literal(sys, tangle):
+    """On every mask, `_fully_closed` and `oracle_full_closure` on a tangle
+    with empty memos equal the exhaustive walks, ViolationFound included."""
+    tangle = Tangle(sys, tangle.k, tangle.members)
+    weak = {y for y in range(1 << sys.n)
+            if any(y & ~m == 0 for m in tangle.members)}
+    assert _weak_set(tangle) == weak
+    for x in range(1 << sys.n):
+        assert _fully_closed(sys, tangle, x) == literal_fully_closed(sys, tangle, x, weak)
+        want = literal_full_closure(sys, tangle, x, weak)
+        if want is None:
+            with pytest.raises(ViolationFound):
+                oracle_full_closure(sys, tangle, x)
+        else:
+            assert oracle_full_closure(sys, tangle, x) == want
+
+
+class TestLiteralWalks:
+    """The closure walk that stops once it reaches X and the fully-closed
+    test over the weak set give what the full walks give."""
+
+    @pytest.mark.parametrize("name", CTX_NAMES)
+    def test_every_tangle_every_mask(self, name, request):
+        ctx = request.getfixturevalue(name)
+        tangles = {t.members: t for t in [ctx.tangle] + enumerate_tangles(ctx.sys, ctx.k)}
+        for tangle in tangles.values():
+            assert_walks_are_literal(ctx.sys, tangle)
+
+    def test_no_qualifying_superset_raises(self):
+        # lam(E) = 3 > 2 and only the singletons have lam <= 2, so only the
+        # empty set and the singletons have a closure; every other set raises
+        table = [3] * 16
+        for e in range(4):
+            table[1 << e] = 1
+        sys = ConnectivitySystem.from_table(4, table, verify=False)
+        tangle = Tangle(sys, 2, [0, 1, 2, 4])
+        assert oracle_full_closure(sys, tangle, 1) == 1
+        with pytest.raises(ViolationFound):
+            oracle_full_closure(sys, tangle, 3)
+        assert_walks_are_literal(sys, tangle)
+
+
+class ProbedSet(set):
+    """A set that counts its membership tests and the items it yields."""
+
+    probes = 0
+
+    def __contains__(self, y):
+        self.probes += 1
+        return set.__contains__(self, y)
+
+    def __iter__(self):
+        for y in set.__iter__(self):
+            self.probes += 1
+            yield y
+
+
+class TestOracleCost:
+    """Certifying a maximal tree stays far below the cost of the full walks.
+    With every superset of X walked and every subset of E-X tested against
+    the weak set, C10 took 12955 lam calls and 10345 weak-set probes and
+    U_{7,8} 7357 and 6587; with the closure walk stopping at X and the
+    fully-closed test ranging over the weak set, 2825 and 305, and 1307 and
+    791.  The two forms of the fully-closed test make the same lam calls,
+    so only the probe count tells them apart."""
+
+    @pytest.mark.parametrize("build, max_lam, max_probes", [
+        (lambda: ConnectivitySystem.graph([(i, (i + 1) % 10) for i in range(10)]),
+         3000, 340),
+        (lambda: ConnectivitySystem.matroid(RankFunction.uniform(7, 8)), 1400, 870),
+    ], ids=["C10", "U7_8"])
+    def test_certify_cost_bounded(self, build, max_lam, max_probes):
+        system = build()
+        tangle = enumerate_tangles(system, 2)[0]
+        s_family = build_default_S(system, tangle)
+        tree = build_maximal_tree(system, tangle, s_family)
+        weak = tangle._oracle_weak = ProbedSet(_weak_set(tangle))
+        calls = [0]
+        inner = system.lam
+
+        def counted(mask):
+            calls[0] += 1
+            return inner(mask)
+
+        system.lam = counted
+        ok, problems = oracle_certify_tree(system, tangle, s_family, tree)
+        assert ok, problems
+        assert calls[0] <= max_lam
+        assert weak.probes <= max_probes
 
 
 class TestOracleCap:
