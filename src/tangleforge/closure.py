@@ -13,8 +13,7 @@ members of W inside E-X: one shift per greedy step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitset import disjoint_from, popcount_layers
 from .core import ConnectivitySystem, Violation, check_scan_n
@@ -106,12 +105,13 @@ def is_sequential(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
     return full_closure(sys, tangle, co) == sys.full
 
 
-@dataclass(frozen=True, order=True)
-class Separation:
+class Separation(NamedTuple):
     """An unordered strong k-separation, stored by its canonical side.
 
-    The canonical side is the one containing element 0, which makes the
-    canonicalization an involution-stable dedup key.
+    A `(side, k)` tuple: it hashes, compares and sorts as that tuple, and
+    equals the plain tuple `(side, k)`.  The canonical side is the one
+    containing element 0, which makes the canonicalization an
+    involution-stable dedup key.
     """
 
     side: int

@@ -11,9 +11,12 @@ lower bound X.  A quantifier over weak sets may range over the weak table
 itself rather than over the submasks of a region.  A memo table of such a
 predicate is allowed, as long as each entry is what the literal walk
 returns (the weak set below is the definition "X lies inside a member"
-tabulated once per tangle by a submask walk of each member).  Derived
-structure is not allowed: no antichains of maximal members, no greedy
-sequences, no bit families, and nothing taken from the engine but `lam`.
+tabulated once per tangle by a submask walk of each member).  A flower
+scan may read its petal unions from a list that each petal doubles, and
+its one-run index masks from a table kept per petal count: both depend
+only on petal indices, never on the system.  Derived structure is not
+allowed: no antichains of maximal members, no greedy sequences, no bit
+families, and nothing taken from the engine but `lam`.
 Memo tables live in oracle-private attributes of the tangle (`_oracle_*`),
 so two tangles never share one.
 """
@@ -21,6 +24,7 @@ so two tangles never share one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -185,26 +189,37 @@ def _partitions_into_blocks(n: int, max_blocks: int):
     yield from rec(0)
 
 
+def _index_unions(petals: Sequence[int]) -> List[int]:
+    """union[b] = union of the petals indexed by the bits of b, for every b
+    in [0, 2^n): each petal doubles the list, the new half being the old
+    half with that petal added."""
+    union = [0]
+    for p in petals:
+        union += [u | p for u in union]
+    return union
+
+
+@lru_cache(maxsize=None)
+def _one_run_masks(n: int) -> FrozenSet[int]:
+    """Proper index masks with exactly one i in the mask whose successor
+    i+1 (mod n) is outside it, by that definition; tabulated per n."""
+    return frozenset(bits for bits in range(1, (1 << n) - 1)
+                     if sum(1 for i in range(n)
+                            if bits >> i & 1 and not bits >> ((i + 1) % n) & 1) == 1)
+
+
 def _flower_class_literal(sys: ConnectivitySystem, f: Flower) -> str:
     """Anemone/daisy decided by checking every union against the definition."""
     n = f.n
     if n <= 2:
         return "anemone"
-    sep = set()
-    consec = set()
-    for bits in range(1, (1 << n) - 1):
-        union = 0
-        for i in range(n):
-            if bits >> i & 1:
-                union |= f.petals[i]
-        if sys.lam(union) <= f.k:
-            sep.add(bits)
-        runs = sum(1 for i in range(n) if bits >> i & 1 and not bits >> ((i + 1) % n) & 1)
-        if runs == 1:
-            consec.add(bits)
-    if len(sep) == (1 << n) - 2:
+    k = f.k
+    lam = sys.lam
+    union = _index_unions(f.petals)
+    sep = {bits for bits in range(1, len(union) - 1) if lam(union[bits]) <= k}
+    if len(sep) == len(union) - 2:
         return "anemone"
-    if sep == consec:
+    if sep == _one_run_masks(n):
         return "daisy"
     return "neither"
 
@@ -274,6 +289,8 @@ def _enumerate_flowers(sys: ConnectivitySystem, tangle: Tangle,
                 if key not in seen_keys:
                     seen_keys.add(key)
                     out.append(f)
+                if klass == "anemone":
+                    break  # every order is an anemone with this key
     out.sort(key=lambda f: (f.n, f.petals))
     return out
 
@@ -338,16 +355,8 @@ def _vertex_petals(t: PiTree, v: int) -> Tuple[int, ...]:
 def _displayed_unions(sys: ConnectivitySystem, k: int,
                       petals: Sequence[int]) -> Set[Separation]:
     """Every k-separating proper union of the petals, one union at a time."""
-    n = len(petals)
-    out = set()
-    for bits in range(1, (1 << n) - 1):
-        union = 0
-        for i in range(n):
-            if bits >> i & 1:
-                union |= petals[i]
-        if sys.lam(union) <= k:
-            out.add(Separation.make(sys, union, k))
-    return out
+    lam = sys.lam
+    return {Separation.make(sys, u, k) for u in _index_unions(petals)[1:-1] if lam(u) <= k}
 
 
 def _kS_only(sys: ConnectivitySystem, tangle: Tangle,

@@ -11,7 +11,9 @@ import pytest
 
 from tangleforge import (ConnectivitySystem, RankFunction, build_r8_rank,
                          enumerate_tangles)
-from tangleforge.closure import build_default_S
+from tangleforge.closure import Separation, build_default_S
+from tangleforge.flowers import Flower
+from tangleforge.oracle import _displayed_unions, _flower_class_literal
 from tangleforge.tangles import Tangle
 
 
@@ -137,6 +139,71 @@ def literal_petal_unions(petals):
         low = b & -b
         union[b] = union[b ^ low] | petals[low.bit_length() - 1]
     return union
+
+
+def literal_flower_class(sys, petals, k):
+    """Anemone/daisy/neither by the per-bit scan: every proper union rebuilt
+    petal by petal, and each mask's cyclic runs counted afresh."""
+    n = len(petals)
+    if n <= 2:
+        return "anemone"
+    sep = set()
+    consec = set()
+    for bits in range(1, (1 << n) - 1):
+        union = 0
+        for i in range(n):
+            if bits >> i & 1:
+                union |= petals[i]
+        if sys.lam(union) <= k:
+            sep.add(bits)
+        runs = sum(1 for i in range(n) if bits >> i & 1 and not bits >> ((i + 1) % n) & 1)
+        if runs == 1:
+            consec.add(bits)
+    if len(sep) == (1 << n) - 2:
+        return "anemone"
+    if sep == consec:
+        return "daisy"
+    return "neither"
+
+
+def literal_displayed_unions(sys, k, petals):
+    """Every k-separating proper union of the petals, by the per-bit scan."""
+    n = len(petals)
+    out = set()
+    for bits in range(1, (1 << n) - 1):
+        union = 0
+        for i in range(n):
+            if bits >> i & 1:
+                union |= petals[i]
+        if sys.lam(union) <= k:
+            out.add(Separation.make(sys, union, k))
+    return out
+
+
+class LamLog:
+    """A stand-in for a system that logs every lam argument in call order."""
+
+    def __init__(self, system):
+        self.system = system
+        self.full = system.full
+        self.calls = []
+
+    def lam(self, mask):
+        self.calls.append(mask)
+        return self.system.lam(mask)
+
+
+def assert_flower_scans_match(system, petals, k):
+    """The oracle's flower scans give what the per-bit references give, from
+    the same lam calls in the same order; returns the verdict."""
+    new, ref = LamLog(system), LamLog(system)
+    verdict = _flower_class_literal(new, Flower(petals, k))
+    assert verdict == literal_flower_class(ref, petals, k)
+    assert new.calls == ref.calls
+    new, ref = LamLog(system), LamLog(system)
+    assert _displayed_unions(new, k, petals) == literal_displayed_unions(ref, k, petals)
+    assert new.calls == ref.calls
+    return verdict
 
 
 def unique_tangle(sys, k):

@@ -272,6 +272,19 @@ class TestSeparationCanonical:
         s = Separation.make(u24, lab(1, 2), 3)
         assert Separation.make(u24, s.side, 3) == s
 
+    def test_value_semantics_of_the_pair(self, u24):
+        """Set and dict orders, sorted output and reprs all rest on these."""
+        assert Separation.make(u24, 0b1110, 2) == Separation(0b0001, 2)
+        seps = [Separation(5, 2), Separation(3, 3), Separation(5, 1), Separation(1, 2)]
+        for s in seps:
+            assert hash(s) == hash((s.side, s.k))
+        assert [(s.side, s.k) for s in sorted(seps)] == sorted((s.side, s.k) for s in seps)
+        assert repr(Separation(5, 2)) == "Separation(side=5, k=2)"
+        with pytest.raises(AttributeError):
+            seps[0].side = 7
+        with pytest.raises(AttributeError):
+            seps[0].extra = 1
+
 
 class TestTreeCompatible:
     def test_default_S_verifies(self, ctx_u26, ctx_barbell, ctx_pc4, ctx_r8p1):

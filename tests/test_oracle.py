@@ -13,7 +13,8 @@ from tangleforge.oracle import (ORACLE_MAX_N, _fully_closed, _weak, _weak_set,
 from tangleforge.tangles import Tangle
 from tangleforge.trees import PiTree, flower_to_tree
 
-from conftest import lab, literal_full_closure, literal_fully_closed
+from conftest import (assert_flower_scans_match, lab, literal_full_closure,
+                      literal_fully_closed)
 
 CTX_NAMES = ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6", "ctx_pc4",
              "ctx_barbell", "ctx_r8m3", "ctx_mk4"]
@@ -75,6 +76,31 @@ class TestOracleFlowers:
     def test_petal_cap_enforced(self, ctx_r8p1):
         with pytest.raises(SearchSpaceTooLarge):
             oracle_flowers(ctx_r8p1.sys, ctx_r8p1.tangle, 9)
+
+
+class TestFlowerScans:
+    """The doubled union list and the per-n run table against the per-bit
+    scans they replaced."""
+
+    @pytest.mark.parametrize("name", CTX_NAMES)
+    def test_every_fixture_flower(self, name, request):
+        ctx = request.getfixturevalue(name)
+        flowers = oracle_flowers(ctx.sys, ctx.tangle, 4)
+        assert flowers
+        for f in flowers:
+            assert assert_flower_scans_match(ctx.sys, f.petals, f.k) == f.klass
+
+    @pytest.mark.parametrize("petals, verdict", [
+        ((1, 2, 4, 8, 16, 32), "daisy"),
+        ((1, 4, 2, 8, 16, 32), "neither"),
+        ((5, 10, 48), "neither"),
+        ((3, 12, 48), "anemone"),
+        ((7, 56), "anemone"),
+        ((63,), "anemone"),
+        ((), "anemone"),
+    ])
+    def test_each_verdict_and_small_n(self, c6g, petals, verdict):
+        assert assert_flower_scans_match(c6g, petals, 2) == verdict
 
 
 class TestOracleClasses:
@@ -281,6 +307,29 @@ class TestOracleCost:
         assert ok, problems
         assert calls[0] <= max_lam
         assert weak.probes <= max_probes
+
+
+    def test_anemone_partition_classified_once(self, monkeypatch):
+        """An anemone's verdict and dedup key do not depend on the cyclic
+        order, so only the first admissible order of a partition is
+        classified.  U_{8,9} at order 2 keeps 11051 flowers of at most four
+        petals, all anemones; classifying every admissible order took 26591
+        literal classifications."""
+        system = ConnectivitySystem.matroid(RankFunction.uniform(8, 9))
+        tangle = enumerate_tangles(system, 2)[0]
+        calls = [0]
+        inner = oracle._flower_class_literal
+
+        def counted(sys, f):
+            calls[0] += 1
+            return inner(sys, f)
+
+        monkeypatch.setattr(oracle, "_flower_class_literal", counted)
+        report = differential_report(system, tangle, build_default_S(system, tangle),
+                                     max_petals=4)
+        assert report.ok, report.disagreements
+        assert report.flower_count == 11051
+        assert calls[0] <= 11051
 
 
 class TestOracleCap:
