@@ -9,8 +9,11 @@ the R_8 polymatroid family, or explicit tables.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bitset import (byte_lanes, down_closure, element_absent, elements_of, family_of,
@@ -93,14 +96,34 @@ def _byte_table(values: Sequence[int]) -> Optional[bytes]:
     return bytes(values)
 
 
+@lru_cache(maxsize=None)
+def _keep(k: int) -> bytes:
+    """The `translate` table that maps a byte v to 1 if v <= k, else 0."""
+    return bytes(v <= k for v in range(256))
+
+
+def _at_most_flags(table: Optional[bytes], value: Callable[[int], int], k: int,
+                   masks: Sequence[int]) -> bytes:
+    """One byte per mask of `masks`, 1 where its value is at most k.  With a
+    byte table: its slice for an ascending range inside it, else one table
+    read per mask (a mask past the table raises IndexError), translated in
+    one pass.  Without one: one value call per mask."""
+    if table is None:
+        return bytes(value(x) <= k for x in masks)
+    if (isinstance(masks, range) and masks.step > 0 and masks.start >= 0
+            and masks.stop <= len(table)):
+        values = table[masks.start:masks.stop:masks.step]
+    elif len(masks) > 1:
+        values = bytes(itemgetter(*masks)(table))  # a tuple for two or more keys
+    else:
+        values = bytes(table[x] for x in masks)
+    return values.translate(_keep(k))
+
+
 def _at_most(table: Optional[bytes], value: Callable[[int], int], k: int,
              masks: range) -> List[int]:
-    """The masks of `masks` whose value is at most k, in order: one
-    `compress` over the byte table's slice, else one value call per mask."""
-    if table is None:
-        return [x for x in masks if value(x) <= k]
-    keep = bytes(v <= k for v in range(256))
-    return list(compress(masks, table[masks.start:masks.stop:masks.step].translate(keep)))
+    """The masks of `masks` whose value is at most k, in order."""
+    return list(compress(masks, _at_most_flags(table, value, k, masks)))
 
 
 def _lanes(table: bytes) -> int:
@@ -446,15 +469,25 @@ class ConnectivitySystem:
         without a lam call when there is one."""
         return _at_most(self._bytes, self.lam, k, masks)
 
+    def lam_flags(self, k: int, masks: Sequence[int]) -> bytes:
+        """One byte per mask of `masks` (in order, repeats allowed), 1 where
+        lam <= k; from the byte table without a lam call when there is one.
+        A mask outside the ground set raises PreconditionFailed."""
+        if self._bytes is None:
+            return _at_most_flags(None, self.lam, k, masks)  # lam checks each mask
+        try:
+            array("Q", masks)  # a negative mask does not fit: OverflowError
+            return _at_most_flags(self._bytes, self.lam, k, masks)
+        except (OverflowError, IndexError):
+            raise PreconditionFailed("mask outside ground set") from None
+
     def k_separating(self, k: int) -> int:
         """The family of masks X with lam(X) <= k as a 2^n-bit int, built
         once per k from the byte table; refused when n > TANGLE_SCAN_N."""
         family = self._k_separating.get(k)
         if family is None:
             check_scan_n(self, "the k-separating family")
-            table = self._bytes
-            at_most = (table.translate(bytes(v <= k for v in range(256))) if table is not None
-                       else bytes(self.lam(x) <= k for x in range(1 << self.n)))
+            at_most = _at_most_flags(self._bytes, self.lam, k, range(1 << self.n))
             family = self._k_separating[k] = family_of(at_most)
         return family
 

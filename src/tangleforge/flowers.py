@@ -9,7 +9,10 @@ consecutive ones).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from functools import lru_cache
+from itertools import accumulate, compress
+from operator import or_
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from .core import ConnectivitySystem
 from .closure import (Separation, TreeCompatibleSet, full_closure)
@@ -120,12 +123,6 @@ def petal_unions(petals: Sequence[int]) -> List[int]:
     return union
 
 
-def _separating(sys: ConnectivitySystem, k: int, union: List[int]) -> List[int]:
-    """Index masks b of the proper petal unions with lambda(union[b]) <= k."""
-    lam = sys.lam
-    return [b for b in range(1, len(union) - 1) if lam(union[b]) <= k]
-
-
 def _cyclic_runs(n: int) -> List[int]:
     """Index masks of the n(n-1) proper cyclic runs of [n]."""
     full = (1 << n) - 1
@@ -138,28 +135,46 @@ def _cyclic_runs(n: int) -> List[int]:
     return out
 
 
-def _class_of_separating(n: int, separating: List[int]) -> Optional[str]:
-    """ANEMONE, DAISY or None (neither) from the separating index masks."""
-    if len(separating) == (1 << n) - 2:
-        return ANEMONE
-    if (len(separating) == n * (n - 1)
-            and all(_is_cyclic_run(b, n) for b in separating)):
-        return DAISY
-    return None
+@lru_cache(maxsize=None)
+def _run_flags(n: int) -> bytes:
+    """A daisy's flags, built once per n: byte b-1 is 1 iff the proper
+    index mask b is a cyclic run of [n]."""
+    flags = bytearray((1 << n) - 2)
+    for b in _cyclic_runs(n):
+        flags[b - 1] = 1
+    return bytes(flags)
+
+
+def _run_unions(petals: Sequence[int]) -> List[int]:
+    """The unions of the n(n-1) proper cyclic runs of petals: for each
+    start, the running unions of the next n-1 petals."""
+    n = len(petals)
+    ring = tuple(petals) * 2
+    out: List[int] = []
+    for start in range(n):
+        out += accumulate(ring[start:start + n - 1], or_)
+    return out
 
 
 def classify(sys: ConnectivitySystem, f: Flower) -> str:
     """Anemone iff every petal union is k-separating; daisy iff exactly the
     cyclically consecutive ones.  Flowers with at most two petals count as
-    anemones by convention.  Anything else raises DichotomyViolation."""
+    anemones by convention.  Anything else raises DichotomyViolation.
+
+    One `lam_flags` pass over the proper petal unions decides: an anemone
+    has no 0 flag, and a daisy's flags equal the cyclic-run flags of n."""
     if f.klass is not None:
         return f.klass
     n = f.n
     if n <= 2:
         f.klass = ANEMONE
         return ANEMONE
-    klass = _class_of_separating(n, _separating(sys, f.k, petal_unions(f.petals)))
-    if klass is None:
+    flags = sys.lam_flags(f.k, petal_unions(f.petals)[1:-1])
+    if 0 not in flags:
+        klass = ANEMONE
+    elif flags == _run_flags(n):
+        klass = DAISY
+    else:
         raise DichotomyViolation(_dichotomy_witness(sys, f))
     f.klass = klass
     return klass
@@ -215,18 +230,19 @@ def displayed_separations(sys: ConnectivitySystem, tangle: Tangle,
                           f: Flower) -> List[Separation]:
     """k-separations displayed by f: k-separating proper petal unions.
 
-    A classified flower needs no lambda evaluation: an anemone displays
-    every proper union and a daisy exactly its cyclic runs.  Unclassified
-    flowers, and any other class (the oracle's "neither"), are scanned.
+    A classified flower needs no lambda value: an anemone displays every
+    proper union, and a daisy exactly its n(n-1) cyclic runs, built from
+    the petals without the 2^n union list.  Unclassified flowers, and any
+    other class (the oracle's "neither"), keep the unions whose
+    `lam_flags` byte is 1.
     """
-    union = petal_unions(f.petals)
-    if f.klass == ANEMONE:
-        shown: Sequence[int] = range(1, len(union) - 1)
-    elif f.klass == DAISY:
-        shown = _cyclic_runs(f.n)
+    if f.klass == DAISY:
+        sides: Iterable[int] = _run_unions(f.petals)
     else:
-        shown = _separating(sys, f.k, union)
-    return sorted({Separation.make(sys, union[b], f.k) for b in shown})
+        sides = petal_unions(f.petals)[1:-1]
+        if f.klass != ANEMONE:
+            sides = compress(sides, sys.lam_flags(f.k, sides))
+    return sorted({Separation.make(sys, u, f.k) for u in sides})
 
 
 def displayed_kS(sys: ConnectivitySystem, tangle: Tangle,

@@ -14,9 +14,11 @@ returns (the weak set below is the definition "X lies inside a member"
 tabulated once per tangle by a submask walk of each member).  A flower
 scan may read its petal unions from a list that each petal doubles, and
 its one-run index masks from a table kept per petal count: both depend
-only on petal indices, never on the system.  Derived structure is not
-allowed: no antichains of maximal members, no greedy sequences, no bit
-families, and nothing taken from the engine but `lam`.
+only on petal indices, never on the system.  One scan of a flower's
+proper unions, one lam call each, may serve both its class and the
+separations it displays.  Derived structure is not allowed: no
+antichains of maximal members, no greedy sequences, no bit families, and
+nothing taken from the engine but `lam`.
 Memo tables live in oracle-private attributes of the tangle (`_oracle_*`),
 so two tangles never share one.
 """
@@ -208,20 +210,30 @@ def _one_run_masks(n: int) -> FrozenSet[int]:
                             if bits >> i & 1 and not bits >> ((i + 1) % n) & 1) == 1)
 
 
-def _flower_class_literal(sys: ConnectivitySystem, f: Flower) -> str:
-    """Anemone/daisy decided by checking every union against the definition."""
-    n = f.n
-    if n <= 2:
-        return "anemone"
-    k = f.k
+def _separating_masks(sys: ConnectivitySystem, k: int,
+                      petals: Sequence[int]) -> Tuple[List[int], Set[int]]:
+    """The petal unions by index mask, and the proper index masks whose
+    union is k-separating: one lam call per proper union."""
     lam = sys.lam
-    union = _index_unions(f.petals)
-    sep = {bits for bits in range(1, len(union) - 1) if lam(union[bits]) <= k}
-    if len(sep) == len(union) - 2:
+    union = _index_unions(petals)
+    return union, {bits for bits in range(1, len(union) - 1) if lam(union[bits]) <= k}
+
+
+def _class_of_masks(n: int, sep: Set[int]) -> str:
+    """Anemone/daisy/neither of a flower with n >= 3 petals from its
+    k-separating proper index masks, checked against the definition."""
+    if len(sep) == (1 << n) - 2:
         return "anemone"
     if sep == _one_run_masks(n):
         return "daisy"
     return "neither"
+
+
+def _flower_class_literal(sys: ConnectivitySystem, f: Flower) -> str:
+    """Anemone/daisy decided by checking every union against the definition."""
+    if f.n <= 2:
+        return "anemone"
+    return _class_of_masks(f.n, _separating_masks(sys, f.k, f.petals)[1])
 
 
 def _daisy_canonical(petals: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -352,11 +364,15 @@ def _vertex_petals(t: PiTree, v: int) -> Tuple[int, ...]:
     return tuple(_tree_component_mask(t, w, (v, w)) for w in order)
 
 
+def _shown(sys: ConnectivitySystem, k: int, union: List[int],
+           sep: Set[int]) -> Set[Separation]:
+    return {Separation.make(sys, union[bits], k) for bits in sep}
+
+
 def _displayed_unions(sys: ConnectivitySystem, k: int,
                       petals: Sequence[int]) -> Set[Separation]:
     """Every k-separating proper union of the petals, one union at a time."""
-    lam = sys.lam
-    return {Separation.make(sys, u, k) for u in _index_unions(petals)[1:-1] if lam(u) <= k}
+    return _shown(sys, k, *_separating_masks(sys, k, petals))
 
 
 def _kS_only(sys: ConnectivitySystem, tangle: Tangle,
@@ -381,11 +397,12 @@ def oracle_displayed_kS(sys: ConnectivitySystem, tangle: Tangle,
     return _kS_only(sys, tangle, s_family, _displayed_unions(sys, f.k, f.petals))
 
 
-def _tree_displayed(sys: ConnectivitySystem,
-                    t: PiTree) -> Tuple[Set[Separation], Dict[int, Set[Separation]]]:
+def _tree_displayed(sys: ConnectivitySystem, t: PiTree
+                    ) -> Tuple[Set[Separation], Dict[int, Tuple[str, Set[Separation]]]]:
     """Separations displayed by t: k-separating edge sides and the
     k-separating petal unions of every flower vertex.  Returns the whole set
-    and the set shown at each flower vertex."""
+    and, at each flower vertex, its class (meaningful for three or more
+    petals) and the set shown there, both from one scan of its unions."""
     out = set()
     for u, v in t.edges():
         x = _tree_component_mask(t, u, (u, v))
@@ -393,8 +410,11 @@ def _tree_displayed(sys: ConnectivitySystem,
             out.add(Separation.make(sys, x, t.k))
     at = {}
     for v in t.labels:
-        at[v] = _displayed_unions(sys, t.k, _vertex_petals(t, v))
-        out |= at[v]
+        petals = _vertex_petals(t, v)
+        union, sep = _separating_masks(sys, t.k, petals)
+        shown = _shown(sys, t.k, union, sep)
+        at[v] = (_class_of_masks(len(petals), sep), shown)
+        out |= shown
     return out, at
 
 
@@ -435,13 +455,12 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
         if not ok:
             problems.append(f"flower vertex {v} does not display a flower")
             continue
-        f = Flower(petals, k)
-        klass = _flower_class_literal(sys, f)
+        klass, shown = shown_at[v]
         if lab == "A" and klass != "anemone":
             problems.append(f"P3 fails at vertex {v}: {klass}")
         if lab == "D" and klass != "daisy" and n > 3:
             problems.append(f"P4 fails at vertex {v}: {klass}")
-        if len(_class_keys(sys, tangle, s_family, shown_at[v])) < 2:
+        if len(_class_keys(sys, tangle, s_family, shown)) < 2:
             problems.append(f"flower vertex {v} has S-order < 3")
         for i in range(n):
             for j in (range(n) if klass == "anemone" else [(i - 1) % n, (i + 1) % n]):

@@ -12,7 +12,9 @@ import pytest
 from tangleforge import (ConnectivitySystem, RankFunction, build_r8_rank,
                          enumerate_tangles)
 from tangleforge.closure import Separation, build_default_S
-from tangleforge.flowers import Flower
+from tangleforge.errors import DichotomyViolation
+from tangleforge.flowers import (ANEMONE, DAISY, Flower, _is_cyclic_run, classify,
+                                 displayed_separations)
 from tangleforge.oracle import _displayed_unions, _flower_class_literal
 from tangleforge.tangles import Tangle
 
@@ -178,6 +180,57 @@ def literal_displayed_unions(sys, k, petals):
         if sys.lam(union) <= k:
             out.add(Separation.make(sys, union, k))
     return out
+
+
+def reference_separating(sys, k, union):
+    """Index masks b of the proper petal unions with lambda(union[b]) <= k,
+    one lam call per union."""
+    lam = sys.lam
+    return [b for b in range(1, len(union) - 1) if lam(union[b]) <= k]
+
+
+def reference_flower_class(sys, petals, k):
+    """ANEMONE, DAISY or None (neither) from the per-union scan, each
+    separating index mask tested for a cyclic run on its own."""
+    n = len(petals)
+    if n <= 2:
+        return ANEMONE
+    separating = reference_separating(sys, k, literal_petal_unions(petals))
+    if len(separating) == (1 << n) - 2:
+        return ANEMONE
+    if len(separating) == n * (n - 1) and all(_is_cyclic_run(b, n) for b in separating):
+        return DAISY
+    return None
+
+
+def reference_displayed(sys, petals, k):
+    """The k-separating proper petal unions as sorted separations, from the
+    per-union scan."""
+    union = literal_petal_unions(petals)
+    return sorted({Separation.make(sys, union[b], k)
+                   for b in reference_separating(sys, k, union)})
+
+
+def assert_engine_flower_matches(system, petals, k):
+    """`classify` and `displayed_separations` give what the per-union
+    references give, on an unclassified copy and then on the classified
+    one; a flower that is neither must raise DichotomyViolation.  With at
+    most two petals the class is a convention that assumes a verified
+    flower, so the classified copy is compared only when that holds.
+    Returns the reference verdict."""
+    want_class = reference_flower_class(system, petals, k)
+    want_shown = reference_displayed(system, petals, k)
+    f = Flower(petals, k)
+    assert displayed_separations(system, None, f) == want_shown
+    if want_class is None:
+        with pytest.raises(DichotomyViolation):
+            classify(system, f)
+    else:
+        assert classify(system, f) == want_class
+        assert f.klass == want_class
+        if len(petals) > 2 or all(system.lam(p) <= k for p in petals):
+            assert displayed_separations(system, None, f) == want_shown
+    return want_class
 
 
 class LamLog:

@@ -1,5 +1,7 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tangleforge import (classify, concatenate, conforms_with_flower,
@@ -8,7 +10,8 @@ from tangleforge import (classify, concatenate, conforms_with_flower,
                          refine_with, s_order, tighten, verify_flower)
 from tangleforge.bitset import elements_of
 from tangleforge.closure import Separation
-from tangleforge.errors import (InvalidBreakpoints, NonRobustObstruction,
+from tangleforge.core import ConnectivitySystem
+from tangleforge.errors import (DichotomyViolation, InvalidBreakpoints, NonRobustObstruction,
                                 NotAPartition, NotKSeparating, PreconditionFailed,
                                 WeakPetal)
 from tangleforge.flowers import (ANEMONE, DAISY, MIXED, STRONG, UNCROSSED, WEAK,
@@ -17,7 +20,8 @@ from tangleforge.flowers import (ANEMONE, DAISY, MIXED, STRONG, UNCROSSED, WEAK,
                                  petal_unions)
 from tangleforge.oracle import _displayed_unions, oracle_flowers
 
-from conftest import lab, literal_petal_unions
+from conftest import (assert_engine_flower_matches, lab, literal_petal_unions,
+                      reference_displayed)
 
 
 def phi_r8(ctx):
@@ -106,6 +110,78 @@ class TestClassify:
         for ctx in (ctx_r8p1, ctx_c6, ctx_barbell):
             for f in oracle_flowers(ctx.sys, ctx.tangle, 4):
                 assert classify(ctx.sys, Flower(f.petals, f.k)) in (ANEMONE, DAISY)
+
+    def test_c6_out_of_order_petals_break_the_dichotomy(self, c6g):
+        # the consecutive petals e1, e3, e4 make no arc of C6, so their
+        # union is not 2-separating, while the non-run e0|e1 is: neither
+        f = Flower([1 << i for i in (0, 2, 1, 3, 4, 5)], 2)
+        with pytest.raises(DichotomyViolation) as err:
+            classify(c6g, f)
+        assert str(err.value) == "union of petals [2, 3, 4] breaks the dichotomy"
+        assert err.value.witness_indices == frozenset({2, 3, 4})
+        assert f.klass is None
+
+
+class TestFlagsScan:
+    """`classify` and `displayed_separations` read one `lam_flags` pass (or
+    the daisy's runs) and must give what the per-union references give."""
+
+    @pytest.mark.parametrize("fixture", ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6",
+                                         "ctx_pc4", "ctx_barbell", "ctx_r8m3", "ctx_mk4"])
+    def test_oracle_flowers_match_the_per_union_reference(self, fixture, request):
+        ctx = request.getfixturevalue(fixture)
+        for f in oracle_flowers(ctx.sys, ctx.tangle, 5):
+            assert assert_engine_flower_matches(ctx.sys, f.petals, f.k) == f.klass, f
+            assert (displayed_separations(ctx.sys, ctx.tangle, f)
+                    == reference_displayed(ctx.sys, f.petals, f.k)), f
+
+    def test_list_table_without_bytes(self, c6g):
+        # values above 255 leave the byte table out: lam_flags calls lam
+        system = ConnectivitySystem.from_table(
+            6, [300 + c6g.lam(x) for x in range(1 << 6)], verify=False)
+        assert system._bytes is None
+        assert assert_engine_flower_matches(system, [1 << i for i in range(6)], 302) == DAISY
+        assert assert_engine_flower_matches(system, [3, 12, 48], 302) == ANEMONE
+        assert assert_engine_flower_matches(
+            system, [1 << i for i in (0, 2, 1, 3, 4, 5)], 302) is None
+
+    def test_memo_path_above_the_table_cap(self):
+        # four segments of a 17-edge path at order 2 form a daisy; every
+        # proper union is evaluated once and lands in the lambda memo
+        path = ConnectivitySystem.graph([(i, i + 1) for i in range(17)], verify=False)
+        assert path._bytes is None and path._memo == {}
+        petals = [path.mask(range(a, b)) for a, b in ((0, 4), (4, 9), (9, 13), (13, 17))]
+        assert assert_engine_flower_matches(path, petals, 2) == DAISY
+        assert set(path._memo) == set(literal_petal_unions(petals)[1:-1])
+
+
+@st.composite
+def petal_partitions(draw):
+    """A cycle of 4-10 edges cut into at least four arcs, listed in cyclic
+    order or shuffled, so that daisies come up; or a multigraph on 3-6
+    vertices with 4-10 edges and the non-empty blocks of a random assignment
+    of its edges to at most seven blocks."""
+    if draw(st.booleans()):
+        m = draw(st.integers(4, 10))
+        ends = [0] + sorted(draw(st.sets(st.integers(1, m - 1), min_size=3))) + [m]
+        petals = [sum(1 << e for e in range(a, b)) for a, b in zip(ends, ends[1:])]
+        if draw(st.booleans()):
+            draw(st.randoms()).shuffle(petals)
+        return [(i, (i + 1) % m) for i in range(m)], tuple(petals)
+    pairs = list(combinations(range(draw(st.integers(3, 6))), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=4, max_size=10))
+    block = draw(st.lists(st.integers(0, 6), min_size=len(edges), max_size=len(edges)))
+    petals = (sum(1 << e for e in range(len(edges)) if block[e] == b) for b in range(7))
+    return edges, tuple(p for p in petals if p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=petal_partitions(), k=st.sampled_from([2, 3, 4, 1, 0]))
+def test_flags_scan_matches_the_per_union_reference(case, k):
+    edges, petals = case
+    verdict = assert_engine_flower_matches(ConnectivitySystem.graph(edges, verify=False),
+                                           petals, k)
+    event(str(verdict) if len(petals) > 2 else "n <= 2")
 
 
 class TestConcatenate:

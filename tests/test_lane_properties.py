@@ -6,9 +6,11 @@ uniform rank and the matroid formula r(X) + r(E-X) - r(E) + 1, on
 multigraphs with loops and vertices that only carry loops.  Checks: the
 first witness of the lane submodularity and unit-increment checks against
 per-triple loops, on perturbed tables.  Scans: `lam_at_most` against a
-filter, with and without a byte table.
+filter, with and without a byte table, and `lam_flags` against one lam call
+per mask on shuffled lists with repeats.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from tangleforge.core import (_lane_submodularity_failure, _lane_table,
                               _lane_unit_increment_failure,
                               _local_submodularity_failure, verify_connectivity_axioms,
                               verify_rank_axioms)
+from tangleforge.errors import PreconditionFailed
 
 MAX_EDGES = 12
 
@@ -197,6 +200,47 @@ def test_scan_matches_filter_on_a_list_table(table, k):
     assert system.lam_at_most(k, masks) == [x for x in masks if table[x] <= k]
 
 
+def shuffled_with_repeats(data, n):
+    """Masks of [0, 2^n) in random order, each drawn one to three times."""
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=24))
+    masks += data.draw(st.lists(st.sampled_from(masks), max_size=12)) if masks else []
+    data.draw(st.randoms()).shuffle(masks)
+    return masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(edges=multigraphs, k=st.integers(-1, 8), data=st.data())
+def test_flags_match_lam_on_a_byte_table(edges, k, data):
+    system = ConnectivitySystem.graph(edges, verify=False)
+    assert system._bytes is not None
+    masks = shuffled_with_repeats(data, system.n)
+    assert system.lam_flags(k, masks) == bytes(system.lam(x) <= k for x in masks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.integers(-3, 300), min_size=1 << n, max_size=1 << n)),
+    st.integers(-4, 300), st.data())
+def test_flags_match_lam_on_a_list_table(table, k, data):
+    n = len(table).bit_length() - 1
+    system = ConnectivitySystem.from_table(n, table, verify=False)
+    masks = shuffled_with_repeats(data, n)
+    assert system.lam_flags(k, masks) == bytes(table[x] <= k for x in masks)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ConnectivitySystem.graph([(0, 1), (1, 2), (2, 0)], verify=False),
+    lambda: ConnectivitySystem.from_table(3, [300] * 8, verify=False),
+    lambda: ConnectivitySystem.graph([(i, i + 1) for i in range(17)], verify=False),
+], ids=["byte-table", "list-table", "memo"])
+def test_flags_refuse_masks_outside_the_ground_set(build):
+    system = build()
+    for bad in ([system.full + 1], [1, -1, 2], [0, 1 << 70],
+                range(system.full - 1, system.full + 2)):
+        with pytest.raises(PreconditionFailed):
+            system.lam_flags(1, bad)
+
+
 def test_scan_above_the_table_cap_uses_the_memo():
     path = ConnectivitySystem.graph([(i, i + 1) for i in range(17)], verify=False)
     assert path._bytes is None and path._memo == {}
@@ -205,3 +249,6 @@ def test_scan_above_the_table_cap_uses_the_memo():
     assert set(path._memo) == set(masks)
     assert got == [x for x in masks if boundary_count([(i, i + 1) for i in range(17)], x) <= 1]
     assert got[0] == 1  # {0}: only vertex 1 is on the boundary
+    masks = [5, 1 << 16, 5, 3]
+    assert path.lam_flags(1, masks) == b"\x00\x01\x00\x01"
+    assert set(path._memo) == set(range(1, 1 << 17, 1031)) | set(masks)

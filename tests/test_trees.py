@@ -453,30 +453,53 @@ def test_tree_displays_match_oracle(ctx_r8p1, ctx_c6, ctx_u56, ctx_u26, ctx_pc4,
         assert (verify_partial_kS_tree(c.sys, c.tangle, c.S, t).displayed == got)
 
 
+def test_one_oracle_scan_per_flower_vertex(ctx_r8p1, ctx_c6, ctx_u56, ctx_u26, ctx_pc4,
+                                           ctx_barbell, chain_ctx):
+    # the class and displays that _tree_displayed takes from one scan are
+    # what the separate literal class and display scans give
+    from tangleforge.flowers import Flower
+    from tangleforge.oracle import (_displayed_unions, _flower_class_literal,
+                                    _tree_displayed, _vertex_petals)
+    ctx = {"r8p1": ctx_r8p1, "c6": ctx_c6, "u56": ctx_u56, "u26": ctx_u26,
+           "pc4": ctx_pc4, "barbell": ctx_barbell}
+    checked = set()
+    for c, t in _built_trees(ctx, chain_ctx):
+        at = _tree_displayed(c.sys, t)[1]
+        assert set(at) == set(t.labels)
+        for v in t.labels:
+            petals = _vertex_petals(t, v)
+            klass, shown = at[v]
+            assert shown == _displayed_unions(c.sys, t.k, petals)
+            if len(petals) >= 3:
+                assert klass == _flower_class_literal(c.sys, Flower(petals, t.k))
+                checked.add(klass)
+    assert checked == {"anemone", "daisy"}
+
+
 def test_lam_error_at_flower_vertex_propagates():
-    # a TypeError from lam is a bug, not a failed (P3)/(P4) verdict
+    # a TypeError while classifying a flower vertex is a bug, not a failed
+    # (P3)/(P4) verdict; classify reads every petal union through lam_flags
     from conftest import C6_EDGES
-    sys = ConnectivitySystem.graph(C6_EDGES)  # own instance: lam is replaced
+    sys = ConnectivitySystem.graph(C6_EDGES)  # own instance: lam_flags is replaced
     tangle = enumerate_tangles(sys, 2)[0]
     S = build_default_S(sys, tangle)
     t = build_maximal_tree(sys, tangle, S)
     (v,) = t.labels
     petals = t.petals_at(v)
     assert len(petals) == 6
-    broken = petals[0] | petals[2]  # not a cyclic run: only classify asks for it
-    inner = sys.lam
+    inner = sys.lam_flags
     failed = []
 
-    def lam(mask):
-        if mask == broken and not failed:
-            failed.append(mask)
-            raise TypeError("lam cannot evaluate this union")
-        return inner(mask)
+    def lam_flags(k, masks):
+        if not failed:
+            failed.append(list(masks))
+            raise TypeError("lam cannot evaluate these unions")
+        return inner(k, masks)
 
-    sys.lam = lam
+    sys.lam_flags = lam_flags
     with pytest.raises(TypeError):
         verify_partial_kS_tree(sys, tangle, S, t)
-    assert failed == [broken]
+    assert len(failed) == 1 and petals[0] | petals[2] in failed[0]
 
 
 def test_maximal_k_separating_between_matches_the_submask_walk(ctx_barbell, ctx_r8p1,
