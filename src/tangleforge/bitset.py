@@ -59,10 +59,6 @@ def submasks(mask: int) -> Iterator[int]:
         s = (s - 1) & mask
 
 
-def is_subset(a: int, b: int) -> bool:
-    return a & ~b == 0
-
-
 def maximal_masks(masks: Iterable[int]) -> Tuple[int, ...]:
     """The subset-maximal masks among `masks`, largest first.  A mask is
     kept iff no kept mask contains it: any strict superset is larger, so it
@@ -72,21 +68,6 @@ def maximal_masks(masks: Iterable[int]) -> Tuple[int, ...]:
         if not any(m & ~kept == 0 for kept in out):
             out.append(m)
     return tuple(out)
-
-
-def masks_of_size(n: int, size: int) -> Iterator[int]:
-    """All masks over n elements with exactly `size` bits, ascending."""
-    if size == 0:
-        yield 0
-        return
-    # Gosper's hack.
-    v = (1 << size) - 1
-    top = 1 << n
-    while v < top:
-        yield v
-        c = v & -v
-        r = v + c
-        v = (((r ^ v) >> 2) // c) | r
 
 
 # -- families of subsets ------------------------------------------------

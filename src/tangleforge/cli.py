@@ -13,7 +13,7 @@ import json
 import sys as _sys
 
 from .bitset import elements_of
-from .core import ConnectivitySystem, verify_connectivity_axioms
+from .core import verify_connectivity_axioms
 from .closure import Separation, build_default_S, full_closure, TreeCompatibleSet
 from .dot import flower_to_dot, tree_to_dot
 from .errors import (NonRobustObstruction, PreconditionFailed, SearchSpaceTooLarge,
@@ -67,7 +67,6 @@ def _parser() -> argparse.ArgumentParser:
         if s_family:
             sp.add_argument("--S", dest="s_mode", default="default",
                             help="'default' or an explicit S JSON file")
-        sp.add_argument("--max-n", type=int, default=14, help="ground set safety cap")
         if verify:
             sp.add_argument("--verify", action="store_true",
                             help="cross-check against the brute-force oracle "
@@ -77,8 +76,6 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="verify the connectivity axioms")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--max-n", type=int, default=14)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("tangles", help="enumerate all tangles of order k")
     common(sp, tangle=False, s_family=False)
@@ -103,13 +100,6 @@ def _parser() -> argparse.ArgumentParser:
     common(sp, verify=False)
     sp.add_argument("--max-petals", type=int, default=4)
     return p
-
-
-def _load(args) -> ConnectivitySystem:
-    system = load_system_file(args.input, verify=False)
-    if system.n > args.max_n:
-        raise SearchSpaceTooLarge(f"n={system.n} exceeds --max-n={args.max_n}")
-    return system
 
 
 def _resolve_tangle(system, args) -> Tangle:
@@ -156,9 +146,9 @@ def _emit(text: str):
 def run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
-        system = _load(args)
+        system = load_system_file(args.input, verify=False)
         if args.command == "check":
-            report = verify_connectivity_axioms(system, seed=args.seed)
+            report = verify_connectivity_axioms(system)
             _emit(dumps({"ok": not report, "violations": [v.to_json() for v in report]}))
             return EXIT_OK if not report else EXIT_VERIFY
 

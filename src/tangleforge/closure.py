@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitset import disjoint_from, popcount_layers
-from .core import ConnectivitySystem, Violation, check_scan_n
+from .core import ConnectivitySystem, Violation
 from .errors import PreconditionFailed
 from .tangles import Tangle
 
@@ -29,12 +29,10 @@ def _require_strong_k_separating(sys: ConnectivitySystem, tangle: Tangle, x: int
 
 
 def _tables(sys: ConnectivitySystem, tangle: Tangle, x: int) -> Tuple[int, int]:
-    """K_k and the non-empty weak subsets of E-X, after the precondition on
-    X; both tables refuse n > TANGLE_SCAN_N before any lam call."""
-    separating = sys.k_separating(tangle.k)
-    weak = tangle.weak_family & ~1
+    """K_k and the non-empty weak subsets of E-X, for a strong k-separating
+    X."""
     _require_strong_k_separating(sys, tangle, x)
-    return separating, disjoint_from(weak, x, sys.n)
+    return sys.k_separating(tangle.k), disjoint_from(tangle.weak_family & ~1, x, sys.n)
 
 
 def is_fully_closed(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
@@ -246,9 +244,7 @@ def build_default_S(sys: ConnectivitySystem, tangle: Tangle) -> TreeCompatibleSe
 
 
 def _canonical_sides(sys: ConnectivitySystem) -> range:
-    """The side containing element 0 of every separation of E, ascending;
-    refused before the scan when 2^n masks are too many."""
-    check_scan_n(sys, "separation scan")
+    """The side containing element 0 of every separation of E, ascending."""
     return range(1, 1 << sys.n, 2)
 
 

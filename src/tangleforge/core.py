@@ -8,7 +8,6 @@ the R_8 polymatroid family, or explicit tables.
 
 from __future__ import annotations
 
-import random
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,24 +19,28 @@ from .bitset import (byte_lanes, down_closure, element_absent, elements_of, fami
                      full_mask, mask_of, popcount, popcount_layers, up_closure)
 from .errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 
-MAX_GROUND = 64
-# Full lambda tables and exhaustive axiom checks up to this n; beyond it,
-# the checks run on SAMPLE_PAIRS seeded random sets.
-LAMBDA_TABLE_N = 16
-AUTO_VERIFY_N = LAMBDA_TABLE_N
-SAMPLE_PAIRS = 20000
+# -- caps ----------------------------------------------------------------------
+#
+# Every system holds its full lambda table, the scans visit all 2^n masks, and
+# families of subsets are 2^n-bit ints (bitset.down_closure), so a ground set
+# has at most MAX_N elements.  The tangle search stops after NODE_CAP nodes.
+# The oracle's literal walks run up to ORACLE_MAX_N elements, and its flower
+# enumeration up to ORACLE_MAX_PETALS petals.
+MAX_N = 16
+NODE_CAP = 1 << 20
+ORACLE_MAX_N = 14
+ORACLE_MAX_PETALS = 8
 # The axiom checks run on byte lanes when every value lies in 0..LANE_MAX:
 # a sum of four such values plus 128 then stays inside its byte.
 LANE_MAX = 63
-# The separation scans visit all 2^n masks, and families of subsets are held
-# as 2^n-bit ints (bitset.down_closure): the k-separating family here, the
-# weak family and the tangle search in `tangles`.
-TANGLE_SCAN_N = 20
 
 
-def check_scan_n(sys: "ConnectivitySystem", what: str):
-    if sys.n > TANGLE_SCAN_N:
-        raise SearchSpaceTooLarge(f"{what} enumerates 2^n masks; n <= {TANGLE_SCAN_N} required")
+def check_ground_size(n: int):
+    """Refuse n outside 1..MAX_N, before anything of size 2^n is built."""
+    if n < 1:
+        raise ValueError(f"ground set size {n} outside 1..{MAX_N}")
+    if n > MAX_N:
+        raise SearchSpaceTooLarge(f"ground set size {n} exceeds {MAX_N}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,7 @@ class GroundSet:
     labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_GROUND:
-            raise ValueError(f"ground set size {self.n} outside 1..{MAX_GROUND}")
+        check_ground_size(self.n)
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise ValueError("labels length must equal n")
@@ -131,15 +133,15 @@ def _lanes(table: bytes) -> int:
 
 
 class RankFunction:
-    """Matroid rank function over masks, memoized as a full table.
+    """Matroid rank function over masks, held as a full table.
 
     Sources: explicit 2^n table, uniform matroids, graphic matroids, or a
     list of bases.  Construction checks r(empty)=0, unit increments, and
-    local submodularity exhaustively for n <= LAMBDA_TABLE_N, by seeded
-    sampling above that.
+    local submodularity exhaustively.
     """
 
     def __init__(self, n: int, table: Sequence[int], source: str, verify: bool = True):
+        check_ground_size(n)
         if len(table) != 1 << n:
             raise ValueError("rank table must have 2^n entries")
         self.n = n
@@ -183,6 +185,7 @@ class RankFunction:
 
     @classmethod
     def uniform(cls, r: int, n: int) -> "RankFunction":
+        check_ground_size(n)
         if not 0 <= r <= n:
             raise ValueError("uniform matroid needs 0 <= r <= n")
         counts = b"\0"  # popcounts of the masks below 2^i, for i = 0..n
@@ -202,6 +205,7 @@ class RankFunction:
         n = len(edges)
         if n == 0:
             raise ValueError("graphic matroid needs at least one edge")
+        check_ground_size(n)
         every = (1 << (1 << n)) - 1
         present = [every ^ a for a in element_absent(n)]
         total = 0
@@ -226,6 +230,7 @@ class RankFunction:
         j >= 1 at which X contains a subset of a basis: a sum of one 0/1
         lane table per size, the up-closure of the j-sets in the
         down-closure of the bases."""
+        check_ground_size(n)
         if not bases:
             raise ValueError("need at least one basis")
         full = full_mask(n)
@@ -238,37 +243,16 @@ class RankFunction:
         return cls(n, total.to_bytes(1 << n, "little"), "bases")
 
 
-def _checked_sets(n: int, seed: int):
-    """Every set for n <= LAMBDA_TABLE_N, else SAMPLE_PAIRS seeded random sets."""
-    if n <= LAMBDA_TABLE_N:
-        return range(1 << n)
-    rng = random.Random(seed)
-    return [rng.getrandbits(n) for _ in range(SAMPLE_PAIRS)]
-
-
-def _local_submodularity_failure(value: Callable[[int], int], n: int,
-                                 seed: int) -> Optional[Tuple[int, int, int]]:
-    """A triple (X, {e}, {f}) of masks, e < f outside X, with
-    value(X+e) + value(X+f) < value(X+e+f) + value(X); None if none is found.
+def _local_submodularity_failure(value: Callable[[int], int],
+                                 n: int) -> Optional[Tuple[int, int, int]]:
+    """The least triple (X, {e}, {f}) of masks, e < f outside X, with
+    value(X+e) + value(X+f) < value(X+e+f) + value(X); None if there is none.
 
     Over every X and pair this is equivalent to submodularity on 2^E: each
     pairwise inequality is a telescoping sum of local ones (Fujishige,
-    Submodular Functions and Optimization).  Exhaustive for
-    n <= LAMBDA_TABLE_N, returning the least (X, e, f); above, one seeded
-    random pair at each of SAMPLE_PAIRS seeded random sets X.  Tables that
-    `_lane_table` accepts take `_lane_submodularity_failure` instead.
+    Submodular Functions and Optimization).  Tables that `_lane_table`
+    accepts take `_lane_submodularity_failure` instead.
     """
-    if n > LAMBDA_TABLE_N:
-        rng = random.Random(seed)
-        for _ in range(SAMPLE_PAIRS):
-            x = rng.getrandbits(n)
-            free = [i for i in range(n) if not x >> i & 1]
-            if len(free) < 2:
-                continue
-            be, bf = sorted(1 << i for i in rng.sample(free, 2))
-            if value(x | be) + value(x | bf) < value(x | be | bf) + value(x):
-                return x, be, bf
-        return None
     for x in range(1 << n):
         vx = value(x)
         free = [1 << i for i in range(n) if not x >> i & 1]
@@ -289,10 +273,9 @@ def _local_submodularity_failure(value: Callable[[int], int], n: int,
 # e read another mask's value, so every check keeps only the lanes at masks
 # without the elements it adds, and reports the least failing X.
 
-def _lane_table(table: Optional[bytes], n: int) -> Optional[bytes]:
-    """The byte table if the lane checks apply: n <= LAMBDA_TABLE_N and every
-    value in 0..LANE_MAX."""
-    if table is None or n > LAMBDA_TABLE_N or table.translate(None, _LANE_VALUES):
+def _lane_table(table: Optional[bytes]) -> Optional[bytes]:
+    """The byte table if the lane checks apply: every value in 0..LANE_MAX."""
+    if table is None or table.translate(None, _LANE_VALUES):
         return None
     return table
 
@@ -350,20 +333,19 @@ def _lane_unit_increment_failure(table: bytes, n: int) -> Optional[Tuple[int, in
     return best
 
 
-def verify_rank_axioms(rank: RankFunction, seed: int = 0) -> List[Violation]:
+def verify_rank_axioms(rank: RankFunction) -> List[Violation]:
     """Check r(empty)=0, unit increments, and submodularity.
 
     Unit increments give monotonicity for free; local submodularity
     (r(X+e)+r(X+f) >= r(X+e+f)+r(X)) is equivalent to the pairwise form.
-    Exhaustive for n <= LAMBDA_TABLE_N, on byte lanes when the values allow
-    it; on a seeded sample above.
+    Exhaustive, on byte lanes when the values allow it.
     """
     out = []
     r = rank._table.__getitem__
     n = rank.n
     if r(0) != 0:
         out.append(Violation("rank_empty", (0,)))
-    lanes = _lane_table(rank._bytes, n)
+    lanes = _lane_table(rank._bytes)
     if lanes is not None:
         step = _lane_unit_increment_failure(lanes, n)
         if step:
@@ -371,14 +353,14 @@ def verify_rank_axioms(rank: RankFunction, seed: int = 0) -> List[Violation]:
             return out
         bad = _lane_submodularity_failure(lanes, n)
     else:
-        for x in _checked_sets(n, seed):
+        for x in range(1 << n):
             rx = r(x)
             for e in range(n):
                 be = 1 << e
                 if not x & be and r(x | be) - rx not in (0, 1):
                     out.append(Violation("rank_unit_increment", (x, be)))
                     return out
-        bad = _local_submodularity_failure(r, n, seed)
+        bad = _local_submodularity_failure(r, n)
     if bad:
         out.append(Violation("rank_submodular", bad))
     return out
@@ -413,42 +395,28 @@ def build_r8_rank() -> RankFunction:
 
 
 class ConnectivitySystem:
-    """A ground set plus a memoized symmetric submodular lambda.
+    """A ground set plus a symmetric submodular lambda, held as its full table.
 
-    Immutable after construction apart from the lambda memo and the
-    per-k k-separating families, whose inserts are idempotent, so concurrent
-    reads are safe.
+    Immutable after construction apart from the per-k k-separating families,
+    whose inserts are idempotent, so concurrent reads are safe.
     """
 
-    def __init__(self, ground: GroundSet, kind: str, lam_fn: Callable[[int], int],
+    def __init__(self, ground: GroundSet, kind: str, table: Sequence[int],
                  rank: Optional[RankFunction] = None, verify: Optional[bool] = None,
-                 meta: Optional[dict] = None,
-                 tabulate: Optional[Callable[[], Optional[Sequence[int]]]] = None):
-        """For n <= LAMBDA_TABLE_N the whole table is built at once, by
-        `tabulate` when given and it does not return None, else by one
-        lam_fn call per mask; above that lam_fn is memoized per mask."""
+                 meta: Optional[dict] = None):
+        """`table` holds lambda at every mask of the ground set.  The axioms
+        are checked unless `verify` is False."""
         self.ground = ground
-        self.n = n = ground.n
+        self.n = ground.n
         self.full = ground.full
         self.kind = kind
         self.rank = rank
         self.meta = meta or {}
         self._outside = ~self.full  # bits of masks that leave the ground set
         self._k_separating: Dict[int, int] = {}
-        if n <= LAMBDA_TABLE_N:
-            table = tabulate() if tabulate is not None else None
-            if table is None:
-                table = [lam_fn(m) for m in range(1 << n)]
-            self._table = list(table) if isinstance(table, bytes) else table
-            self._bytes = _byte_table(table)
-            self._fn = None
-        else:
-            self._table = self._bytes = None
-            self._fn = lam_fn
-            self._memo: dict = {}
-        if verify is None:
-            verify = n <= AUTO_VERIFY_N
-        if verify:
+        self._table = list(table) if isinstance(table, bytes) else table
+        self._bytes = _byte_table(table)
+        if verify is None or verify:
             bad = verify_connectivity_axioms(self)
             if bad:
                 raise ViolationFound(f"not a connectivity function: {bad[0].axiom}", bad[0])
@@ -456,13 +424,7 @@ class ConnectivitySystem:
     def lam(self, mask: int) -> int:
         if mask & self._outside:
             raise PreconditionFailed(f"mask {mask:#x} outside ground set")
-        if self._table is not None:
-            return self._table[mask]
-        v = self._memo.get(mask)
-        if v is None:
-            v = self._fn(mask)
-            self._memo[mask] = v
-        return v
+        return self._table[mask]
 
     def lam_at_most(self, k: int, masks: range) -> List[int]:
         """The masks of `masks` with lam <= k, ascending; from the byte table
@@ -483,10 +445,9 @@ class ConnectivitySystem:
 
     def k_separating(self, k: int) -> int:
         """The family of masks X with lam(X) <= k as a 2^n-bit int, built
-        once per k from the byte table; refused when n > TANGLE_SCAN_N."""
+        once per k from the byte table."""
         family = self._k_separating.get(k)
         if family is None:
-            check_scan_n(self, "the k-separating family")
             at_most = _at_most_flags(self._bytes, self.lam, k, range(1 << self.n))
             family = self._k_separating[k] = family_of(at_most)
         return family
@@ -499,13 +460,11 @@ class ConnectivitySystem:
     @classmethod
     def matroid(cls, rank: RankFunction, labels=None, verify: Optional[bool] = None) -> "ConnectivitySystem":
         ground = GroundSet(rank.n, labels)
-        full = ground.full
-        rm = rank.full_rank
-
-        def lam(m, _r=rank.rank, _full=full, _rm=rm):
-            return _r(m) + _r(_full ^ m) - _rm + 1
-
-        return cls(ground, "matroid", lam, rank=rank, verify=verify, tabulate=rank.lam_bytes)
+        table = rank.lam_bytes()
+        if table is None:
+            r, full, rm = rank.rank, ground.full, rank.full_rank
+            table = [r(m) + r(full ^ m) - rm + 1 for m in range(1 << rank.n)]
+        return cls(ground, "matroid", table, rank=rank, verify=verify)
 
     @classmethod
     def graph(cls, edges: Sequence[Tuple[object, object]], labels=None,
@@ -524,22 +483,14 @@ class ConnectivitySystem:
                     m |= 1 << i
             if m:
                 inc.append(m)
+        # vertex v counts at X iff X meets inc(v) but does not contain it
         full = ground.full
-
-        def lam(x, _inc=tuple(inc), _full=full):
-            co = _full ^ x
-            return sum(1 for m in _inc if m & x and m & co)
-
-        def tabulate():
-            # vertex v counts at X iff X meets inc(v) but does not contain it
-            every = (1 << (1 << n)) - 1
-            total = 0
-            for m in inc:
-                total += byte_lanes(every ^ down_closure(full ^ m) ^ up_closure(1 << m, n), n)
-            return total.to_bytes(1 << n, "little")
-
-        return cls(ground, "graph", lam, verify=verify, meta={"edges": list(edges)},
-                   tabulate=tabulate)
+        every = (1 << (1 << n)) - 1
+        total = 0
+        for m in inc:
+            total += byte_lanes(every ^ down_closure(full ^ m) ^ up_closure(1 << m, n), n)
+        return cls(ground, "graph", total.to_bytes(1 << n, "little"), verify=verify,
+                   meta={"edges": list(edges)})
 
     @classmethod
     def r8_polymatroid(cls, ell: int, verify: Optional[bool] = None) -> "ConnectivitySystem":
@@ -547,53 +498,47 @@ class ConnectivitySystem:
         if ell < 1:
             raise ValueError("ell must be a positive integer")
         rank = build_r8_rank()
+        r = rank.rank
         full = full_mask(8)
+        table = [1 if m in (0, full) else r(m) + r(full ^ m) + ell - 3 for m in range(1 << 8)]
         labels = tuple(str(i) for i in range(1, 9))
-
-        def lam(m, _r=rank.rank, _full=full, _ell=ell):
-            if m == 0 or m == _full:
-                return 1
-            return _r(m) + _r(_full ^ m) + _ell - 3
-
-        sys = cls(GroundSet(8, labels), "r8_polymatroid", lam, rank=rank,
-                  verify=verify, meta={"ell": ell})
-        return sys
+        return cls(GroundSet(8, labels), "r8_polymatroid", table, rank=rank,
+                   verify=verify, meta={"ell": ell})
 
     @classmethod
     def from_table(cls, n: int, values: Sequence[int], labels=None,
                    verify: Optional[bool] = None) -> "ConnectivitySystem":
+        ground = GroundSet(n, labels)
         vals = list(values)
         if len(vals) != 1 << n:
             raise ValueError("lambda table must have 2^n entries")
-        return cls(GroundSet(n, labels), "table", vals.__getitem__, verify=verify,
-                   tabulate=lambda: vals)
+        return cls(ground, "table", vals, verify=verify)
 
 
-def verify_connectivity_axioms(sys: ConnectivitySystem, seed: int = 0) -> List[Violation]:
+def verify_connectivity_axioms(sys: ConnectivitySystem) -> List[Violation]:
     """Report a violation of symmetry or submodularity, with its witness.
 
     Symmetry is lam(X) == lam(E-X); submodularity is checked in its local
     form lam(X+e) + lam(X+f) >= lam(X+e+f) + lam(X), which on 2^E is
     equivalent to the pairwise one, and a failure is reported as the pair
     (X+e, X+f).  Together the two imply lam(X) >= lam(empty) and
-    lam(X)+lam(Y) >= lam(X-Y)+lam(Y-X).  Both checks are exhaustive for
-    n <= LAMBDA_TABLE_N (construction runs them for n <= AUTO_VERIFY_N) and
-    run on a seeded sample above that; on byte lanes when the values allow.
+    lam(X)+lam(Y) >= lam(X-Y)+lam(Y-X).  Both checks are exhaustive, on
+    byte lanes when the values allow it.
     """
     n = sys.n
-    lanes = _lane_table(sys._bytes, n)
+    lanes = _lane_table(sys._bytes)
     if lanes is not None:
         flipped = lanes[::-1]  # lane X holds lam(E-X)
         if lanes != flipped:
             return [Violation("symmetry", (_lowest_lane(_lanes(lanes) ^ _lanes(flipped)),))]
         bad = _lane_submodularity_failure(lanes, n)
     else:
-        lam = sys.lam if sys._table is None else sys._table.__getitem__
+        lam = sys._table.__getitem__
         full = sys.full
-        for x in _checked_sets(n, seed):
+        for x in range(1 << n):
             if lam(x) != lam(full ^ x):
                 return [Violation("symmetry", (x,))]
-        bad = _local_submodularity_failure(lam, n, seed)
+        bad = _local_submodularity_failure(lam, n)
     if bad:
         x, be, bf = bad
         return [Violation("submodularity", (x | be, x | bf))]

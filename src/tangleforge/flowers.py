@@ -87,25 +87,6 @@ def verify_flower(sys: ConnectivitySystem, tangle: Tangle,
     return Flower(petals, k)
 
 
-def flower_shortcut_holds(sys: ConnectivitySystem, tangle: Tangle,
-                          petals: Sequence[int], k: Optional[int] = None) -> bool:
-    """The economical test for n >= 4: a strong partition with
-    P_i | P_{i+1} k-separating for i in [n-1] (no wrap) is a flower."""
-    if k is None:
-        k = tangle.k
-    n = len(petals)
-    if n < 4:
-        raise PreconditionFailed("shortcut applies to n >= 4 only")
-    union = 0
-    for p in petals:
-        if p == 0 or union & p or tangle.is_weak(p):
-            return False
-        union |= p
-    if union != sys.full:
-        return False
-    return all(sys.lam(petals[i] | petals[i + 1]) <= k for i in range(n - 1))
-
-
 def _is_cyclic_run(bits: int, n: int) -> bool:
     """True iff the petal-index mask is consecutive in the cyclic order on
     [n]: exactly one i in the mask has i+1 (mod n) outside it."""

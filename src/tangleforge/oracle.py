@@ -11,7 +11,7 @@ lower bound X.  A quantifier over weak sets may range over the weak table
 itself rather than over the submasks of a region.  A memo table of such a
 predicate is allowed, as long as each entry is what the literal walk
 returns (the weak set below is the definition "X lies inside a member"
-tabulated once per tangle by a submask walk of each member).  A flower
+computed once per tangle by a submask walk of each member).  A flower
 scan may read its petal unions from a list that each petal doubles, and
 its one-run index masks from a table kept per petal count: both depend
 only on petal indices, never on the system.  One scan of a flower's
@@ -31,15 +31,12 @@ from itertools import permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .bitset import elements_of
-from .core import ConnectivitySystem
+from .core import ORACLE_MAX_N, ORACLE_MAX_PETALS, ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet
-from .errors import SearchSpaceTooLarge, ViolationFound
+from .errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 from .flowers import Flower
 from .tangles import Tangle
 from .trees import PiTree
-
-ORACLE_MAX_N = 14
-ORACLE_MAX_PETALS = 8
 
 
 def _guard(sys: ConnectivitySystem):
@@ -204,7 +201,7 @@ def _index_unions(petals: Sequence[int]) -> List[int]:
 @lru_cache(maxsize=None)
 def _one_run_masks(n: int) -> FrozenSet[int]:
     """Proper index masks with exactly one i in the mask whose successor
-    i+1 (mod n) is outside it, by that definition; tabulated per n."""
+    i+1 (mod n) is outside it, by that definition; cached per n."""
     return frozenset(bits for bits in range(1, (1 << n) - 1)
                      if sum(1 for i in range(n)
                             if bits >> i & 1 and not bits >> ((i + 1) % n) & 1) == 1)
@@ -256,6 +253,8 @@ def oracle_flowers(sys: ConnectivitySystem, tangle: Tangle,
     Memoized per (tangle, max_petals) in `_oracle_flowers`; each call gets
     its own list."""
     _guard(sys)
+    if max_petals < 1:
+        raise PreconditionFailed("petal cap must be at least 1")
     if max_petals > ORACLE_MAX_PETALS:
         raise SearchSpaceTooLarge(f"petal cap is {ORACLE_MAX_PETALS}")
     memo = tangle.__dict__.setdefault("_oracle_flowers", {})
@@ -544,7 +543,7 @@ def differential_report(sys: ConnectivitySystem, tangle: Tangle,
     if engine_classes != oracle_cls:
         report.disagreements.append(
             {"op": "classes", "engine": engine_classes, "oracle": oracle_cls})
-    if max_petals:
+    if max_petals is not None:
         flowers = oracle_flowers(sys, tangle, max_petals)
         report.flower_count = len(flowers)
         for f in flowers:

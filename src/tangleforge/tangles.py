@@ -9,23 +9,12 @@ A tangle of order k in (E, lam) is a collection T of subsets with
 
 from __future__ import annotations
 
-import os
 from itertools import combinations_with_replacement
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .bitset import down_closure, elements_of, flags, join, maximal_masks, popcount
-from .core import (TANGLE_SCAN_N, ConnectivitySystem, Violation, check_scan_n,
-                   is_vertically_k_connected)
-from .errors import NotAPartition, PreconditionFailed, SearchSpaceTooLarge, ViolationFound
-
-DEFAULT_NODE_CAP = 1 << 20
-
-
-def _node_cap(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("TANGLEFORGE_MAX_NODES")
-    return int(env) if env else DEFAULT_NODE_CAP
+from .core import NODE_CAP, ConnectivitySystem, Violation, is_vertically_k_connected
+from .errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 
 
 class Tangle:
@@ -53,9 +42,8 @@ class Tangle:
 
     @property
     def weak_family(self) -> int:
-        """Every subset of a member; refused when n > TANGLE_SCAN_N."""
+        """Every subset of a member."""
         if self._weak_family is None:
-            check_scan_n(self.sys, "the weak family")
             family = 0
             for m in self.maximal_members:
                 family |= down_closure(m)
@@ -70,16 +58,6 @@ class Tangle:
 
     def is_strong(self, x: int) -> bool:
         return not self.is_weak(x)
-
-    def is_strong_partition(self, parts: Sequence[int]) -> bool:
-        union = 0
-        for p in parts:
-            if union & p:
-                raise NotAPartition("parts overlap")
-            union |= p
-        if union != self.sys.full:
-            raise NotAPartition("parts do not cover the ground set")
-        return all(self.is_strong(p) for p in parts)
 
     def member_key(self) -> Tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -101,9 +79,8 @@ def verify_tangle(sys: ConnectivitySystem, tangle: Tangle) -> List[Violation]:
 
     (T3) is checked over triples of maximal members only: any covering
     triple of members is dominated by the maximal members above them.
-    (T2) enumerates all X with lam(X) <= k-1, so needs n <= TANGLE_SCAN_N.
+    (T2) enumerates all X with lam(X) <= k-1.
     """
-    check_scan_n(sys, "T2 verification")
     k = tangle.k
     out = []
     for a in sorted(tangle.members):
@@ -126,12 +103,11 @@ def verify_tangle(sys: ConnectivitySystem, tangle: Tangle) -> List[Violation]:
 
 
 def is_robust(tangle: Tangle) -> bool:
-    """True iff no eight members cover E (axiom RT3); needs n <= TANGLE_SCAN_N.
+    """True iff no eight members cover E (axiom RT3).
 
     The search runs once per tangle; the verdict is stored on it.
     """
     if tangle._robust is None:
-        check_scan_n(tangle.sys, "the robustness test")
         tangle._robust = _no_eight_members_cover(tangle)
     return tangle._robust
 
@@ -176,9 +152,9 @@ def canonical_vertical_tangle(sys: ConnectivitySystem, k: int) -> Tangle:
     return tangle
 
 
-def enumerate_tangles(sys: ConnectivitySystem, k: int,
-                      node_cap: Optional[int] = None) -> List[Tangle]:
-    """All tangles of order k, each verified; needs n <= TANGLE_SCAN_N.
+def enumerate_tangles(sys: ConnectivitySystem, k: int) -> List[Tangle]:
+    """All tangles of order k, each verified; more than NODE_CAP search
+    nodes raise SearchSpaceTooLarge.
 
     A tangle picks exactly one side of every (k-1)-separation (both sides
     would cover E with any third member), so we branch on orientations in
@@ -189,8 +165,6 @@ def enumerate_tangles(sys: ConnectivitySystem, k: int,
     of a chosen side and `two` of subsets of a union of two chosen sides:
     a candidate C completes a covering triple iff E - C is in `two`.
     """
-    check_scan_n(sys, "tangle search")
-    cap = _node_cap(node_cap)
     n = sys.n
     full = sys.full
     pairs = []
@@ -208,8 +182,8 @@ def enumerate_tangles(sys: ConnectivitySystem, k: int,
         """Count a node; at a leaf, verify and keep the tangle."""
         nonlocal nodes
         nodes += 1
-        if nodes > cap:
-            raise SearchSpaceTooLarge(f"tangle search exceeded {cap} nodes")
+        if nodes > NODE_CAP:
+            raise SearchSpaceTooLarge(f"tangle search exceeded {NODE_CAP} nodes")
         if len(chosen) < len(pairs):
             return True
         tangle = Tangle(sys, k, chosen)

@@ -207,15 +207,6 @@ def _tree_display(sys: ConnectivitySystem, tangle: Tangle, t: PiTree
     return out, at
 
 
-def displayed_by_tree(sys: ConnectivitySystem, tangle: Tangle, t: PiTree) -> List[Separation]:
-    """All k-separations displayed by edges or flower vertices, deduplicated.
-
-    Edge partitions that are not k-separations (or have an empty side) are
-    omitted here; verification reports them separately under (P1).
-    """
-    return sorted(_tree_display(sys, tangle, t)[0])
-
-
 def displayed_tree_class_ids(sys: ConnectivitySystem, tangle: Tangle,
                              s_family: TreeCompatibleSet, t: PiTree) -> FrozenSet[int]:
     """Classes displayed by t; a tree of another order displays none."""

@@ -83,7 +83,7 @@ def run_full_display_suite(name, ctx, budget_s=600.0):
     tree = build_maximal_tree(ctx.sys, ctx.tangle, ctx.S)
     verdict = verify_partial_kS_tree(ctx.sys, ctx.tangle, ctx.S, tree)
     assert verdict.ok, (name, verdict.failures)
-    displayed = set(tree_displayed_pairs(ctx, tree))
+    displayed = set(verdict.displayed)
     for cls in oracle_classes(ctx.sys, ctx.tangle, ctx.S):
         assert any(s in displayed for s in cls), (name, cls)
     ok, problems = oracle_certify_tree(ctx.sys, ctx.tangle, ctx.S, tree)
@@ -91,11 +91,6 @@ def run_full_display_suite(name, ctx, budget_s=600.0):
     elapsed = time.monotonic() - start
     assert elapsed < budget_s, (name, elapsed)
     return tree, elapsed
-
-
-def tree_displayed_pairs(ctx, tree):
-    from tangleforge.trees import displayed_by_tree
-    return displayed_by_tree(ctx.sys, ctx.tangle, tree)
 
 
 def test_criterion_1_r8_counterexample():

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from tangleforge.bitset import (byte_lanes, complement, disjoint_from, down_closure,
-                                elements_of, family_of, flags, full_mask, is_subset, join,
-                                mask_of, masks_of_size, maximal_family, maximal_masks,
+                                elements_of, family_of, flags, full_mask, join,
+                                mask_of, maximal_family, maximal_masks,
                                 popcount, popcount_layers, submasks, up_closure)
 
 
@@ -41,16 +41,8 @@ def test_submasks_count_and_membership():
     subs = list(submasks(m))
     assert len(subs) == 1 << popcount(m)
     assert len(set(subs)) == len(subs)
-    assert all(is_subset(s, m) for s in subs)
+    assert all(s & ~m == 0 for s in subs)
     assert 0 in subs and m in subs
-
-
-def test_masks_of_size():
-    got = list(masks_of_size(5, 2))
-    assert len(got) == 10
-    assert all(popcount(m) == 2 for m in got)
-    assert got == sorted(got)
-    assert list(masks_of_size(4, 0)) == [0]
 
 
 def members(family):

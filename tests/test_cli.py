@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from tangleforge.cli import run
+from tangleforge.cli import _parser, run
 
 from conftest import BARBELL_EDGES, C6_EDGES
 
@@ -143,11 +146,86 @@ def test_oracle_subcommand(inputs, capsys):
     assert data["ok"] and data["class_count"] == 6 and data["flower_count"] == 78
 
 
-def test_max_n_cap(inputs, capsys):
-    code, out = invoke(capsys, ["tangles", "--input", inputs["u26.json"], "--k", "2",
-                                "--max-n", "4"])
-    assert code == 3
-    assert json.loads(out)["error"] == "search_space_too_large"
+# What each subcommand needs besides --input to get past its parser.
+REQUIRED = {
+    "check": [],
+    "tangles": ["--k", "2"],
+    "fcl": ["--k", "2", "--x", "0"],
+    "separations": ["--k", "2"],
+    "flower": ["--k", "2", "--seed-side", "0"],
+    "tree": ["--k", "2"],
+    "oracle": ["--k", "2"],
+}
+
+
+def cycle_file(tmp_path, n):
+    path = tmp_path / f"c{n}.json"
+    path.write_text(json.dumps({"kind": "graph",
+                                "edges": [[i, (i + 1) % n] for i in range(n)]}))
+    return str(path)
+
+
+def test_max_n_cap(tmp_path, capsys):
+    # the library refuses n > 16 when it loads the system, on every subcommand
+    path = cycle_file(tmp_path, 17)
+    for command, extra in REQUIRED.items():
+        code, out = invoke(capsys, [command, "--input", path] + extra)
+        assert code == 3, command
+        data = json.loads(out)
+        assert data["error"] == "search_space_too_large", command
+        assert data["detail"] == "ground set size 17 exceeds 16"
+
+
+def test_engine_runs_above_the_oracle_cap(tmp_path, capsys):
+    # n = 15: the engine answers, the oracle (n <= 14) refuses
+    path = cycle_file(tmp_path, 15)
+    code, out = invoke(capsys, ["tangles", "--input", path, "--k", "2"])
+    assert code == 0 and len(json.loads(out)) == 1
+    code, out = invoke(capsys, ["tree", "--input", path, "--k", "2"])
+    assert code == 0 and json.loads(out)["verdict"]["ok"]
+    for argv in (["oracle"], ["tree", "--verify"]):
+        code, out = invoke(capsys, argv + ["--input", path, "--k", "2"])
+        assert code == 3, argv
+        assert json.loads(out) == {"error": "search_space_too_large",
+                                   "detail": "oracle requires n <= 14"}
+
+
+@pytest.mark.parametrize("petals", ["0", "-1"])
+def test_oracle_petal_cap_below_one_is_refused(inputs, capsys, petals):
+    code, out = invoke(capsys, ["oracle", "--input", inputs["u26.json"], "--k", "2",
+                                "--max-petals", petals])
+    assert code == 1
+    assert json.loads(out) == {"error": "PreconditionFailed",
+                               "detail": "petal cap must be at least 1"}
+
+
+def _registered_flags():
+    """Per subcommand, the long options its parser registers besides
+    --input and --help."""
+    subparsers = next(a for a in _parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in sp._actions for o in a.option_strings
+                   if o.startswith("--")} - {"--input", "--help"}
+            for name, sp in subparsers.choices.items()}
+
+
+def _readme_flags():
+    """The README's table under "Each subcommand takes only the flags it
+    reads", as {subcommand: set of flags}."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("Each subcommand takes only the flags it reads", 1)[1]
+    table = {}
+    for line in rows.splitlines()[1:]:
+        if table and not line.startswith("|"):
+            break  # the first line after the table
+        match = re.match(r"\| `(\w+)` +\|(.*)\|$", line)
+        if match:
+            table[match.group(1)] = set(re.findall(r"`(--[\w-]+)`", match.group(2)))
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    assert _readme_flags() == _registered_flags()
 
 
 def test_determinism(inputs, capsys):
@@ -259,7 +337,8 @@ def test_unknown_flag_is_a_usage_error(inputs, capsys):
     ("flower", ["--seed", "1"]),
     ("tree", ["--seed", "1"]),
     ("oracle", ["--dot"]),
-])
+    ("check", ["--seed", "0"]),
+] + [(command, ["--max-n", "4"]) for command in REQUIRED])
 def test_flags_a_subcommand_does_not_read_are_rejected(inputs, capsys, command, extra):
     argv = [command, "--input", inputs["u26.json"]]
     if command != "check":

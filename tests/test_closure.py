@@ -297,17 +297,18 @@ class TestTreeCompatible:
                                   explicit=range(1, sys.full))
         assert verify_tree_compatible(sys, t, every) != []
 
-    def test_refused_above_scan_cap_before_any_lambda(self):
-        from tangleforge import ConnectivitySystem
-        path = ConnectivitySystem.graph([(i, i + 1) for i in range(21)])
-        t = Tangle(path, 2, [0])
+    def test_refused_above_scan_cap_before_any_lambda(self, monkeypatch):
+        # closures and the S-family scan all 2^n masks of a system's table;
+        # a ground set above MAX_N is refused when the system is built,
+        # before its table is (byte_lanes would raise)
+        from tangleforge import ConnectivitySystem, core
+
+        def no_table(*args):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(core, "byte_lanes", no_table)
         with pytest.raises(SearchSpaceTooLarge):
-            verify_tree_compatible(path, t, TreeCompatibleSet(path, t))
-        with pytest.raises(SearchSpaceTooLarge):
-            full_closure(path, t, 1)
-        with pytest.raises(SearchSpaceTooLarge):
-            t.is_weak(1)
-        assert path._memo == {}
+            ConnectivitySystem.graph([(i, i + 1) for i in range(core.MAX_N + 1)])
 
     def test_r8_diagonal_in_default_S(self, ctx_r8p1):
         assert ctx_r8p1.S.contains(lab(1, 3, 5, 7))

@@ -1,13 +1,15 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from tangleforge import (ConnectivitySystem, GroundSet, RankFunction, Violation,
-                         build_r8_rank, is_exactly_k_separating,
+                         build_r8_rank, core, is_exactly_k_separating,
                          is_k_separating, is_vertically_k_connected,
                          verify_connectivity_axioms)
-from tangleforge.core import verify_rank_axioms
-from tangleforge.errors import PreconditionFailed, ViolationFound
+from tangleforge.core import MAX_N, verify_rank_axioms
+from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
+from tangleforge.jsonio import load_system
 
 from conftest import lab
 
@@ -15,12 +17,63 @@ from conftest import lab
 def test_ground_set_bounds_and_labels():
     with pytest.raises(ValueError):
         GroundSet(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SearchSpaceTooLarge):
+        GroundSet(17)
+    with pytest.raises(SearchSpaceTooLarge):
         GroundSet(65)
+    assert GroundSet(MAX_N).full == (1 << 16) - 1
     with pytest.raises(ValueError):
         GroundSet(3, labels=("a", "a", "b"))
     g = GroundSet(3, labels=("x", "y", "z"))
     assert g.full == 0b111
+
+
+def _path(n):
+    return [(i, i + 1) for i in range(n)]
+
+
+# Every entry point that builds a 2^n table refuses n > MAX_N first; the
+# ones marked True run with `byte_lanes` patched to raise, so reaching any
+# table construction would fail differently.
+OVERSIZED = [
+    ("GroundSet", False, lambda n: GroundSet(n)),
+    ("RankFunction", False, lambda n: RankFunction(n, [0], "table")),
+    ("RankFunction.from_table", False, lambda n: RankFunction.from_table(n, [0])),
+    ("RankFunction.uniform", False, lambda n: RankFunction.uniform(3, n)),
+    ("RankFunction.graphic", True, lambda n: RankFunction.graphic(_path(n))),
+    ("RankFunction.from_bases", True, lambda n: RankFunction.from_bases(n, [0b111])),
+    ("ConnectivitySystem.graph", True, lambda n: ConnectivitySystem.graph(_path(n))),
+    ("ConnectivitySystem.from_table", False,
+     lambda n: ConnectivitySystem.from_table(n, [1])),
+    # a stand-in rank with nothing but n: reading anything else would fail
+    ("ConnectivitySystem.matroid", False,
+     lambda n: ConnectivitySystem.matroid(SimpleNamespace(n=n))),
+    ("json-graph", True, lambda n: load_system({"kind": "graph", "edges": _path(n)})),
+    ("json-table", False, lambda n: load_system({"kind": "table", "n": n, "lambda": [1]})),
+    ("json-uniform", False, lambda n: load_system(
+        {"kind": "matroid", "source": {"uniform": {"r": 3, "n": n}}})),
+    ("json-bases", True, lambda n: load_system(
+        {"kind": "matroid", "source": {"n": n, "bases": [[0, 1, 2]]}})),
+]
+
+
+@pytest.mark.parametrize("n", [17, 24])
+@pytest.mark.parametrize("patched, build", [case[1:] for case in OVERSIZED],
+                         ids=[case[0] for case in OVERSIZED])
+def test_oversized_ground_set_is_refused_before_any_table(monkeypatch, n, patched, build):
+    if patched:
+        def no_table(*args):
+            raise AssertionError("a table was built before the size check")
+        monkeypatch.setattr(core, "byte_lanes", no_table)
+    with pytest.raises(SearchSpaceTooLarge, match=f"ground set size {n} exceeds 16"):
+        build(n)
+
+
+def test_oversized_rank_table_is_refused():
+    # a JSON rank table's length gives n: 2^16 + 1 entries make n = 17
+    source = {"rank_table": [0] * ((1 << 16) + 1)}
+    with pytest.raises(SearchSpaceTooLarge, match="ground set size 17 exceeds 16"):
+        load_system({"kind": "matroid", "source": source})
 
 
 class TestR8Rank:
@@ -173,20 +226,6 @@ class TestAxiomVerification:
         report = verify_connectivity_axioms(sys)
         assert report and report[0].axiom in ("symmetry", "lambda_below_empty")
 
-    def test_sampled_above_table_cap(self):
-        # n = 17 has no lambda table, so both checks run on a seeded sample;
-        # raising lam on every 8- and 9-set breaks submodularity widely.
-        cycle = ConnectivitySystem.graph([(i, (i + 1) % 17) for i in range(17)],
-                                         verify=False)
-        assert verify_connectivity_axioms(cycle) == []
-        bumped = ConnectivitySystem(
-            cycle.ground, "table",
-            lambda m: cycle.lam(m) + 3 * (bin(m).count("1") in (8, 9)), verify=False)
-        report = verify_connectivity_axioms(bumped)
-        assert [v.axiom for v in report] == ["submodularity"]
-        a, b = report[0].witness
-        assert bumped.lam(a) + bumped.lam(b) < bumped.lam(a | b) + bumped.lam(a & b)
-
     def test_construction_raises_by_default(self):
         table = [1] * 16
         table[0b0001] = 5
@@ -272,7 +311,7 @@ class TestVerticalConnectivity:
 
 
 def test_sampled_verification_large_n_path():
-    # n=15 exceeds the exhaustive rank cap; sampled checks must still pass.
+    # n = 15, near the cap: an unverified uniform matroid stays symmetric.
     rank = RankFunction.uniform(3, 15)
     sys = ConnectivitySystem.matroid(rank, verify=False)
     rng = random.Random(1)

@@ -15,8 +15,7 @@ from tangleforge.errors import (DichotomyViolation, InvalidBreakpoints, NonRobus
                                 NotAPartition, NotKSeparating, PreconditionFailed,
                                 WeakPetal)
 from tangleforge.flowers import (ANEMONE, DAISY, MIXED, STRONG, UNCROSSED, WEAK,
-                                 Flower, displayed_class_ids,
-                                 flower_shortcut_holds, petal_cross_kind,
+                                 Flower, displayed_class_ids, petal_cross_kind,
                                  petal_unions)
 from tangleforge.oracle import _displayed_unions, oracle_flowers
 
@@ -58,35 +57,6 @@ class TestVerify:
         with pytest.raises(WeakPetal):
             verify_flower(ctx_r8p1.sys, ctx_r8p1.tangle,
                           [lab(1), lab(2), ctx_r8p1.sys.full ^ lab(1, 2)])
-
-    def test_shortcut_agrees_with_full_check(self, ctx_r8p1, ctx_c6):
-        # over all 4-petal oracle flowers plus some shuffled non-flowers
-        for ctx in (ctx_r8p1, ctx_c6):
-            sys, tangle = ctx.sys, ctx.tangle
-            for f in oracle_flowers(sys, tangle, 4):
-                if f.n >= 4:
-                    assert flower_shortcut_holds(sys, tangle, f.petals)
-            bad = [lab(1, 3), lab(2, 4), lab(5, 6), lab(7, 8)]
-            if sys.n == 8:
-                assert not flower_shortcut_holds(sys, tangle, bad)
-
-    def test_shortcut_verdict_matches_everywhere(self, ctx_c6, ctx_pc4):
-        # exhaustively over ordered 4-block partitions of small systems
-        from itertools import permutations
-        from tangleforge.oracle import _partitions_into_blocks
-        for ctx in (ctx_c6, ctx_pc4):
-            sys, tangle = ctx.sys, ctx.tangle
-            for blocks in _partitions_into_blocks(sys.n, 4):
-                if len(blocks) != 4:
-                    continue
-                for perm in permutations(blocks[1:]):
-                    petals = (blocks[0],) + perm
-                    try:
-                        verify_flower(sys, tangle, petals)
-                        full_ok = True
-                    except Exception:
-                        full_ok = False
-                    assert flower_shortcut_holds(sys, tangle, petals) == full_ok
 
 
 class TestClassify:
@@ -144,16 +114,6 @@ class TestFlagsScan:
         assert assert_engine_flower_matches(system, [3, 12, 48], 302) == ANEMONE
         assert assert_engine_flower_matches(
             system, [1 << i for i in (0, 2, 1, 3, 4, 5)], 302) is None
-
-    def test_memo_path_above_the_table_cap(self):
-        # four segments of a 17-edge path at order 2 form a daisy; every
-        # proper union is evaluated once and lands in the lambda memo
-        path = ConnectivitySystem.graph([(i, i + 1) for i in range(17)], verify=False)
-        assert path._bytes is None and path._memo == {}
-        petals = [path.mask(range(a, b)) for a, b in ((0, 4), (4, 9), (9, 13), (13, 17))]
-        assert assert_engine_flower_matches(path, petals, 2) == DAISY
-        assert set(path._memo) == set(literal_petal_unions(petals)[1:-1])
-
 
 @st.composite
 def petal_partitions(draw):

@@ -90,9 +90,3 @@ def test_explicit_S_matches_default_on_r8(ctx_r8p1):
     want = [[s.side for s in cls] for cls in ctx_r8p1.S.classes()]
     assert got == want
 
-
-def test_node_cap_env(monkeypatch, barbell):
-    monkeypatch.setenv("TANGLEFORGE_MAX_NODES", "2")
-    from tangleforge.errors import SearchSpaceTooLarge
-    with pytest.raises(SearchSpaceTooLarge):
-        enumerate_tangles(barbell, 2)

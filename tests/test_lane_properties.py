@@ -144,11 +144,11 @@ def perturbed_tables(draw):
 @given(perturbed_tables())
 def test_lane_checks_report_the_first_witness(case):
     n, table = case
-    lanes = _lane_table(bytes(table), n)
+    lanes = _lane_table(bytes(table))
     assert lanes is not None
     want = first_local_failure(table.__getitem__, n)
     assert _lane_submodularity_failure(lanes, n) == want
-    assert _local_submodularity_failure(table.__getitem__, n, 0) == want
+    assert _local_submodularity_failure(table.__getitem__, n) == want
     assert _lane_unit_increment_failure(lanes, n) == first_unit_step_failure(table.__getitem__, n)
 
 
@@ -231,8 +231,7 @@ def test_flags_match_lam_on_a_list_table(table, k, data):
 @pytest.mark.parametrize("build", [
     lambda: ConnectivitySystem.graph([(0, 1), (1, 2), (2, 0)], verify=False),
     lambda: ConnectivitySystem.from_table(3, [300] * 8, verify=False),
-    lambda: ConnectivitySystem.graph([(i, i + 1) for i in range(17)], verify=False),
-], ids=["byte-table", "list-table", "memo"])
+], ids=["byte-table", "list-table"])
 def test_flags_refuse_masks_outside_the_ground_set(build):
     system = build()
     for bad in ([system.full + 1], [1, -1, 2], [0, 1 << 70],
@@ -240,15 +239,3 @@ def test_flags_refuse_masks_outside_the_ground_set(build):
         with pytest.raises(PreconditionFailed):
             system.lam_flags(1, bad)
 
-
-def test_scan_above_the_table_cap_uses_the_memo():
-    path = ConnectivitySystem.graph([(i, i + 1) for i in range(17)], verify=False)
-    assert path._bytes is None and path._memo == {}
-    masks = range(1, 1 << 17, 1031)
-    got = path.lam_at_most(1, masks)
-    assert set(path._memo) == set(masks)
-    assert got == [x for x in masks if boundary_count([(i, i + 1) for i in range(17)], x) <= 1]
-    assert got[0] == 1  # {0}: only vertex 1 is on the boundary
-    masks = [5, 1 << 16, 5, 3]
-    assert path.lam_flags(1, masks) == b"\x00\x01\x00\x01"
-    assert set(path._memo) == set(range(1, 1 << 17, 1031)) | set(masks)

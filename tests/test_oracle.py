@@ -4,7 +4,7 @@ from tangleforge import oracle
 from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
                          enumerate_tangles, full_closure, verify_flower)
 from tangleforge.closure import build_default_S
-from tangleforge.errors import SearchSpaceTooLarge, ViolationFound
+from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 from tangleforge.flowers import Flower, classify, displayed_class_ids
 from tangleforge.oracle import (ORACLE_MAX_N, _fully_closed, _weak, _weak_set,
                                 differential_report, oracle_certify_tree,
@@ -76,6 +76,16 @@ class TestOracleFlowers:
     def test_petal_cap_enforced(self, ctx_r8p1):
         with pytest.raises(SearchSpaceTooLarge):
             oracle_flowers(ctx_r8p1.sys, ctx_r8p1.tangle, 9)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_petal_cap_below_one_is_refused(self, ctx_u26, cap):
+        # no flower was enumerated, so no report may claim a flower check
+        sys, tangle = ctx_u26.sys, ctx_u26.tangle
+        with pytest.raises(PreconditionFailed, match="petal cap must be at least 1"):
+            oracle_flowers(sys, tangle, cap)
+        with pytest.raises(PreconditionFailed, match="petal cap must be at least 1"):
+            differential_report(sys, tangle, ctx_u26.S, max_petals=cap)
+        assert differential_report(sys, tangle, ctx_u26.S).flower_count is None
 
 
 class TestFlowerScans:

@@ -1,16 +1,18 @@
+import json
 import random
 
 import pytest
 
 from tangleforge import (ConnectivitySystem, RankFunction,
                          canonical_vertical_tangle, enumerate_tangles,
-                         is_robust, tangles, verify_tangle)
-from tangleforge.core import Violation
+                         is_robust, tangles, verify_flower, verify_tangle)
+from tangleforge.cli import run
+from tangleforge.core import MAX_N, Violation
 from tangleforge.errors import (NotAPartition, PreconditionFailed, SearchSpaceTooLarge,
                                 ViolationFound)
-from tangleforge.tangles import TANGLE_SCAN_N, Tangle
+from tangleforge.tangles import Tangle
 
-from conftest import lab
+from conftest import BARBELL_EDGES, lab
 
 
 def members_as_elements(tangle):
@@ -80,12 +82,24 @@ def test_search_deeper_than_recursion_limit_finds_no_tangle():
 
 
 def test_scans_above_the_cap_are_refused():
-    n = TANGLE_SCAN_N + 1
-    sys = ConnectivitySystem.graph([(i, i + 1) for i in range(n)], verify=False)
-    with pytest.raises(SearchSpaceTooLarge, match=f"n <= {TANGLE_SCAN_N}"):
-        is_robust(Tangle(sys, 2, [0]))
-    with pytest.raises(SearchSpaceTooLarge, match=f"n <= {TANGLE_SCAN_N}"):
-        enumerate_tangles(sys, 2)
+    # the tangle search and the robustness test scan all 2^n masks, so no
+    # system above MAX_N elements can be built to run them on
+    n = MAX_N + 1
+    with pytest.raises(SearchSpaceTooLarge, match=f"ground set size {n} exceeds {MAX_N}"):
+        ConnectivitySystem.graph([(i, i + 1) for i in range(n)], verify=False)
+    with pytest.raises(SearchSpaceTooLarge, match=f"ground set size {n} exceeds {MAX_N}"):
+        ConnectivitySystem.from_table(n, [1] * (1 << n), verify=False)
+
+
+def test_node_cap(monkeypatch, barbell, tmp_path, capsys):
+    # the barbell has three tangles of order 2; two search nodes are too few
+    monkeypatch.setattr(tangles, "NODE_CAP", 2)
+    with pytest.raises(SearchSpaceTooLarge, match="exceeded 2 nodes"):
+        enumerate_tangles(barbell, 2)
+    path = tmp_path / "barbell.json"
+    path.write_text(json.dumps({"kind": "graph", "edges": BARBELL_EDGES}))
+    assert run(["tangles", "--input", str(path), "--k", "2"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "search_space_too_large"
 
 
 def test_search_leaf_failing_verification_raises(u24, monkeypatch):
@@ -171,13 +185,15 @@ class TestWeakStrong:
 
     def test_petal_partition_strong(self, ctx_r8p1):
         parts = [lab(1, 2), lab(3, 4), lab(5, 6), lab(7, 8)]
-        assert ctx_r8p1.tangle.is_strong_partition(parts)
+        assert all(ctx_r8p1.tangle.is_strong(p) for p in parts)
 
     def test_not_a_partition(self, ctx_r8p1):
+        # overlapping petals, and petals that miss part of E
+        sys, tangle = ctx_r8p1.sys, ctx_r8p1.tangle
         with pytest.raises(NotAPartition):
-            ctx_r8p1.tangle.is_strong_partition([lab(1, 2), lab(2, 3)])
+            verify_flower(sys, tangle, [lab(1, 2), lab(2, 3)])
         with pytest.raises(NotAPartition):
-            ctx_r8p1.tangle.is_strong_partition([lab(1, 2)])
+            verify_flower(sys, tangle, [lab(1, 2)])
 
     def test_monotonicity_random_pairs(self, ctx_r8p1, ctx_barbell):
         rng = random.Random(5)
