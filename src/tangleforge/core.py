@@ -234,9 +234,12 @@ class RankFunction:
         if not bases:
             raise ValueError("need at least one basis")
         full = full_mask(n)
+        for b in bases:
+            if b < 0 or b & ~full:
+                raise PreconditionFailed(f"basis {b:#x} has elements outside 0..{n - 1}")
         independent = 0
         for b in bases:
-            independent |= down_closure(b & full)
+            independent |= down_closure(b)
         total = 0
         for layer in popcount_layers(n)[1:]:
             total += byte_lanes(up_closure(independent & layer, n), n)

@@ -11,6 +11,7 @@ from typing import Optional
 from .bitset import elements_of
 from .core import ConnectivitySystem, RankFunction
 from .closure import Separation
+from .errors import PreconditionFailed
 from .flowers import Flower
 from .tangles import Tangle
 from .trees import PiTree
@@ -25,8 +26,8 @@ def load_system(obj: dict, verify: Optional[bool] = None) -> ConnectivitySystem:
             rank = RankFunction.uniform(u["r"], u["n"])
         elif "bases" in source:
             bases = source["bases"]
-            n = source.get("n", 1 + max(e for b in bases for e in b))
-            rank = RankFunction.from_bases(n, [sum(1 << e for e in b) for b in bases])
+            n = source["n"] if "n" in source else _bases_ground_size(bases)
+            rank = RankFunction.from_bases(n, [_basis_mask(b, n) for b in bases])
         elif "rank_table" in source:
             table = source["rank_table"]
             n = (len(table) - 1).bit_length()
@@ -43,6 +44,20 @@ def load_system(obj: dict, verify: Optional[bool] = None) -> ConnectivitySystem:
         return ConnectivitySystem.from_table(obj["n"], obj["lambda"],
                                              labels=_labels(obj), verify=verify)
     raise ValueError(f"unknown system kind {kind!r}")
+
+
+def _bases_ground_size(bases) -> int:
+    """n when it is not given: one more than the largest basis element."""
+    elements = [e for b in bases for e in b]
+    if not elements:
+        raise ValueError("bases name no element: give n")
+    return 1 + max(elements)
+
+
+def _basis_mask(basis, n: int) -> int:
+    if not all(0 <= e < n for e in basis):
+        raise PreconditionFailed(f"basis {basis} has elements outside 0..{n - 1}")
+    return sum(1 << e for e in basis)
 
 
 def _labels(obj):

@@ -8,7 +8,10 @@ Literalness rule: every predicate here is the definition, evaluated by an
 exhaustive walk.  A walk may stop once its answer cannot change: an
 existence test at its first witness, an intersection once it equals its
 lower bound X.  A quantifier over weak sets may range over the weak table
-itself rather than over the submasks of a region.  A memo table of such a
+itself rather than over the submasks of a region; in the same way a full
+closure may intersect the table of every set that is k-separating and
+fully closed (that predicate evaluated on all 2^n masks once per tangle)
+rather than walk the supersets of X.  A memo table of such a
 predicate is allowed, as long as each entry is what the literal walk
 returns (the weak set below is the definition "X lies inside a member"
 computed once per tangle by a submask walk of each member).  A flower
@@ -85,40 +88,52 @@ def _fully_closed(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
     return closed
 
 
+def _closed_sets(sys: ConnectivitySystem, tangle: Tangle) -> List[int]:
+    """Every F with lam(F) <= k and `_fully_closed(F)`, ascending: the
+    literal predicate tabulated over all 2^n masks once per tangle in
+    `_oracle_fc_table`."""
+    table = tangle.__dict__.get("_oracle_fc_table")
+    if table is None:
+        k = tangle.k
+        lam = sys.lam
+        table = [f for f in range(1 << sys.n)
+                 if lam(f) <= k and _fully_closed(sys, tangle, f)]
+        tangle._oracle_fc_table = table
+    return table
+
+
 def oracle_full_closure(sys: ConnectivitySystem, tangle: Tangle, x: int) -> int:
     """Intersection of every fully-closed k-separating superset of X.
 
-    The supersets X|s are walked in ascending order of s, so X itself comes
-    first and E last.  Every member contains X, so the walk stops once the
-    running intersection is X; when no superset qualifies it reaches E and
-    raises `ViolationFound`.
+    X itself is tested first: when it qualifies it is its own closure.
+    Otherwise the closure is the intersection of the entries of the
+    tangle's table of fully-closed k-separating sets (`_closed_sets`) that
+    contain X, which stops once it equals X; when no entry contains X it
+    raises `ViolationFound`.  The table is built on the first X that does
+    not qualify, so a tangle whose queried sets are all closed never
+    builds it.
 
-    Two memos on the tangle keep this literal: the closure of X in
-    `_oracle_fcl_cache`, and each superset's fully-closed verdict in
-    `_oracle_fc_cache` (see `_fully_closed`).  Each entry is what the
-    exhaustive walk returns, so caching does not borrow from the greedy
-    engine.
+    The closure of X is memoized in `_oracle_fcl_cache` and each set's
+    fully-closed verdict in `_oracle_fc_cache` (see `_fully_closed`).
+    Each entry is what the exhaustive walk returns, so caching does not
+    borrow from the greedy engine.
     """
     _guard(sys)
     cache = tangle.__dict__.setdefault("_oracle_fcl_cache", {})
     hit = cache.get(x)
     if hit is not None:
         return hit
-    k = tangle.k
-    rest = sys.full ^ x
-    acc = None
-    s = 0
-    while True:
-        f = x | s
-        if sys.lam(f) <= k and _fully_closed(sys, tangle, f):
-            acc = f if acc is None else acc & f
-            if acc == x:
-                break
-        if s == rest:
-            break
-        s = (s - rest) & rest
-    if acc is None:
-        raise ViolationFound("E is not a fully closed k-separating superset", (x,))
+    if sys.lam(x) <= tangle.k and _fully_closed(sys, tangle, x):
+        acc = x
+    else:
+        acc = None
+        for f in _closed_sets(sys, tangle):
+            if f & x == x:
+                acc = f if acc is None else acc & f
+                if acc == x:
+                    break
+        if acc is None:
+            raise ViolationFound("E is not a fully closed k-separating superset", (x,))
     cache[x] = acc
     return acc
 
@@ -358,9 +373,21 @@ def _tree_component_mask(t: PiTree, start: int, blocked: Tuple[int, int]) -> int
     return mask
 
 
-def _vertex_petals(t: PiTree, v: int) -> Tuple[int, ...]:
-    order = t.cyclic.get(v, t.adj[v])
-    return tuple(_tree_component_mask(t, w, (v, w)) for w in order)
+class _Sides(dict):
+    """sides[a, b]: the elements of a's component of t without edge ab,
+    walked once per directed edge and kept for one certificate."""
+
+    def __init__(self, t: PiTree):
+        super().__init__()
+        self.t = t
+
+    def __missing__(self, edge: Tuple[int, int]) -> int:
+        mask = self[edge] = _tree_component_mask(self.t, edge[0], edge)
+        return mask
+
+
+def _vertex_petals(t: PiTree, v: int, sides: _Sides) -> Tuple[int, ...]:
+    return tuple(sides[w, v] for w in t.cyclic.get(v, t.adj[v]))
 
 
 def _shown(sys: ConnectivitySystem, k: int, union: List[int],
@@ -396,20 +423,21 @@ def oracle_displayed_kS(sys: ConnectivitySystem, tangle: Tangle,
     return _kS_only(sys, tangle, s_family, _displayed_unions(sys, f.k, f.petals))
 
 
-def _tree_displayed(sys: ConnectivitySystem, t: PiTree
+def _tree_displayed(sys: ConnectivitySystem, t: PiTree, sides: _Sides
                     ) -> Tuple[Set[Separation], Dict[int, Tuple[str, Set[Separation]]]]:
     """Separations displayed by t: k-separating edge sides and the
     k-separating petal unions of every flower vertex.  Returns the whole set
     and, at each flower vertex, its class (meaningful for three or more
-    petals) and the set shown there, both from one scan of its unions."""
+    petals) and the set shown there, both from one scan of its unions.
+    Edge sides come from the certificate's `sides`."""
     out = set()
     for u, v in t.edges():
-        x = _tree_component_mask(t, u, (u, v))
+        x = sides[u, v]
         if 0 != x != sys.full and sys.lam(x) <= t.k:
             out.add(Separation.make(sys, x, t.k))
     at = {}
     for v in t.labels:
-        petals = _vertex_petals(t, v)
+        petals = _vertex_petals(t, v, sides)
         union, sep = _separating_masks(sys, t.k, petals)
         shown = _shown(sys, t.k, union, sep)
         at[v] = (_class_of_masks(len(petals), sep), shown)
@@ -434,9 +462,10 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
     if union != sys.full:
         problems.append("bags do not cover E")
 
-    displayed, shown_at = _tree_displayed(sys, t)
+    sides = _Sides(t)
+    displayed, shown_at = _tree_displayed(sys, t, sides)
     for u, v in t.edges():
-        x = _tree_component_mask(t, u, (u, v))
+        x = sides[u, v]
         y = sys.full ^ x
         if sys.lam(x) > k or _weak(tangle, x) or _weak(tangle, y):
             problems.append(f"P1 fails at edge ({u},{v})")
@@ -445,7 +474,7 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
                 problems.append(f"P1 (k,S) clause fails at edge ({u},{v})")
 
     for v, lab in t.labels.items():
-        petals = _vertex_petals(t, v)
+        petals = _vertex_petals(t, v, sides)
         n = len(petals)
         ok = (n >= 3 and all(p for p in petals)
               and not any(_weak(tangle, p) for p in petals)

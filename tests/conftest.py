@@ -12,10 +12,11 @@ import pytest
 from tangleforge import (ConnectivitySystem, RankFunction, build_r8_rank,
                          enumerate_tangles)
 from tangleforge.closure import Separation, build_default_S
-from tangleforge.errors import DichotomyViolation
+from tangleforge.errors import DichotomyViolation, ViolationFound
 from tangleforge.flowers import (ANEMONE, DAISY, Flower, _is_cyclic_run, classify,
                                  displayed_separations)
-from tangleforge.oracle import _displayed_unions, _flower_class_literal
+from tangleforge.oracle import (_displayed_unions, _flower_class_literal, _fully_closed,
+                               _weak_set, oracle_full_closure)
 from tangleforge.tangles import Tangle
 
 
@@ -132,6 +133,23 @@ def literal_full_closure(sys, tangle, x, weak):
         if s == 0:
             return acc
         s = (s - 1) & rest
+
+
+def assert_walks_are_literal(sys, tangle):
+    """On every mask, `_fully_closed` and `oracle_full_closure` on a tangle
+    with empty memos equal the exhaustive walks, ViolationFound included."""
+    tangle = Tangle(sys, tangle.k, tangle.members)
+    weak = {y for y in range(1 << sys.n)
+            if any(y & ~m == 0 for m in tangle.members)}
+    assert _weak_set(tangle) == weak
+    for x in range(1 << sys.n):
+        assert _fully_closed(sys, tangle, x) == literal_fully_closed(sys, tangle, x, weak)
+        want = literal_full_closure(sys, tangle, x, weak)
+        if want is None:
+            with pytest.raises(ViolationFound):
+                oracle_full_closure(sys, tangle, x)
+        else:
+            assert oracle_full_closure(sys, tangle, x) == want
 
 
 def literal_petal_unions(petals):

@@ -224,6 +224,16 @@ def _readme_flags():
     return table
 
 
+def test_basis_outside_the_ground_set_is_refused(tmp_path, capsys):
+    path = tmp_path / "bases.json"
+    path.write_text(json.dumps({"kind": "matroid",
+                                "source": {"n": 3, "bases": [[0, 1], [0, 4]]}}))
+    code, out = invoke(capsys, ["check", "--input", str(path)])
+    assert code == 1
+    assert json.loads(out) == {"error": "PreconditionFailed",
+                               "detail": "basis [0, 4] has elements outside 0..2"}
+
+
 def test_readme_flag_table_matches_the_parser():
     assert _readme_flags() == _registered_flags()
 

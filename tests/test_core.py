@@ -163,6 +163,17 @@ def test_from_bases_matches_the_max_formula(name):
     assert [other.rank(m) for m in range(1 << n)] == want
 
 
+@pytest.mark.parametrize("bases", [[0b11000], [0b011, 0b10001], [0b011, -1]],
+                         ids=["above-n", "one-of-two", "negative"])
+def test_from_bases_refuses_elements_outside_the_ground_set(monkeypatch, bases):
+    def no_table(*args):
+        raise AssertionError("a table was built before the basis check")
+    monkeypatch.setattr(core, "down_closure", no_table)
+    monkeypatch.setattr(core, "byte_lanes", no_table)
+    with pytest.raises(PreconditionFailed, match=r"basis \S+ has elements outside 0\.\.2"):
+        RankFunction.from_bases(3, bases)
+
+
 def test_graphic_rank_triangle():
     r = RankFunction.graphic([(0, 1), (1, 2), (0, 2)])
     assert r.full_rank == 2

@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 
 from tangleforge import build_r8_rank, enumerate_tangles, verify_flower
 from tangleforge.closure import (Separation, TreeCompatibleSet,
                                  verify_tree_compatible)
+from tangleforge.errors import PreconditionFailed
 from tangleforge.jsonio import (dumps, flower_from_json, flower_to_json,
                                 load_system, separation_from_json,
                                 separation_to_json, tangle_from_json,
@@ -26,6 +28,28 @@ def test_load_matroid_from_bases():
              if bin(m).count("1") == 4 and r8.rank(m) == 4]
     sys = load_system({"kind": "matroid", "source": {"bases": bases}})
     assert all(sys.rank.rank(m) == r8.rank(m) for m in range(1 << 8))
+
+
+@pytest.mark.parametrize("bases, bad", [
+    ([[3, 4]], [3, 4]),
+    ([[0, 1], [0, 4]], [0, 4]),
+    ([[0, -1]], [0, -1]),
+])
+def test_load_bases_refuses_elements_outside_the_ground_set(bases, bad):
+    with pytest.raises(PreconditionFailed,
+                       match=re.escape(f"basis {bad} has elements outside 0..2")):
+        load_system({"kind": "matroid", "source": {"n": 3, "bases": bases}})
+
+
+def test_load_empty_basis_with_n():
+    sys = load_system({"kind": "matroid", "source": {"n": 3, "bases": [[]]}})
+    assert sys.n == 3
+    assert all(sys.rank.rank(m) == 0 for m in range(1 << 3))
+
+
+def test_load_bases_without_n_needs_an_element():
+    with pytest.raises(ValueError, match="give n"):
+        load_system({"kind": "matroid", "source": {"bases": [[], []]}})
 
 
 def test_load_matroid_from_rank_table():

@@ -13,8 +13,7 @@ from tangleforge.oracle import (ORACLE_MAX_N, _fully_closed, _weak, _weak_set,
 from tangleforge.tangles import Tangle
 from tangleforge.trees import PiTree, flower_to_tree
 
-from conftest import (assert_flower_scans_match, lab, literal_full_closure,
-                      literal_fully_closed)
+from conftest import K5_EDGES, assert_flower_scans_match, assert_walks_are_literal, lab
 
 CTX_NAMES = ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6", "ctx_pc4",
              "ctx_barbell", "ctx_r8m3", "ctx_mk4"]
@@ -221,33 +220,18 @@ class TestOracleMemos:
         closures = [[oracle_full_closure(barbell, t, x) for x in masks
                      if barbell.lam(x) <= 2 and not _weak(t, x)] for t in (first, second)]
         assert verdicts[0] != verdicts[1] and closures[0] != closures[1]
-        for attr in ("_oracle_weak", "_oracle_fc_cache", "_oracle_fcl_cache"):
+        for attr in ("_oracle_weak", "_oracle_fc_cache", "_oracle_fcl_cache",
+                     "_oracle_fc_table"):
             assert getattr(first, attr) is not getattr(second, attr)
         for t, got in zip((first, second), verdicts):
             fresh = Tangle(barbell, 2, t.members)
             assert got == [_fully_closed(barbell, fresh, x) for x in masks]
 
 
-def assert_walks_are_literal(sys, tangle):
-    """On every mask, `_fully_closed` and `oracle_full_closure` on a tangle
-    with empty memos equal the exhaustive walks, ViolationFound included."""
-    tangle = Tangle(sys, tangle.k, tangle.members)
-    weak = {y for y in range(1 << sys.n)
-            if any(y & ~m == 0 for m in tangle.members)}
-    assert _weak_set(tangle) == weak
-    for x in range(1 << sys.n):
-        assert _fully_closed(sys, tangle, x) == literal_fully_closed(sys, tangle, x, weak)
-        want = literal_full_closure(sys, tangle, x, weak)
-        if want is None:
-            with pytest.raises(ViolationFound):
-                oracle_full_closure(sys, tangle, x)
-        else:
-            assert oracle_full_closure(sys, tangle, x) == want
-
-
 class TestLiteralWalks:
-    """The closure walk that stops once it reaches X and the fully-closed
-    test over the weak set give what the full walks give."""
+    """The closure from X itself or the tangle's table of fully closed sets
+    and the fully-closed test over the weak set give what the full walks
+    give."""
 
     @pytest.mark.parametrize("name", CTX_NAMES)
     def test_every_tangle_every_mask(self, name, request):
@@ -294,7 +278,26 @@ class TestOracleCost:
     791.  The two forms of the fully-closed test make the same lam calls,
     so only the probe count tells them apart.  One scan of each flower
     vertex's proper unions now serves its class and its displays, which
-    drops the second scan's 2^n - 2 calls: 1803 and 1053."""
+    drops the second scan's 2^n - 2 calls: 1803 and 1053.  Every set whose
+    closure these certificates ask for is fully closed, so neither builds
+    the tangle's table of fully closed sets.
+
+    The differential report on M(K5) at order 4 (classes computed first)
+    asks for closures of sets that are not fully closed.  Walking all
+    supersets of each such X took 27036 lam calls; intersecting the
+    table of fully closed k-separating sets, built once, takes 4291."""
+
+    @staticmethod
+    def count_lam(system):
+        calls = [0]
+        inner = system.lam
+
+        def counted(mask):
+            calls[0] += 1
+            return inner(mask)
+
+        system.lam = counted
+        return calls
 
     @pytest.mark.parametrize("build, max_lam, max_probes", [
         (lambda: ConnectivitySystem.graph([(i, (i + 1) % 10) for i in range(10)]),
@@ -307,18 +310,23 @@ class TestOracleCost:
         s_family = build_default_S(system, tangle)
         tree = build_maximal_tree(system, tangle, s_family)
         weak = tangle._oracle_weak = ProbedSet(_weak_set(tangle))
-        calls = [0]
-        inner = system.lam
-
-        def counted(mask):
-            calls[0] += 1
-            return inner(mask)
-
-        system.lam = counted
+        calls = self.count_lam(system)
         ok, problems = oracle_certify_tree(system, tangle, s_family, tree)
         assert ok, problems
         assert calls[0] <= max_lam
         assert weak.probes <= max_probes
+        assert "_oracle_fc_table" not in tangle.__dict__
+
+    def test_differential_cost_bounded(self):
+        system = ConnectivitySystem.matroid(RankFunction.graphic(K5_EDGES))
+        tangle, = enumerate_tangles(system, 4)
+        s_family = build_default_S(system, tangle)
+        s_family.classes()
+        calls = self.count_lam(system)
+        report = differential_report(system, tangle, s_family)
+        assert report.ok, report.disagreements
+        assert calls[0] <= 4400
+        assert "_oracle_fc_table" in tangle.__dict__
 
 
     def test_anemone_partition_classified_once(self, monkeypatch):
@@ -357,3 +365,4 @@ class TestOracleCap:
         tree = build_maximal_tree(system, tangle, s_family)
         ok, problems = oracle_certify_tree(system, tangle, s_family, tree)
         assert ok, problems
+        assert "_oracle_fc_table" not in tangle.__dict__

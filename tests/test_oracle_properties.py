@@ -8,7 +8,9 @@ literal (P1)-(P5) certificate.  The matroids enumerate flowers of at most
 three petals: on U_{9,10} at order 2 every partition into four blocks is
 an anemone, and four petals take about 1.5 s there against 0.3 s for three.
 The oracle's flower scans are also checked against their per-bit
-references on random petal partitions of random multigraphs.
+references on random petal partitions of random multigraphs, and its
+fully-closed test and full closure against the exhaustive walks on every
+mask.
 """
 
 from itertools import combinations
@@ -18,9 +20,11 @@ from hypothesis import strategies as st
 
 from tangleforge import (ConnectivitySystem, RankFunction, build_default_S,
                          build_maximal_tree, enumerate_tangles, is_robust)
-from tangleforge.oracle import differential_report, oracle_certify_tree
+from tangleforge.oracle import (_weak, differential_report, oracle_certify_tree,
+                               oracle_full_closure)
+from tangleforge.tangles import Tangle
 
-from conftest import assert_flower_scans_match
+from conftest import assert_flower_scans_match, assert_walks_are_literal
 
 MAX_EDGES = 9
 MAX_PETALS = 4
@@ -85,3 +89,20 @@ def test_flower_scans_match_the_per_bit_references(edges, data, k):
     petals = tuple(p for p in petals if p)
     verdict = assert_flower_scans_match(system, petals, k)
     event(verdict if len(petals) > 2 else "n <= 2")
+
+
+@settings(max_examples=50, deadline=None)
+@given(edges=multigraphs(), k=st.sampled_from([2, 3]))
+def test_closures_match_the_literal_walks(edges, k):
+    """Every tangle, every mask.  The event says whether the closures of
+    the strong k-separating sets, asked in ascending order on fresh memos,
+    built the tangle's table of fully closed sets or were all answered by
+    X itself."""
+    system = ConnectivitySystem.graph(edges, verify=False)
+    for tangle in enumerate_tangles(system, k):
+        fresh = Tangle(system, k, tangle.members)
+        for x in range(1 << system.n):
+            if system.lam(x) <= k and not _weak(fresh, x):
+                oracle_full_closure(system, fresh, x)
+        event("table built" if "_oracle_fc_table" in fresh.__dict__ else "no table")
+        assert_walks_are_literal(system, tangle)

@@ -441,14 +441,14 @@ def _built_trees(ctx, chain):
 
 def test_tree_displays_match_oracle(ctx_r8p1, ctx_c6, ctx_u56, ctx_u26, ctx_pc4,
                                     ctx_barbell, chain_ctx):
-    from tangleforge.oracle import _tree_displayed
+    from tangleforge.oracle import _Sides, _tree_displayed
     ctx = {"r8p1": ctx_r8p1, "c6": ctx_c6, "u56": ctx_u56, "u26": ctx_u26,
            "pc4": ctx_pc4, "barbell": ctx_barbell}
     trees = _built_trees(ctx, chain_ctx)
     assert len(trees) > 25
     for c, t in trees:
         got = verify_partial_kS_tree(c.sys, c.tangle, c.S, t).displayed
-        assert got == sorted(_tree_displayed(c.sys, t)[0]), t.edges()
+        assert got == sorted(_tree_displayed(c.sys, t, _Sides(t))[0]), t.edges()
 
 
 def test_one_oracle_scan_per_flower_vertex(ctx_r8p1, ctx_c6, ctx_u56, ctx_u26, ctx_pc4,
@@ -456,16 +456,17 @@ def test_one_oracle_scan_per_flower_vertex(ctx_r8p1, ctx_c6, ctx_u56, ctx_u26, c
     # the class and displays that _tree_displayed takes from one scan are
     # what the separate literal class and display scans give
     from tangleforge.flowers import Flower
-    from tangleforge.oracle import (_displayed_unions, _flower_class_literal,
+    from tangleforge.oracle import (_Sides, _displayed_unions, _flower_class_literal,
                                     _tree_displayed, _vertex_petals)
     ctx = {"r8p1": ctx_r8p1, "c6": ctx_c6, "u56": ctx_u56, "u26": ctx_u26,
            "pc4": ctx_pc4, "barbell": ctx_barbell}
     checked = set()
     for c, t in _built_trees(ctx, chain_ctx):
-        at = _tree_displayed(c.sys, t)[1]
+        sides = _Sides(t)
+        at = _tree_displayed(c.sys, t, sides)[1]
         assert set(at) == set(t.labels)
         for v in t.labels:
-            petals = _vertex_petals(t, v)
+            petals = _vertex_petals(t, v, sides)
             klass, shown = at[v]
             assert shown == _displayed_unions(c.sys, t.k, petals)
             if len(petals) >= 3:
