@@ -20,8 +20,9 @@ from .errors import (NonRobustObstruction, PreconditionFailed, SearchSpaceTooLar
                      TangleforgeError)
 from .flowers import (Flower, classify, displayed_kS, loose_petals, maximal_flower,
                       verify_flower)
-from .jsonio import (dumps, flower_to_json, load_system_file, separation_to_json,
-                     tangle_from_json, tangle_to_json, tree_to_json)
+from .jsonio import (dumps, explicit_s_from_json, flower_to_json, load_system_file,
+                     masks_from_json, separation_to_json, tangle_from_json,
+                     tangle_to_json, tree_to_json)
 from .oracle import (_flower_class_literal, differential_report, oracle_certify_tree,
                      oracle_classes, oracle_displayed_kS, oracle_full_closure)
 from .tangles import (Tangle, canonical_vertical_tangle, enumerate_tangles,
@@ -89,8 +90,9 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("flower", help="verify a flower or build a maximal one")
     common(sp, dot=True)
-    sp.add_argument("--petals", help="JSON list of element lists to verify")
-    sp.add_argument("--seed-side", help="comma-separated side of the seed separation")
+    given = sp.add_mutually_exclusive_group()
+    given.add_argument("--petals", help="JSON list of element lists to verify")
+    given.add_argument("--seed-side", help="comma-separated side of the seed separation")
 
     sp = sub.add_parser("tree", help="build the maximal partial (k,S)-tree")
     common(sp, dot=True)
@@ -129,7 +131,7 @@ def _resolve_S(system, tangle, args) -> TreeCompatibleSet:
     if args.s_mode == "default":
         return build_default_S(system, tangle)
     with open(args.s_mode) as fh:
-        masks = [system.mask(m) for m in json.load(fh)["sets"]]
+        masks = explicit_s_from_json(system, json.load(fh))
     return TreeCompatibleSet(system, tangle, mode="explicit", explicit=masks)
 
 
@@ -201,7 +203,7 @@ def run(argv) -> int:
 
         if args.command == "flower":
             if args.petals:
-                petals = [system.mask(p) for p in json.loads(args.petals)]
+                petals = masks_from_json(system, json.loads(args.petals), "--petals")
                 f = verify_flower(system, tangle, petals)
             elif args.seed_side:
                 seed = Separation.make(system, _parse_elements(system, args.seed_side),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bitset import (byte_lanes, down_closure, element_absent, elements_of, family_of,
                      full_mask, mask_of, popcount, popcount_layers, up_closure)
@@ -30,9 +30,6 @@ MAX_N = 16
 NODE_CAP = 1 << 20
 ORACLE_MAX_N = 14
 ORACLE_MAX_PETALS = 8
-# The axiom checks run on byte lanes when every value lies in 0..LANE_MAX:
-# a sum of four such values plus 128 then stays inside its byte.
-LANE_MAX = 63
 
 
 def check_ground_size(n: int):
@@ -81,18 +78,20 @@ class Violation:
 #
 # A table whose values all lie in 0..255 is also kept as bytes (byte x is the
 # value at mask x).  `lam` and `rank` keep indexing the list, which is faster
-# for single lookups; the bytes serve scans, which `translate` and `compress`
-# run without a Python loop, and lane arithmetic (`bitset.byte_lanes`).
+# for single lookups; the bytes serve scans, which `translate` runs without a
+# Python loop, and lane arithmetic (`bitset.byte_lanes`, `_lanes`).
 
 _UP_TO_127 = bytes(range(128))
-_LANE_VALUES = bytes(range(LANE_MAX + 1))
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"
 
 
 def _byte_table(values: Sequence[int]) -> Optional[bytes]:
-    """The values as bytes, or None if one lies outside 0..255."""
+    """The values as bytes, or None if one lies outside 0..255.  A value
+    that is not an int raises ValueError."""
     if isinstance(values, bytes):
         return values
+    if not set(map(type, values)) <= {int}:
+        raise ValueError("table values must be integers")
     if min(values) < 0 or max(values) > 255:
         return None
     return bytes(values)
@@ -104,32 +103,24 @@ def _keep(k: int) -> bytes:
     return bytes(v <= k for v in range(256))
 
 
-def _at_most_flags(table: Optional[bytes], value: Callable[[int], int], k: int,
-                   masks: Sequence[int]) -> bytes:
-    """One byte per mask of `masks`, 1 where its value is at most k.  With a
-    byte table: its slice for an ascending range inside it, else one table
-    read per mask (a mask past the table raises IndexError), translated in
-    one pass.  Without one: one value call per mask."""
-    if table is None:
-        return bytes(value(x) <= k for x in masks)
+def _at_most_flags(values: Sequence[int], k: int) -> bytes:
+    """One byte per mask, 1 where its value is at most k: one `translate`
+    of a byte table, or one C-level pass over any other table."""
+    if isinstance(values, bytes):
+        return values.translate(_keep(k))
+    return bytes(map(k.__ge__, values))
+
+
+def _select(flags: bytes, masks: Sequence[int]) -> bytes:
+    """The flags of `masks`, in order: a slice for an ascending range inside
+    the table, else one table read per mask (a mask past the table raises
+    IndexError)."""
     if (isinstance(masks, range) and masks.step > 0 and masks.start >= 0
-            and masks.stop <= len(table)):
-        values = table[masks.start:masks.stop:masks.step]
-    elif len(masks) > 1:
-        values = bytes(itemgetter(*masks)(table))  # a tuple for two or more keys
-    else:
-        values = bytes(table[x] for x in masks)
-    return values.translate(_keep(k))
-
-
-def _at_most(table: Optional[bytes], value: Callable[[int], int], k: int,
-             masks: range) -> List[int]:
-    """The masks of `masks` whose value is at most k, in order."""
-    return list(compress(masks, _at_most_flags(table, value, k, masks)))
-
-
-def _lanes(table: bytes) -> int:
-    return int.from_bytes(table, "little")
+            and masks.stop <= len(flags)):
+        return flags[masks.start:masks.stop:masks.step]
+    if len(masks) > 1:
+        return bytes(itemgetter(*masks)(flags))  # a tuple for two or more keys
+    return bytes(flags[x] for x in masks)
 
 
 class RankFunction:
@@ -158,26 +149,29 @@ class RankFunction:
 
     def rank_at_most(self, k: int, masks: range) -> List[int]:
         """The masks of `masks` of rank at most k, ascending."""
-        return _at_most(self._bytes, self._table.__getitem__, k, masks)
+        flags = _at_most_flags(self._bytes or self._table, k)
+        return list(compress(masks, _select(flags, masks)))
 
     @property
     def full_rank(self) -> int:
         return self._table[full_mask(self.n)]
 
-    def lam_bytes(self) -> Optional[bytes]:
-        """lambda_M(X) = r(X) + r(E-X) - r(E) + 1 for every X, as bytes; the
-        table of r(E-X) is the rank table reversed.  None when the table has
-        no bytes, or when a lane would leave 0..255, which an unverified
-        table can make happen; callers then use the formula."""
-        table = self._bytes
-        if table is None or table.translate(None, _UP_TO_127):
-            return None  # a value above 127 could carry into the next lane
-        total = (_lanes(table) + _lanes(table[::-1])).to_bytes(len(table), "little")
-        drop = self.full_rank - 1
-        if drop > 0 and total.translate(None, bytes(range(drop, 256))):
-            return None  # some r(X) + r(E-X) < r(E) - 1: lambda would be negative
-        # the lanes that occur lie in max(drop, 0)..254, so the mask never wraps one
-        return total.translate(bytes((v - drop) & 0xFF for v in range(256)))
+    def lam_table(self) -> Sequence[int]:
+        """lambda_M(X) = r(X) + r(E-X) - r(E) + 1 for every X.  As bytes, summed
+        on byte lanes (the table of r(E-X) is the rank table reversed); as a
+        list from the formula when a lane would leave 0..255, which an
+        unverified rank table can make happen."""
+        table, drop = self._bytes, self.full_rank - 1
+        # ranks up to 127 sum without carrying into the next lane
+        if table is not None and not table.translate(None, _UP_TO_127):
+            total = (int.from_bytes(table, "little")
+                     + int.from_bytes(table[::-1], "little")).to_bytes(len(table), "little")
+            # no r(X) + r(E-X) below r(E) - 1, so no lambda below 0: the
+            # lanes lie in max(drop, 0)..254 and subtracting drop wraps none
+            if drop <= 0 or not total.translate(None, bytes(range(drop, 256))):
+                return total.translate(bytes((v - drop) & 0xFF for v in range(256)))
+        r, full = self._table, full_mask(self.n)
+        return [r[x] + r[full ^ x] - drop for x in range(1 << self.n)]
 
     @classmethod
     def from_table(cls, n: int, values: Sequence[int], verify: bool = True) -> "RankFunction":
@@ -246,91 +240,88 @@ class RankFunction:
         return cls(n, total.to_bytes(1 << n, "little"), "bases")
 
 
-def _local_submodularity_failure(value: Callable[[int], int],
-                                 n: int) -> Optional[Tuple[int, int, int]]:
+# -- axiom checks on lanes ---------------------------------------------------
+#
+# Lane X of a table's lane int holds the value at X, less the table's least
+# value, in w bytes; shifting right by 8w * 2^e bits puts the lane of X + 2^e
+# there.  Lanes at masks that contain e read another mask's value, so every
+# check keeps only the lanes at masks without the elements it adds, and
+# reports the least failing X.
+
+def _lanes(values: Sequence[int]) -> Tuple[int, int]:
+    """The lane int of a table (bytes or any other sequence) and its lane
+    width w: the fewest whole bytes with span < 2^(8w-2), where the span is
+    max - min, so that two lanes plus 2^(8w-1) minus two lanes stays inside
+    1..2^(8w)-1 and no lane carries into or borrows from the next."""
+    if isinstance(values, bytes):
+        present = [v for v in range(256) if v in values]  # one memchr each
+        low, high = present[0], present[-1]
+    else:
+        low, high = min(values), max(values)
+    w = ((high - low).bit_length() + 9) // 8
+    if w == 1 and isinstance(values, bytes):
+        lanes = values.translate(bytes((v - low) & 0xFF for v in range(256)))
+    else:
+        lanes = b"".join((v - low).to_bytes(w, "little") for v in values)
+    return int.from_bytes(lanes, "little"), w
+
+
+def _without(n: int, e: int, w: int) -> int:
+    """Lanes of width w set to 1 at the masks below 2^n without element e."""
+    run = 1 << e
+    one = b"\1".ljust(w, b"\0")
+    return int.from_bytes((one * run + bytes(w * run)) * ((1 << n) >> (e + 1)), "little")
+
+
+def _top(n: int, w: int) -> int:
+    """Lanes of width w set to 2^(8w-1) at every mask below 2^n."""
+    return int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * (1 << n), "little")
+
+
+def _lowest_lane(x: int, w: int) -> int:
+    return ((x & -x).bit_length() - 1) // (8 * w)
+
+
+def _lane_submodularity_failure(lanes: int, n: int, w: int) -> Optional[Tuple[int, int, int]]:
     """The least triple (X, {e}, {f}) of masks, e < f outside X, with
-    value(X+e) + value(X+f) < value(X+e+f) + value(X); None if there is none.
+    v(X+e) + v(X+f) < v(X+e+f) + v(X); None if there is none.  Exhaustive.
 
     Over every X and pair this is equivalent to submodularity on 2^E: each
     pairwise inequality is a telescoping sum of local ones (Fujishige,
-    Submodular Functions and Optimization).  Tables that `_lane_table`
-    accepts take `_lane_submodularity_failure` instead.
+    Submodular Functions and Optimization).  For each pair e < f, lane X of
+    L>>2^e + L>>2^f + 2^(8w-1) - L>>(2^e+2^f) - L (each shift by whole
+    lanes of `_lanes`) is v(X+e) + v(X+f) - v(X+e+f) - v(X) + 2^(8w-1), so
+    its top bit is clear iff the local inequality fails at X.
     """
-    for x in range(1 << n):
-        vx = value(x)
-        free = [1 << i for i in range(n) if not x >> i & 1]
-        above = [value(x | b) for b in free]
-        for i, be in enumerate(free):
-            xe = x | be
-            gain = above[i] - vx  # value(X+e+f) - value(X+f) may not exceed it
-            for bf, vxf in zip(free[i + 1:], above[i + 1:]):
-                if value(xe | bf) - vxf > gain:
-                    return x, be, bf
-    return None
-
-
-# -- axiom checks on byte lanes ----------------------------------------------
-#
-# Lane X of a table's lane int holds the value at X; shifting right by
-# 8 * 2^e bits puts the value at X + 2^e there.  Lanes at masks that contain
-# e read another mask's value, so every check keeps only the lanes at masks
-# without the elements it adds, and reports the least failing X.
-
-def _lane_table(table: Optional[bytes]) -> Optional[bytes]:
-    """The byte table if the lane checks apply: every value in 0..LANE_MAX."""
-    if table is None or table.translate(None, _LANE_VALUES):
-        return None
-    return table
-
-
-def _without(n: int, e: int) -> int:
-    """Lanes set to 1 at the masks below 2^n without element e."""
-    run = 1 << e
-    return _lanes((b"\1" * run + bytes(run)) * ((1 << n) >> (e + 1)))
-
-
-def _lowest_lane(x: int) -> int:
-    return ((x & -x).bit_length() - 1) >> 3
-
-
-def _lane_submodularity_failure(table: bytes, n: int) -> Optional[Tuple[int, int, int]]:
-    """`_local_submodularity_failure`, exhaustive, on a `_lane_table`.
-
-    For each pair e < f, lane X of L>>2^e + L>>2^f + 128 - L>>(2^e+2^f) - L
-    (each shift by whole lanes) is v(X+e) + v(X+f) + 128 - v(X+e+f) - v(X),
-    which stays in 2..254, so no lane borrows from the next; its bit 7 is
-    clear iff the local inequality fails at X.  The least (X, e, f) is
-    returned, as the per-mask walk finds it.
-    """
-    lam = _lanes(table)
-    base = _lanes(b"\x80" * len(table)) - lam  # lane X: 128 - v(X)
-    shifted = [lam >> (8 << e) for e in range(n)]
-    free = [_without(n, e) << 7 for e in range(n)]  # bit 7 of the lanes without e
+    bits = 8 * w
+    base = _top(n, w) - lanes  # lane X: 2^(8w-1) - v(X)
+    shifted = [lanes >> (bits << e) for e in range(n)]
+    free = [_without(n, e, w) << bits - 1 for e in range(n)]  # top bits without e
     best = None
     for e in range(n):
         part = shifted[e] + base
         for f in range(e + 1, n):
-            local = part + shifted[f] - (lam >> ((8 << e) + (8 << f)))
+            local = part + shifted[f] - (lanes >> ((bits << e) + (bits << f)))
             bad = free[e] & free[f] & ~local
             if bad:
-                x = _lowest_lane(bad)
+                x = _lowest_lane(bad, w)
                 if best is None or x < best[0]:
                     best = (x, 1 << e, 1 << f)
     return best
 
 
-def _lane_unit_increment_failure(table: bytes, n: int) -> Optional[Tuple[int, int]]:
-    """The least (X, {e}), e outside X, with r(X+e) - r(X) not 0 or 1, on a
-    `_lane_table`: lane X of R>>2^e + 128 - R is r(X+e) - r(X) + 128, which
-    is 128 or 129 exactly when the step is 0 or 1."""
-    r = _lanes(table)
-    high = _lanes(b"\x80" * len(table))
+def _lane_unit_increment_failure(lanes: int, n: int, w: int) -> Optional[Tuple[int, int]]:
+    """The least (X, {e}), e outside X, with r(X+e) - r(X) not 0 or 1: lane
+    X of R>>2^e + 2^(8w-1) - R (lanes of `_lanes`) is r(X+e) - r(X) +
+    2^(8w-1), which is 2^(8w-1) or one more exactly when the step is 0 or 1."""
+    bits = 8 * w
+    high = _top(n, w)
     best = None
     for e in range(n):
-        step = (r >> (8 << e)) + high - r
-        bad = (step ^ high) & (_without(n, e) * 0xFE)
+        step = (lanes >> (bits << e)) + high - lanes
+        bad = (step ^ high) & (_without(n, e, w) * ((1 << bits) - 2))
         if bad:
-            x = _lowest_lane(bad)
+            x = _lowest_lane(bad, w)
             if best is None or x < best[0]:
                 best = (x, 1 << e)
     return best
@@ -341,29 +332,17 @@ def verify_rank_axioms(rank: RankFunction) -> List[Violation]:
 
     Unit increments give monotonicity for free; local submodularity
     (r(X+e)+r(X+f) >= r(X+e+f)+r(X)) is equivalent to the pairwise form.
-    Exhaustive, on byte lanes when the values allow it.
+    Exhaustive, on the lanes of `_lanes`.
     """
     out = []
-    r = rank._table.__getitem__
-    n = rank.n
-    if r(0) != 0:
+    if rank._table[0] != 0:
         out.append(Violation("rank_empty", (0,)))
-    lanes = _lane_table(rank._bytes)
-    if lanes is not None:
-        step = _lane_unit_increment_failure(lanes, n)
-        if step:
-            out.append(Violation("rank_unit_increment", step))
-            return out
-        bad = _lane_submodularity_failure(lanes, n)
-    else:
-        for x in range(1 << n):
-            rx = r(x)
-            for e in range(n):
-                be = 1 << e
-                if not x & be and r(x | be) - rx not in (0, 1):
-                    out.append(Violation("rank_unit_increment", (x, be)))
-                    return out
-        bad = _local_submodularity_failure(r, n)
+    lanes, w = _lanes(rank._bytes or rank._table)
+    step = _lane_unit_increment_failure(lanes, rank.n, w)
+    if step:
+        out.append(Violation("rank_unit_increment", step))
+        return out
+    bad = _lane_submodularity_failure(lanes, rank.n, w)
     if bad:
         out.append(Violation("rank_submodular", bad))
     return out
@@ -400,8 +379,8 @@ def build_r8_rank() -> RankFunction:
 class ConnectivitySystem:
     """A ground set plus a symmetric submodular lambda, held as its full table.
 
-    Immutable after construction apart from the per-k k-separating families,
-    whose inserts are idempotent, so concurrent reads are safe.
+    Immutable after construction apart from the per-k flags and k-separating
+    families, whose inserts are idempotent, so concurrent reads are safe.
     """
 
     def __init__(self, ground: GroundSet, kind: str, table: Sequence[int],
@@ -416,6 +395,7 @@ class ConnectivitySystem:
         self.rank = rank
         self.meta = meta or {}
         self._outside = ~self.full  # bits of masks that leave the ground set
+        self._flags_by_k: Dict[int, bytes] = {}
         self._k_separating: Dict[int, int] = {}
         self._table = list(table) if isinstance(table, bytes) else table
         self._bytes = _byte_table(table)
@@ -429,30 +409,34 @@ class ConnectivitySystem:
             raise PreconditionFailed(f"mask {mask:#x} outside ground set")
         return self._table[mask]
 
+    def _flags(self, k: int) -> bytes:
+        """One byte per mask, 1 where lam <= k; built once per k."""
+        flags = self._flags_by_k.get(k)
+        if flags is None:
+            flags = self._flags_by_k[k] = _at_most_flags(self._bytes or self._table, k)
+        return flags
+
     def lam_at_most(self, k: int, masks: range) -> List[int]:
-        """The masks of `masks` with lam <= k, ascending; from the byte table
-        without a lam call when there is one."""
-        return _at_most(self._bytes, self.lam, k, masks)
+        """The masks of `masks` with lam <= k, ascending, without a lam call."""
+        return list(compress(masks, _select(self._flags(k), masks)))
 
     def lam_flags(self, k: int, masks: Sequence[int]) -> bytes:
         """One byte per mask of `masks` (in order, repeats allowed), 1 where
-        lam <= k; from the byte table without a lam call when there is one.
-        A mask outside the ground set raises PreconditionFailed."""
-        if self._bytes is None:
-            return _at_most_flags(None, self.lam, k, masks)  # lam checks each mask
+        lam <= k, without a lam call.  A mask outside the ground set raises
+        PreconditionFailed."""
+        flags = self._flags(k)
         try:
             array("Q", masks)  # a negative mask does not fit: OverflowError
-            return _at_most_flags(self._bytes, self.lam, k, masks)
+            return _select(flags, masks)
         except (OverflowError, IndexError):
             raise PreconditionFailed("mask outside ground set") from None
 
     def k_separating(self, k: int) -> int:
         """The family of masks X with lam(X) <= k as a 2^n-bit int, built
-        once per k from the byte table."""
+        once per k."""
         family = self._k_separating.get(k)
         if family is None:
-            at_most = _at_most_flags(self._bytes, self.lam, k, range(1 << self.n))
-            family = self._k_separating[k] = family_of(at_most)
+            family = self._k_separating[k] = family_of(self._flags(k))
         return family
 
     def mask(self, elements: Iterable[int]) -> int:
@@ -463,11 +447,7 @@ class ConnectivitySystem:
     @classmethod
     def matroid(cls, rank: RankFunction, labels=None, verify: Optional[bool] = None) -> "ConnectivitySystem":
         ground = GroundSet(rank.n, labels)
-        table = rank.lam_bytes()
-        if table is None:
-            r, full, rm = rank.rank, ground.full, rank.full_rank
-            table = [r(m) + r(full ^ m) - rm + 1 for m in range(1 << rank.n)]
-        return cls(ground, "matroid", table, rank=rank, verify=verify)
+        return cls(ground, "matroid", rank.lam_table(), rank=rank, verify=verify)
 
     @classmethod
     def graph(cls, edges: Sequence[Tuple[object, object]], labels=None,
@@ -525,23 +505,16 @@ def verify_connectivity_axioms(sys: ConnectivitySystem) -> List[Violation]:
     form lam(X+e) + lam(X+f) >= lam(X+e+f) + lam(X), which on 2^E is
     equivalent to the pairwise one, and a failure is reported as the pair
     (X+e, X+f).  Together the two imply lam(X) >= lam(empty) and
-    lam(X)+lam(Y) >= lam(X-Y)+lam(Y-X).  Both checks are exhaustive, on
-    byte lanes when the values allow it.
+    lam(X)+lam(Y) >= lam(X-Y)+lam(Y-X).  Symmetry compares the table with
+    its reverse; submodularity is checked exhaustively on the lanes of
+    `_lanes`, and the least asymmetric X is read off them as well.
     """
-    n = sys.n
-    lanes = _lane_table(sys._bytes)
-    if lanes is not None:
-        flipped = lanes[::-1]  # lane X holds lam(E-X)
-        if lanes != flipped:
-            return [Violation("symmetry", (_lowest_lane(_lanes(lanes) ^ _lanes(flipped)),))]
-        bad = _lane_submodularity_failure(lanes, n)
-    else:
-        lam = sys._table.__getitem__
-        full = sys.full
-        for x in range(1 << n):
-            if lam(x) != lam(full ^ x):
-                return [Violation("symmetry", (x,))]
-        bad = _local_submodularity_failure(lam, n)
+    values = sys._bytes or sys._table
+    lanes, w = _lanes(values)
+    flipped = values[::-1]  # entry X holds lam(E-X)
+    if values != flipped:
+        return [Violation("symmetry", (_lowest_lane(lanes ^ _lanes(flipped)[0], w),))]
+    bad = _lane_submodularity_failure(lanes, sys.n, w)
     if bad:
         x, be, bf = bad
         return [Violation("submodularity", (x | be, x | bf))]
@@ -563,13 +536,8 @@ def is_vertically_k_connected(rank: RankFunction, k: int) -> bool:
     """
     if k < 2:
         raise PreconditionFailed("vertical connectivity needs k >= 2")
-    n = rank.n
-    full = full_mask(n)
-    rm = rank.full_rank
+    full = full_mask(rank.n)
     r = rank.rank
-
-    def lam(x):
-        return r(x) + r(full ^ x) - rm + 1
-
+    flags = _at_most_flags(rank.lam_table(), k - 1)
     return all(r(x) <= k - 2 or r(full ^ x) <= k - 2
-               for x in _at_most(rank.lam_bytes(), lam, k - 1, range(1 << n)))
+               for x in compress(range(1 << rank.n), flags))

@@ -259,8 +259,7 @@ def loose_petals(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> List[int
     return out
 
 
-def tighten(sys: ConnectivitySystem, tangle: Tangle, f: Flower,
-            s_family: Optional[TreeCompatibleSet] = None) -> Flower:
+def tighten(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> Flower:
     """Absorb loose petals (lowest index first) into an absorbing neighbour
     until none remain.  Output is loose-free; displayed (k,S)-classes are
     preserved.  Exact S-tightness is certified only at oracle scale."""
@@ -442,7 +441,7 @@ def maximal_flower_from(sys: ConnectivitySystem, tangle: Tangle,
     terminates; raises NonRobustObstruction when refinement is impossible.
     """
     while True:
-        f = tighten(sys, tangle, f, s_family)
+        f = tighten(sys, tangle, f)
         target = first_nonconforming(sys, s_family,
                                      set(displayed_separations(sys, tangle, f)), f.petals)
         if target is None:

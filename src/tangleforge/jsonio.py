@@ -1,12 +1,14 @@
 """JSON (de)serialization for systems, tangles, separations, flowers, trees.
 
 Subsets serialize as sorted element arrays of 0-based ground-set indices.
+Readers check the shape of what they read and refuse anything else with
+ValueError.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import List, Optional
 
 from .bitset import elements_of
 from .core import ConnectivitySystem, RankFunction
@@ -17,31 +19,68 @@ from .tangles import Tangle
 from .trees import PiTree
 
 
+def _field(obj, key: str, kind: type, what: str):
+    """obj[key], once obj is a JSON object (named `what` in the error) and
+    the value there has type `kind` (a bool is not an int)."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} must be a JSON object")
+    value = obj.get(key)
+    if type(value) is not kind:
+        raise ValueError(f"{what} needs {key!r} as {kind.__name__}")
+    return value
+
+
+def _ints(value, what: str) -> list:
+    if type(value) is not list or any(type(v) is not int for v in value):
+        raise ValueError(f"{what} must be a list of integers")
+    return value
+
+
+def masks_from_json(sys: ConnectivitySystem, value, what: str) -> List[int]:
+    """The masks of a JSON list of element lists, `what` naming it."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list of element lists")
+    return [sys.mask(_ints(m, f"each of {what}")) for m in value]
+
+
 def load_system(obj: dict, verify: Optional[bool] = None) -> ConnectivitySystem:
+    if type(obj) is not dict:
+        raise ValueError("system must be a JSON object")
     kind = obj.get("kind")
     if kind == "matroid":
-        source = obj.get("source", {})
+        source = obj.get("source")
+        source = source if type(source) is dict else {}
         if "uniform" in source:
             u = source["uniform"]
-            rank = RankFunction.uniform(u["r"], u["n"])
+            rank = RankFunction.uniform(_field(u, "r", int, "uniform"),
+                                        _field(u, "n", int, "uniform"))
         elif "bases" in source:
-            bases = source["bases"]
-            n = source["n"] if "n" in source else _bases_ground_size(bases)
+            bases = [_ints(b, "each basis")
+                     for b in _field(source, "bases", list, "matroid source")]
+            n = (_field(source, "n", int, "matroid source") if "n" in source
+                 else _bases_ground_size(bases))
             rank = RankFunction.from_bases(n, [_basis_mask(b, n) for b in bases])
         elif "rank_table" in source:
-            table = source["rank_table"]
+            table = _ints(source["rank_table"], "rank_table")
             n = (len(table) - 1).bit_length()
             rank = RankFunction.from_table(n, table)
         else:
             raise ValueError("matroid source must be uniform, bases, or rank_table")
         return ConnectivitySystem.matroid(rank, labels=_labels(obj), verify=verify)
     if kind == "graph":
-        return ConnectivitySystem.graph([tuple(e) for e in obj["edges"]],
+        edges = _field(obj, "edges", list, "graph")
+        if any(type(e) not in (list, tuple) or len(e) != 2 or
+               any(type(v) not in (int, str) for v in e) for e in edges):
+            raise ValueError("each edge must be a list of two vertices, "
+                             "integers or strings")
+        return ConnectivitySystem.graph([tuple(e) for e in edges],
                                         labels=_labels(obj), verify=verify)
     if kind == "r8_polymatroid":
-        return ConnectivitySystem.r8_polymatroid(obj["ell"], verify=verify)
+        return ConnectivitySystem.r8_polymatroid(_field(obj, "ell", int, "r8_polymatroid"),
+                                                 verify=verify)
     if kind == "table":
-        return ConnectivitySystem.from_table(obj["n"], obj["lambda"],
+        return ConnectivitySystem.from_table(_field(obj, "n", int, "table"),
+                                             _ints(obj.get("lambda"), "lambda"),
                                              labels=_labels(obj), verify=verify)
     raise ValueError(f"unknown system kind {kind!r}")
 
@@ -62,6 +101,9 @@ def _basis_mask(basis, n: int) -> int:
 
 def _labels(obj):
     labels = obj.get("labels")
+    if labels is not None and (type(labels) is not list
+                               or any(type(x) is not str for x in labels)):
+        raise ValueError("labels must be a list of strings")
     return tuple(labels) if labels else None
 
 
@@ -76,7 +118,13 @@ def tangle_to_json(tangle: Tangle) -> dict:
 
 
 def tangle_from_json(sys: ConnectivitySystem, obj: dict) -> Tangle:
-    return Tangle(sys, obj["k"], [sys.mask(m) for m in obj["members"]])
+    return Tangle(sys, _field(obj, "k", int, "tangle"),
+                  masks_from_json(sys, _field(obj, "members", list, "tangle"), "members"))
+
+
+def explicit_s_from_json(sys: ConnectivitySystem, obj: dict) -> List[int]:
+    """The masks of an explicit S file, {"sets": [element lists]}."""
+    return masks_from_json(sys, _field(obj, "sets", list, "S file"), "sets")
 
 
 def separation_to_json(sys: ConnectivitySystem, sep: Separation) -> dict:

@@ -347,7 +347,7 @@ def flower_to_tree(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> PiTree
 # -- bag surgery -----------------------------------------------------------
 
 
-def _require_s_terminal(sys, tangle, s_family, t, leaf) -> int:
+def _require_s_terminal(sys, s_family, t, leaf) -> int:
     if not t.is_bag_vertex(leaf) or not t.is_leaf(leaf):
         raise PreconditionFailed("vertex is not a leaf bag vertex")
     b = t.bags[leaf]
@@ -360,7 +360,7 @@ def grow_terminal_bag(sys: ConnectivitySystem, tangle: Tangle,
                       s_family: TreeCompatibleSet, t: PiTree,
                       leaf: int, x: int) -> PiTree:
     """Absorb a weak set into an S-terminal bag, stripping it elsewhere."""
-    b = _require_s_terminal(sys, tangle, s_family, t, leaf)
+    b = _require_s_terminal(sys, s_family, t, leaf)
     if x == 0 or x & b or tangle.is_strong(x):
         raise PreconditionFailed("x must be a non-empty weak subset of E-B")
     if sys.lam(b | x) > t.k:
@@ -374,7 +374,7 @@ def split_terminal_bag(sys: ConnectivitySystem, tangle: Tangle,
                        leaf: int, x: int) -> PiTree:
     """Carve a weak set out of an S-terminal bag into the old vertex; the
     shrunken bag moves to a fresh leaf."""
-    b = _require_s_terminal(sys, tangle, s_family, t, leaf)
+    b = _require_s_terminal(sys, s_family, t, leaf)
     if x == 0 or x & ~b or tangle.is_strong(x):
         raise PreconditionFailed("x must be a non-empty weak subset of B")
     if sys.lam(b & ~x) > t.k:
@@ -392,7 +392,7 @@ def retarget_terminal_bag(sys: ConnectivitySystem, tangle: Tangle,
     """Replace an S-terminal bag B by C with fcl(B) = fcl(C): grow to the
     closure along B's maximal partial k-sequence, then split back down along
     C's reversed one.  Returns the tree and the vertex now holding C."""
-    b = _require_s_terminal(sys, tangle, s_family, t, leaf)
+    b = _require_s_terminal(sys, s_family, t, leaf)
     if not s_family.is_kS_separation(Separation.make(sys, c, t.k)):
         raise PreconditionFailed("(C, E-C) is not a (k,S)-separation")
     fcl_b, grow_steps = full_closure_sequence(sys, tangle, b)
@@ -444,7 +444,7 @@ def _maximal_k_separating_between(sys, tangle, lower: int, upper: int,
     return lower | ((maximal & -maximal).bit_length() - 1)
 
 
-def _attach_flower_star(sys, tangle, s_family, t, holder, flower_prefix, klass):
+def _attach_flower_star(t, holder, flower_prefix, klass):
     """Relabel `holder` to the empty bag and hang a flower vertex with leaf
     bags `flower_prefix` off it; D vertices get the cyclic edge order
     (v v_1, ..., v v_j, v holder)."""
@@ -467,7 +467,7 @@ def _attach_flower_star(sys, tangle, s_family, t, holder, flower_prefix, klass):
     return PiTree(t.k, bags, labels, edges, cyclic)
 
 
-def _arrange_prefix(sys, tangle, f: Flower, c: int) -> Tuple[Flower, int]:
+def _arrange_prefix(sys, f: Flower, c: int) -> Tuple[Flower, int]:
     """Relabel f so the displayed union C occupies a petal prefix; returns
     the relabelled flower and the prefix length j."""
     klass = classify(sys, f)
@@ -582,12 +582,11 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
         class_wz = set(s_family.class_of(wz))
         if not any(side & ~c == 0 for s in shown if s in class_wz for side in s.sides(sys)):
             raise ViolationFound("no displayed equivalent of (W,Z) inside C", wz)
-        arranged, j = _arrange_prefix(sys, tangle, fstar, c)
+        arranged, j = _arrange_prefix(sys, fstar, c)
         fpp = concatenate(arranged, list(range(1, j + 1)) + [arranged.n])
         fpp = verify_flower(sys, tangle, fpp.petals, k)
         work, holder = retarget_terminal_bag(sys, tangle, s_family, work, holder, c)
-        work = _attach_flower_star(sys, tangle, s_family, work, holder,
-                                   arranged.petals[:j], classify(sys, fpp))
+        work = _attach_flower_star(work, holder, arranged.petals[:j], classify(sys, fpp))
     raise SearchSpaceTooLarge("extension step did not converge")
 
 

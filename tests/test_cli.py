@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from tangleforge.cli import _parser, run
+from tangleforge.core import MAX_N
 
 from conftest import BARBELL_EDGES, C6_EDGES
 
@@ -199,6 +200,9 @@ def test_oracle_petal_cap_below_one_is_refused(inputs, capsys, petals):
                                "detail": "petal cap must be at least 1"}
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _registered_flags():
     """Per subcommand, the long options its parser registers besides
     --input and --help."""
@@ -212,8 +216,7 @@ def _registered_flags():
 def _readme_flags():
     """The README's table under "Each subcommand takes only the flags it
     reads", as {subcommand: set of flags}."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = text.split("Each subcommand takes only the flags it reads", 1)[1]
+    rows = README.read_text().split("Each subcommand takes only the flags it reads", 1)[1]
     table = {}
     for line in rows.splitlines()[1:]:
         if table and not line.startswith("|"):
@@ -236,6 +239,13 @@ def test_basis_outside_the_ground_set_is_refused(tmp_path, capsys):
 
 def test_readme_flag_table_matches_the_parser():
     assert _readme_flags() == _registered_flags()
+
+
+def test_readme_ground_set_cap_matches_the_library():
+    text = README.read_text()
+    stated = (re.findall(r"elements `0\.\.n-1`,\s+`n <= (\d+)`", text)
+              + re.findall(r"at most (\d+) elements \(`core\.MAX_N`\)", text))
+    assert [int(cap) for cap in stated] == [MAX_N, MAX_N]
 
 
 def test_determinism(inputs, capsys):
@@ -318,6 +328,46 @@ def test_oracle_verify_is_rejected(inputs, capsys):
     code, out = invoke(capsys, ["oracle", "--input", inputs["r8.json"], "--k", "4",
                                 "--verify"])
     assert code == 1 and json.loads(out)["error"] == "usage"
+
+
+C6_SYSTEM = {"kind": "graph", "edges": [list(e) for e in C6_EDGES]}
+
+
+@pytest.mark.parametrize("system, argv, extra", [
+    ({"kind": "graph"}, ["check"], None),
+    ([[0, 1], [1, 2]], ["check"], None),
+    ({"kind": "matroid", "source": {"uniform": {"r": 2}}}, ["check"], None),
+    (C6_SYSTEM, ["flower", "--k", "2", "--petals", "5"], None),
+    (C6_SYSTEM, ["flower", "--k", "2", "--petals", '[[0,1,2],[3,"a"]]'], None),
+    (C6_SYSTEM, ["separations", "--k", "2", "--S"], [[0, 1]]),
+    (C6_SYSTEM, ["fcl", "--k", "2", "--x", "0", "--tangle"], {"members": [[0]]}),
+], ids=["graph-without-edges", "system-list", "uniform-without-n", "petals-not-a-list",
+        "petal-with-a-string", "S-file-list", "tangle-without-k"])
+def test_malformed_json_is_a_usage_error(tmp_path, capsys, system, argv, extra):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    argv = [argv[0], "--input", str(path)] + argv[1:]
+    if extra is not None:
+        extra_path = tmp_path / "extra.json"
+        extra_path.write_text(json.dumps(extra))
+        argv.append(str(extra_path))
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error" in json.loads(captured.out)
+    assert "Traceback" not in captured.err
+
+
+def test_flower_takes_petals_or_seed_side_not_both(inputs, capsys):
+    argv = ["flower", "--input", inputs["r8.json"], "--k", "4"]
+    code, out = invoke(capsys, argv + ["--petals", "[[0,1],[2,3],[4,5],[6,7]]",
+                                       "--seed-side", "0,1,2,3"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "usage" and "--seed-side" in data["detail"]
+    code, out = invoke(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["detail"] == "flower needs --petals or --seed-side"
 
 
 def test_missing_required_flag_is_a_usage_error(inputs, capsys):

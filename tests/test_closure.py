@@ -120,7 +120,8 @@ class TestFullClosure:
             assert all(t.is_weak(x) == (x in weak) for x in range(1 << sys.n))
 
     def test_k_separating_family_without_a_byte_table(self):
-        # values above 255 leave the byte table out; the family is read off lam
+        # values above 255 leave the byte table out; the family is read off
+        # the flags built from the list
         from tangleforge import ConnectivitySystem
         table = [300 + bin(x).count("1") * (3 - bin(x).count("1")) for x in range(8)]
         sys = ConnectivitySystem.from_table(3, table, verify=False)

@@ -113,6 +113,15 @@ def test_rank_axioms_rejected():
         RankFunction.from_table(2, [0, 2, 1, 2])
 
 
+@pytest.mark.parametrize("values", [[0.5, 0.5], [300.5, 300.5], [0, True]],
+                         ids=["in-a-byte", "wide", "bool"])
+def test_tables_refuse_values_that_are_not_integers(values):
+    with pytest.raises(ValueError, match="table values must be integers"):
+        ConnectivitySystem.from_table(1, values, verify=False)
+    with pytest.raises(ValueError, match="table values must be integers"):
+        RankFunction.from_table(1, values, verify=False)
+
+
 def test_rank_submodularity_witness():
     # Unit increments hold, but r({0}) + r({1}) = 0 < r({0, 1}) + r(empty).
     rank = RankFunction.from_table(2, [0, 0, 0, 1], verify=False)

@@ -106,7 +106,8 @@ class TestFlagsScan:
                     == reference_displayed(ctx.sys, f.petals, f.k)), f
 
     def test_list_table_without_bytes(self, c6g):
-        # values above 255 leave the byte table out: lam_flags calls lam
+        # values above 255 leave the byte table out; lam_flags reads the
+        # flags built from the list
         system = ConnectivitySystem.from_table(
             6, [300 + c6g.lam(x) for x in range(1 << 6)], verify=False)
         assert system._bytes is None

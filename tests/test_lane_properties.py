@@ -5,9 +5,10 @@ Tables: the graph boundary count, a union-find cycle-matroid rank, the
 uniform rank and the matroid formula r(X) + r(E-X) - r(E) + 1, on
 multigraphs with loops and vertices that only carry loops.  Checks: the
 first witness of the lane submodularity and unit-increment checks against
-per-triple loops, on perturbed tables.  Scans: `lam_at_most` against a
-filter, with and without a byte table, and `lam_flags` against one lam call
-per mask on shuffled lists with repeats.
+per-triple loops, on perturbed tables and on scaled and shifted copies
+whose lanes are wider than a byte.  Scans: `lam_at_most` against a filter,
+with and without a byte table, and `lam_flags` against one lam call per
+mask on shuffled lists with repeats; neither calls lam.
 """
 
 import pytest
@@ -15,10 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangleforge import ConnectivitySystem, RankFunction
-from tangleforge.core import (_lane_submodularity_failure, _lane_table,
-                              _lane_unit_increment_failure,
-                              _local_submodularity_failure, verify_connectivity_axioms,
-                              verify_rank_axioms)
+from tangleforge.core import (_lane_submodularity_failure, _lane_unit_increment_failure,
+                              _lanes, verify_connectivity_axioms, verify_rank_axioms)
 from tangleforge.errors import PreconditionFailed
 
 MAX_EDGES = 12
@@ -128,7 +127,7 @@ def test_negative_lambda_from_an_unverified_rank_table():
 @st.composite
 def perturbed_tables(draw):
     """A graph's boundary count, a few entries nudged by -2..2 and kept
-    within the lane range, so the lane checks apply."""
+    within 0..63, so the lanes are one byte wide."""
     edges = draw(multigraphs.filter(lambda e: len(e) <= 8))
     n = len(edges)
     table = [boundary_count(edges, x) for x in range(1 << n)]
@@ -140,43 +139,58 @@ def perturbed_tables(draw):
     return n, table
 
 
-@settings(max_examples=100, deadline=None)
-@given(perturbed_tables())
-def test_lane_checks_report_the_first_witness(case):
-    n, table = case
-    lanes = _lane_table(bytes(table))
-    assert lanes is not None
-    want = first_local_failure(table.__getitem__, n)
-    assert _lane_submodularity_failure(lanes, n) == want
-    assert _local_submodularity_failure(table.__getitem__, n) == want
-    assert _lane_unit_increment_failure(lanes, n) == first_unit_step_failure(table.__getitem__, n)
+# c * v + d takes the values past a byte or below zero: lanes of two or
+# more bytes, or one-byte lanes built without a byte table.
+scales = st.integers(2, 40)
+shifts = st.integers(-500, 500)
 
 
 @settings(max_examples=100, deadline=None)
-@given(perturbed_tables())
-def test_axiom_reports_match_literal_loops(case):
+@given(perturbed_tables(), scales, shifts)
+def test_lane_checks_report_the_first_witness(case, c, d):
     n, table = case
+    scaled = [c * v + d for v in table]
+    for values in (bytes(table), scaled):
+        lanes, w = _lanes(values)
+        assert _lane_submodularity_failure(lanes, n, w) == first_local_failure(
+            values.__getitem__, n)
+        assert _lane_unit_increment_failure(lanes, n, w) == first_unit_step_failure(
+            values.__getitem__, n)
+
+
+def connectivity_report(values, n):
+    """The symmetry or submodularity witness the literal loops give."""
     full = (1 << n) - 1
-    report = verify_connectivity_axioms(ConnectivitySystem.from_table(n, table, verify=False))
-    # A constant shift keeps both axioms and every witness, and takes the
-    # values past LANE_MAX, so the per-mask walk runs instead.
-    shifted = ConnectivitySystem.from_table(n, [v + 100 for v in table], verify=False)
-    assert verify_connectivity_axioms(shifted) == report
-    asymmetric = [x for x in range(1 << n) if table[x] != table[full ^ x]]
+    asymmetric = [x for x in range(1 << n) if values[x] != values[full ^ x]]
     if asymmetric:
-        assert [(v.axiom, v.witness) for v in report] == [("symmetry", (asymmetric[0],))]
-    else:
-        bad = first_local_failure(table.__getitem__, n)
-        want = [] if bad is None else [("submodularity", (bad[0] | bad[1], bad[0] | bad[2]))]
-        assert [(v.axiom, v.witness) for v in report] == want
-    rank_report = verify_rank_axioms(RankFunction.from_table(n, table, verify=False))
-    want = [("rank_empty", (0,))] if table[0] else []
-    step = first_unit_step_failure(table.__getitem__, n)
+        return [("symmetry", (asymmetric[0],))]
+    bad = first_local_failure(values.__getitem__, n)
+    return [] if bad is None else [("submodularity", (bad[0] | bad[1], bad[0] | bad[2]))]
+
+
+def rank_report(values, n):
+    want = [("rank_empty", (0,))] if values[0] else []
+    step = first_unit_step_failure(values.__getitem__, n)
     if step:
         want.append(("rank_unit_increment", step))
-    elif first_local_failure(table.__getitem__, n):
-        want.append(("rank_submodular", first_local_failure(table.__getitem__, n)))
-    assert [(v.axiom, v.witness) for v in rank_report] == want
+    elif first_local_failure(values.__getitem__, n):
+        want.append(("rank_submodular", first_local_failure(values.__getitem__, n)))
+    return want
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_tables(), scales, shifts)
+def test_axiom_reports_match_literal_loops(case, c, d):
+    n, table = case
+    for values in (table, [c * v + d for v in table]):
+        report = verify_connectivity_axioms(ConnectivitySystem.from_table(n, values,
+                                                                          verify=False))
+        assert [(v.axiom, v.witness) for v in report] == connectivity_report(values, n)
+    # a scaled table fails unit increment at its first step, so rank
+    # tables are only shifted
+    for values in (table, [v + d for v in table]):
+        report = verify_rank_axioms(RankFunction.from_table(n, values, verify=False))
+        assert [(v.axiom, v.witness) for v in report] == rank_report(values, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,6 +240,26 @@ def test_flags_match_lam_on_a_list_table(table, k, data):
     system = ConnectivitySystem.from_table(n, table, verify=False)
     masks = shuffled_with_repeats(data, n)
     assert system.lam_flags(k, masks) == bytes(table[x] <= k for x in masks)
+
+
+@pytest.mark.parametrize("table", [
+    [300 + 7 * bin(x).count("1") * (4 - bin(x).count("1")) for x in range(16)],
+    [100 * bin(x).count("1") * (4 - bin(x).count("1")) - 50 for x in range(16)],
+], ids=["above-255", "negative"])
+def test_scans_of_a_table_without_bytes_make_no_lam_call(table):
+    system = ConnectivitySystem.from_table(4, table, verify=False)
+    assert system._bytes is None
+
+    def no_lam(mask):
+        raise AssertionError("a scan called lam")
+
+    system.lam = no_lam
+    masks = [5, 3, 12, 5, 0]
+    for k in sorted(set(table)) + [min(table) - 1]:
+        assert system.lam_at_most(k, range(1, 16, 2)) == [x for x in range(1, 16, 2)
+                                                          if table[x] <= k]
+        assert system.lam_flags(k, masks) == bytes(table[x] <= k for x in masks)
+        assert system.k_separating(k) == sum(1 << x for x in range(16) if table[x] <= k)
 
 
 @pytest.mark.parametrize("build", [
