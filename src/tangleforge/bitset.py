@@ -39,7 +39,7 @@ def elements_of(mask: int) -> List[int]:
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def complement(mask: int, n: int) -> int:
@@ -101,6 +101,12 @@ def maximal_family(family: int, n: int) -> int:
     for i, absent in enumerate(element_absent(n)):
         below |= ((family | below) >> (1 << i)) & absent
     return family & ~below
+
+
+def complements(family: int, n: int) -> int:
+    """{E - x : x in family}.  E - x is 2^n - 1 - x, so this reverses the
+    2^n bits of the family."""
+    return int(format(family, f"0{1 << n}b")[::-1], 2)
 
 
 def disjoint_from(family: int, mask: int, n: int) -> int:

@@ -14,7 +14,8 @@ import sys as _sys
 
 from .bitset import elements_of
 from .core import verify_connectivity_axioms
-from .closure import Separation, build_default_S, full_closure, TreeCompatibleSet
+from .closure import (Separation, TreeCompatibleSet, build_default_S, full_closure,
+                      verify_tree_compatible)
 from .dot import flower_to_dot, tree_to_dot
 from .errors import (NonRobustObstruction, PreconditionFailed, SearchSpaceTooLarge,
                      TangleforgeError)
@@ -117,13 +118,17 @@ def _resolve_tangle(system, args) -> Tangle:
         tangle = tangle_from_json(system, json.load(fh))
     report = verify_tangle(system, tangle)
     if report:
-        raise TangleReportError(report)
+        raise InputReportError("invalid_tangle", report)
     return tangle
 
 
-class TangleReportError(TangleforgeError):
-    def __init__(self, report):
-        super().__init__("tangle fails the axioms")
+class InputReportError(TangleforgeError):
+    """A --tangle or --S file that fails its axioms; `error` names which
+    (invalid_tangle or invalid_S) and `report` lists the violations."""
+
+    def __init__(self, error, report):
+        super().__init__(f"{error}: the file fails its axioms")
+        self.error = error
         self.report = report
 
 
@@ -132,7 +137,11 @@ def _resolve_S(system, tangle, args) -> TreeCompatibleSet:
         return build_default_S(system, tangle)
     with open(args.s_mode) as fh:
         masks = explicit_s_from_json(system, json.load(fh))
-    return TreeCompatibleSet(system, tangle, mode="explicit", explicit=masks)
+    s_family = TreeCompatibleSet(system, tangle, mode="explicit", explicit=masks)
+    report = verify_tree_compatible(system, tangle, s_family)
+    if report:
+        raise InputReportError("invalid_S", report)
+    return s_family
 
 
 def _parse_elements(system, text: str) -> int:
@@ -261,8 +270,8 @@ def run(argv) -> int:
     except SearchSpaceTooLarge as exc:
         _emit(dumps({"error": "search_space_too_large", "detail": str(exc)}))
         return EXIT_TOO_LARGE
-    except TangleReportError as exc:
-        _emit(dumps({"error": "invalid_tangle",
+    except InputReportError as exc:
+        _emit(dumps({"error": exc.error,
                      "report": [v.to_json() for v in exc.report]}))
         return EXIT_VERIFY
     except NonRobustObstruction as exc:

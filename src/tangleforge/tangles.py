@@ -9,10 +9,10 @@ A tangle of order k in (E, lam) is a collection T of subsets with
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 from typing import Iterable, List, Optional, Tuple
 
-from .bitset import down_closure, elements_of, flags, join, maximal_masks, popcount
+from .bitset import complements, down_closure, elements_of, flags, join, maximal_masks
 from .core import NODE_CAP, ConnectivitySystem, Violation, is_vertically_k_connected
 from .errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 
@@ -22,9 +22,11 @@ class Tangle:
 
     Immutable after construction apart from caches.  The weak family, every
     subset of a member as a 2^n-bit int, is built on first use together with
-    a copy of one byte per mask, so the weak test is one index.  The
-    full-closure cache and the robustness verdict live here because both are
-    functions of (sys, T).
+    a copy of one byte per mask, so the weak test is one index.  The pair
+    family (every subset of a union of two members), the full-closure cache
+    and the robustness verdict live here because all are functions of
+    (sys, T): (T3) verification and the robustness test share the pair
+    family.
     """
 
     def __init__(self, sys: ConnectivitySystem, k: int, members: Iterable[int]):
@@ -39,6 +41,7 @@ class Tangle:
         self._robust: Optional[bool] = None
         self._weak_family: Optional[int] = None
         self._weak_flags: Optional[bytes] = None
+        self._pair_family: Optional[int] = None
 
     @property
     def weak_family(self) -> int:
@@ -49,6 +52,18 @@ class Tangle:
                 family |= down_closure(m)
             self._weak_family = family
         return self._weak_family
+
+    @property
+    def pair_family(self) -> int:
+        """Every subset of a union of two members (repetition allowed): the
+        weak family joined with each maximal member."""
+        if self._pair_family is None:
+            weak, n = self.weak_family, self.sys.n
+            family = 0
+            for m in self.maximal_members:
+                family |= join(weak, m, n)
+            self._pair_family = family
+        return self._pair_family
 
     def is_weak(self, x: int) -> bool:
         table = self._weak_flags
@@ -77,25 +92,37 @@ class Tangle:
 def verify_tangle(sys: ConnectivitySystem, tangle: Tangle) -> List[Violation]:
     """Report every axiom violation with a witness; empty iff a tangle.
 
-    (T3) is checked over triples of maximal members only: any covering
-    triple of members is dominated by the maximal members above them.
-    (T2) enumerates all X with lam(X) <= k-1.
+    Violations come axiom by axiom, each list ascending, without a lam call
+    or a walk over all masks:
+    (T1) the members whose lam <= k-1 flag is clear;
+    (T2) the (k-1)-separating masks without element n-1, less the members
+    and their complements, as one 2^n-bit family;
+    (T3) any covering triple of members is dominated by maximal members,
+    and maximal a, b, c cover E iff E - c is in the pair family, so one
+    test per maximal member decides it; only then are the triples of
+    maximal members walked, to report the first covering one;
+    (T4) the members among the co-singletons.
     """
-    k = tangle.k
-    out = []
-    for a in sorted(tangle.members):
-        if sys.lam(a) >= k:
-            out.append(Violation("T1", (a,)))
-    full = sys.full
-    # one side of each pair: the one without n-1
-    for x in sys.lam_at_most(k - 1, range(1 << (sys.n - 1))):
-        if x not in tangle.members and full ^ x not in tangle.members:
-            out.append(Violation("T2", (x,)))
-    for a, b, c in combinations_with_replacement(sorted(tangle.maximal_members), 3):
-        if a | b | c == full:
-            out.append(Violation("T3", (a, b, c)))
-            break
-    for e in range(sys.n):
+    k, n, full = tangle.k, sys.n, sys.full
+    members = sorted(tangle.members)
+    out = [Violation("T1", (a,))
+           for a, below in zip(members, sys.lam_flags(k - 1, members)) if not below]
+    family = 0
+    for m in members:
+        family |= 1 << m
+    half = 1 << (n - 1)  # one side of each pair: the one without n-1
+    unoriented = (sys.k_separating(k - 1) & ((1 << half) - 1)
+                  & ~(family | complements(family, n)))
+    if unoriented:
+        out += [Violation("T2", (x,)) for x in compress(range(half), flags(unoriented, n))]
+    maximal = sorted(tangle.maximal_members)
+    two = tangle.pair_family
+    if any(two >> (full ^ c) & 1 for c in maximal):
+        for a, b, c in combinations_with_replacement(maximal, 3):
+            if a | b | c == full:
+                out.append(Violation("T3", (a, b, c)))
+                break
+    for e in range(n):
         co = full ^ (1 << e)
         if co in tangle.members:
             out.append(Violation("T4", (co,)))
@@ -114,20 +141,23 @@ def is_robust(tangle: Tangle) -> bool:
 
 def _no_eight_members_cover(tangle: Tangle) -> bool:
     """Every member lies in a maximal one, so E is a union of eight members
-    iff it lies in the down-closed family C_8, where C_1 is the weak family
-    and C_{j+1} joins C_j with each maximal member.
+    iff it lies in the down-closed family C_8, where C_1 is the weak family,
+    C_2 the pair family and C_{j+1} joins C_j with each maximal member.
+    The rounds stop at the first family that holds E.
     """
-    n = tangle.sys.n
+    n, full = tangle.sys.n, tangle.sys.full
     maximal = tangle.maximal_members
-    covered = tangle.weak_family
-    for _ in range(7):
+    covered = tangle.pair_family
+    for _ in range(6):
+        if covered >> full & 1:
+            break
         grown = 0
         for m in maximal:
             grown |= join(covered, m, n)
         if grown == covered:
             break  # closed under further unions
         covered = grown
-    return not covered >> tangle.sys.full & 1
+    return not covered >> full & 1
 
 
 def canonical_vertical_tangle(sys: ConnectivitySystem, k: int) -> Tangle:
@@ -167,12 +197,11 @@ def enumerate_tangles(sys: ConnectivitySystem, k: int) -> List[Tangle]:
     """
     n = sys.n
     full = sys.full
-    pairs = []
-    # one side of each pair: the one without n-1
-    for x in sys.lam_at_most(k - 1, range(1 << (n - 1))):
-        small, big = sorted((x, full ^ x), key=lambda m: (popcount(m), m))
-        pairs.append((small, big))
-    pairs.sort(key=lambda p: (popcount(p[0]), p[0]))
+    # One side of each pair: x, the one without n-1.  So x < E - x, and x
+    # is the small side iff it has at most half the elements.
+    pairs = [(x, full ^ x) if x.bit_count() <= n // 2 else (full ^ x, x)
+             for x in sys.lam_at_most(k - 1, range(1 << (n - 1)))]
+    pairs.sort(key=lambda p: (p[0].bit_count(), p[0]))
 
     results: List[Tangle] = []
     chosen: List[int] = []
@@ -200,7 +229,7 @@ def enumerate_tangles(sys: ConnectivitySystem, k: int) -> List[Tangle]:
         sides, one, two = stack[-1]
         for side in sides:
             # T4 (and E itself), then T3
-            if popcount(side) < n - 1 and not two >> (full ^ side) & 1:
+            if side.bit_count() < n - 1 and not two >> (full ^ side) & 1:
                 break
         else:
             stack.pop()

@@ -5,13 +5,14 @@ exhaustive.  Masks in tests use 0-based element indices; for the cube
 matroid the traditional 1-based vertex labels go through `lab`.
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from tangleforge import (ConnectivitySystem, RankFunction, build_r8_rank,
                          enumerate_tangles)
 from tangleforge.closure import Separation, build_default_S
+from tangleforge.core import Violation
 from tangleforge.errors import DichotomyViolation, ViolationFound
 from tangleforge.flowers import (ANEMONE, DAISY, Flower, _is_cyclic_run, classify,
                                  displayed_separations)
@@ -275,6 +276,32 @@ def assert_flower_scans_match(system, petals, k):
     assert _displayed_unions(new, k, petals) == literal_displayed_unions(ref, k, petals)
     assert new.calls == ref.calls
     return verdict
+
+
+def reference_verify_tangle(sys, tangle):
+    """Every axiom violation with a witness, by the literal walks: one lam
+    call per member (T1), every (k-1)-separating side without element n-1
+    looked up in the members (T2), and the triples of maximal members in
+    order until one covers E (T3)."""
+    k = tangle.k
+    out = []
+    for a in sorted(tangle.members):
+        if sys.lam(a) >= k:
+            out.append(Violation("T1", (a,)))
+    full = sys.full
+    # one side of each pair: the one without n-1
+    for x in sys.lam_at_most(k - 1, range(1 << (sys.n - 1))):
+        if x not in tangle.members and full ^ x not in tangle.members:
+            out.append(Violation("T2", (x,)))
+    for a, b, c in combinations_with_replacement(sorted(tangle.maximal_members), 3):
+        if a | b | c == full:
+            out.append(Violation("T3", (a, b, c)))
+            break
+    for e in range(sys.n):
+        co = full ^ (1 << e)
+        if co in tangle.members:
+            out.append(Violation("T4", (co,)))
+    return out
 
 
 def unique_tangle(sys, k):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from tangleforge.bitset import (byte_lanes, complement, disjoint_from, down_closure,
-                                elements_of, family_of, flags, full_mask, join,
-                                mask_of, maximal_family, maximal_masks,
+from tangleforge.bitset import (byte_lanes, complement, complements, disjoint_from,
+                                down_closure, elements_of, family_of, flags, full_mask,
+                                join, mask_of, maximal_family, maximal_masks,
                                 popcount, popcount_layers, submasks, up_closure)
 
 
@@ -34,6 +34,17 @@ def test_set_ops_closed_under_full_mask():
 def test_complement_involution():
     for m in range(1 << 6):
         assert complement(complement(m, 6), 6) == m
+
+
+def test_complements_match_member_definition():
+    rng = random.Random(11)
+    for n in range(1, 7):
+        full = full_mask(n)
+        for _ in range(30):
+            family = rng.getrandbits(1 << n)
+            want = sum(1 << (full ^ x) for x in range(1 << n) if family >> x & 1)
+            assert complements(family, n) == want
+        assert complements(0, n) == 0
 
 
 def test_submasks_count_and_membership():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from tangleforge.bitset import elements_of
 from tangleforge.cli import _parser, run
 from tangleforge.core import MAX_N
 
@@ -276,6 +277,29 @@ def test_invalid_tangle_file_reports_witness(inputs, tmp_path, capsys):
     data = json.loads(out)
     assert data["error"] == "invalid_tangle"
     assert any(v["axiom"] == "T3" for v in data["report"])
+
+
+def test_S_file_that_is_not_tree_compatible_is_refused(inputs, tmp_path, capsys):
+    # {0,1} is in S but the strong side {0,1,2} above it is not: (S2)
+    spath = tmp_path / "bad_S.json"
+    spath.write_text(json.dumps({"sets": [[0, 1], [2, 3, 4, 5]]}))
+    code, out = invoke(capsys, ["tree", "--input", inputs["c6.json"], "--k", "2",
+                                "--S", str(spath), "--verify"])
+    assert code == 2
+    data = json.loads(out)
+    assert data["error"] == "invalid_S"
+    assert data["report"][0] == {"axiom": "S2", "witness": [[0, 1], [0, 1, 2]]}
+
+
+def test_S_file_copying_the_default_is_accepted(ctx_c6, inputs, tmp_path, capsys):
+    sys = ctx_c6.sys
+    sets = [elements_of(x) for x in range(1 << sys.n) if ctx_c6.S.contains(x)]
+    spath = tmp_path / "default_S.json"
+    spath.write_text(json.dumps({"sets": sets}))
+    argv = ["tree", "--input", inputs["c6.json"], "--k", "2", "--verify"]
+    code, out = invoke(capsys, argv + ["--S", str(spath)])
+    assert code == 0
+    assert out == invoke(capsys, argv)[1]
 
 
 def test_separations_verify(inputs, capsys, monkeypatch):

@@ -1,9 +1,10 @@
-"""Property tests: the bit-family tangle search and robustness test against
-literal definitions.
+"""Property tests: the bit-family tangle search, verification and
+robustness test against literal definitions.
 
 `is_robust` must agree with a search over every choice of at most eight
-maximal members, and `enumerate_tangles` with trying every orientation of
-the (k-1)-separations and keeping those `verify_tangle` accepts.
+maximal members, `enumerate_tangles` with trying every orientation of the
+(k-1)-separations and keeping those `verify_tangle` accepts, and
+`verify_tangle` with the literal walks of `reference_verify_tangle`.
 """
 
 from itertools import combinations, product
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from tangleforge import ConnectivitySystem, enumerate_tangles, is_robust, verify_tangle
 from tangleforge.bitset import submasks
 from tangleforge.tangles import Tangle
+
+from conftest import reference_verify_tangle
 
 MAX_N = 8
 MAX_EDGES = 8
@@ -105,3 +108,32 @@ def test_enumerate_tangles_matches_brute_force(edges):
             continue
         got = [t.member_key() for t in enumerate_tangles(system, k)]
         assert got == brute_force_tangles(system, k, pairs)
+
+
+@st.composite
+def member_sets(draw):
+    """A small graph system, an order 1-4 and a member set: half of the
+    draws take an enumerated tangle of that order (or none) with a few
+    masks added and a few members removed, the rest a few random masks."""
+    system = ConnectivitySystem.graph(draw(graphs()), verify=False)
+    k = draw(st.integers(1, 4))
+    mask = st.integers(0, system.full)
+    if draw(st.booleans()):
+        found = [sorted(t.members) for t in enumerate_tangles(system, k)]
+        members = set(draw(st.sampled_from(found))) if found else set()
+        if members:
+            members -= set(draw(st.lists(st.sampled_from(sorted(members)), max_size=3)))
+        members |= set(draw(st.lists(mask, max_size=3)))
+    else:
+        members = set(draw(st.lists(mask, max_size=12)))
+    return system, k, members
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=member_sets())
+@example(drawn=(ConnectivitySystem.graph(K4, verify=False), 3, {0b000001, 0b111110}))
+def test_verify_tangle_matches_literal_walks(drawn):
+    # same axioms, witnesses and order; separate tangles, so no cache is shared
+    system, k, members = drawn
+    got = verify_tangle(system, Tangle(system, k, members))
+    assert got == reference_verify_tangle(system, Tangle(system, k, members))

@@ -236,3 +236,29 @@ class TestInvariants:
             for t in enumerate_tangles(sys, k):
                 if is_robust(t):
                     assert verify_tangle(sys, t) == []
+
+
+class TestCost:
+    """U_{3,12} at order 4: one tangle with 66 maximal members."""
+
+    @pytest.fixture(scope="class")
+    def u3_12_tangle(self):
+        sys = ConnectivitySystem.matroid(RankFunction.uniform(3, 12), verify=False)
+        (tangle,) = enumerate_tangles(sys, 4)
+        assert len(tangle.maximal_members) == 66
+        return tangle
+
+    def test_verify_walks_no_triple_when_none_covers(self, u3_12_tangle, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("(T3) walked the triples of maximal members")
+        monkeypatch.setattr(tangles, "combinations_with_replacement", refuse)
+        tangle = Tangle(u3_12_tangle.sys, 4, u3_12_tangle.members)
+        assert verify_tangle(tangle.sys, tangle) == []
+
+    def test_robustness_stops_at_the_first_family_holding_E(self, u3_12_tangle,
+                                                            monkeypatch):
+        calls = []
+        join = tangles.join
+        monkeypatch.setattr(tangles, "join", lambda *a: calls.append(a) or join(*a))
+        assert not is_robust(Tangle(u3_12_tangle.sys, 4, u3_12_tangle.members))
+        assert len(calls) == 330  # C_2 to C_6, 66 joins each; E is first in C_6
