@@ -8,7 +8,6 @@ the R_8 polymatroid family, or explicit tables.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -425,10 +424,14 @@ class ConnectivitySystem:
         lam <= k, without a lam call.  A mask outside the ground set raises
         PreconditionFailed."""
         flags = self._flags(k)
+        # the least mask of a range is one of its ends; a negative mask
+        # would index from the end of the table, so it is refused here
+        ends = (masks[0], masks[-1]) if isinstance(masks, range) and masks else masks
+        if ends and min(ends) < 0:
+            raise PreconditionFailed("mask outside ground set")
         try:
-            array("Q", masks)  # a negative mask does not fit: OverflowError
             return _select(flags, masks)
-        except (OverflowError, IndexError):
+        except IndexError:
             raise PreconditionFailed("mask outside ground set") from None
 
     def k_separating(self, k: int) -> int:

@@ -14,7 +14,13 @@ fully closed (that predicate evaluated on all 2^n masks once per tangle)
 rather than walk the supersets of X.  A memo table of such a
 predicate is allowed, as long as each entry is what the literal walk
 returns (the weak set below is the definition "X lies inside a member"
-computed once per tangle by a submask walk of each member).  A flower
+computed once per tangle by a submask walk of each member).  Every walk
+over all 2^n masks reads the literal predicate lam <= k from two tables kept
+per tangle, one per parity of the mask, each built on first use with one
+lam call per mask of its parity (`_oracle_sep`).  The classes are kept
+per S, keyed by the explicit family or None for default S and never by
+the S object, which holds the tangle (`_oracle_classes`, and likewise
+each flower's classes in `_oracle_shown`).  A flower
 scan may read its petal unions from a list that each petal doubles, and
 its one-run index masks from a table kept per petal count: both depend
 only on petal indices, never on the system.  One scan of a flower's
@@ -88,16 +94,31 @@ def _fully_closed(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
     return closed
 
 
+def _sep_table(sys: ConnectivitySystem, tangle: Tangle, parity: int) -> List[int]:
+    """Every mask of the given parity with lam <= k, ascending: the literal
+    predicate, one lam call per mask of that parity, tabulated on first use
+    once per tangle in `_oracle_sep`."""
+    tables = tangle.__dict__.setdefault("_oracle_sep", {})
+    table = tables.get(parity)
+    if table is None:
+        k = tangle.k
+        lam = sys.lam
+        table = tables[parity] = [x for x in range(parity, 1 << sys.n, 2) if lam(x) <= k]
+    return table
+
+
+def _all_separating(sys: ConnectivitySystem, tangle: Tangle) -> List[int]:
+    """Every mask with lam <= k, ascending: the two parity tables merged."""
+    return sorted(_sep_table(sys, tangle, 0) + _sep_table(sys, tangle, 1))
+
+
 def _closed_sets(sys: ConnectivitySystem, tangle: Tangle) -> List[int]:
     """Every F with lam(F) <= k and `_fully_closed(F)`, ascending: the
     literal predicate tabulated over all 2^n masks once per tangle in
     `_oracle_fc_table`."""
     table = tangle.__dict__.get("_oracle_fc_table")
     if table is None:
-        k = tangle.k
-        lam = sys.lam
-        table = [f for f in range(1 << sys.n)
-                 if lam(f) <= k and _fully_closed(sys, tangle, f)]
+        table = [f for f in _all_separating(sys, tangle) if _fully_closed(sys, tangle, f)]
         tangle._oracle_fc_table = table
     return table
 
@@ -138,27 +159,44 @@ def oracle_full_closure(sys: ConnectivitySystem, tangle: Tangle, x: int) -> int:
     return acc
 
 
+def _family_key(s_family: Optional[TreeCompatibleSet]) -> Optional[FrozenSet[int]]:
+    """The explicit family itself, or None for default S: a memo key that
+    holds no reference to the tangle."""
+    if s_family is not None and s_family.mode == "explicit":
+        return s_family._explicit
+    return None
+
+
+def _co_qualifies(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
+    """The rest of default membership once lam(X) <= k is known: E-X is
+    strong and its closure is not E."""
+    co = sys.full ^ x
+    return not _weak(tangle, co) and oracle_full_closure(sys, tangle, co) != sys.full
+
+
 def _in_S(sys: ConnectivitySystem, tangle: Tangle,
           s_family: Optional[TreeCompatibleSet], x: int) -> bool:
     """Membership recomputed from the definition for default mode; explicit
     families are raw data, taken as given."""
-    if s_family is not None and s_family.mode == "explicit":
-        return x in s_family._explicit
-    co = sys.full ^ x
-    return (sys.lam(x) <= tangle.k and not _weak(tangle, co)
-            and oracle_full_closure(sys, tangle, co) != sys.full)
+    explicit = _family_key(s_family)
+    if explicit is not None:
+        return x in explicit
+    return sys.lam(x) <= tangle.k and _co_qualifies(sys, tangle, x)
 
 
 def oracle_kS_separations(sys: ConnectivitySystem, tangle: Tangle,
                           s_family: Optional[TreeCompatibleSet] = None) -> List[Separation]:
+    """The (k,S)-separations by their odd side, ascending.  Default S walks
+    the tangle's odd k-separating table; an explicit family walks its own
+    odd members inside the ground set."""
     _guard(sys)
-    out = []
-    for x in range(1 << sys.n):
-        if not x & 1:
-            continue
-        if _in_S(sys, tangle, s_family, x) and _in_S(sys, tangle, s_family, sys.full ^ x):
-            out.append(Separation(x, tangle.k))
-    return out
+    full, k = sys.full, tangle.k
+    explicit = _family_key(s_family)
+    if explicit is not None:
+        return [Separation(x, k) for x in sorted(explicit)
+                if x & 1 and 0 < x <= full and full ^ x in explicit]
+    return [Separation(x, k) for x in _sep_table(sys, tangle, 1)
+            if _co_qualifies(sys, tangle, x) and _in_S(sys, tangle, None, full ^ x)]
 
 
 def _oracle_key(sys: ConnectivitySystem, tangle: Tangle, sep: Separation) -> FrozenSet[int]:
@@ -169,14 +207,21 @@ def _oracle_key(sys: ConnectivitySystem, tangle: Tangle, sep: Separation) -> Fro
 
 def oracle_classes(sys: ConnectivitySystem, tangle: Tangle,
                    s_family: Optional[TreeCompatibleSet] = None) -> List[List[Separation]]:
-    """T-equivalence classes of the (k,S)-separations, by closure pairs."""
-    groups: Dict[FrozenSet[int], List[Separation]] = {}
-    for sep in oracle_kS_separations(sys, tangle, s_family):
-        groups.setdefault(_oracle_key(sys, tangle, sep), []).append(sep)
-    classes = sorted(groups.values(), key=lambda g: min(s.side for s in g))
-    for cls in classes:
-        cls.sort()
-    return classes
+    """T-equivalence classes of the (k,S)-separations, by closure pairs.
+
+    Memoized per S in `_oracle_classes`, keyed by `_family_key`; each call
+    gets its own lists."""
+    memo = tangle.__dict__.setdefault("_oracle_classes", {})
+    key = _family_key(s_family)
+    classes = memo.get(key)
+    if classes is None:
+        groups: Dict[FrozenSet[int], List[Separation]] = {}
+        for sep in oracle_kS_separations(sys, tangle, s_family):
+            groups.setdefault(_oracle_key(sys, tangle, sep), []).append(sep)
+        classes = memo[key] = sorted(groups.values(), key=lambda g: min(s.side for s in g))
+        for cls in classes:
+            cls.sort()
+    return [list(cls) for cls in classes]
 
 
 # -- flower enumeration ----------------------------------------------------
@@ -330,12 +375,13 @@ def s_order(sys: ConnectivitySystem, tangle: Tangle,
     Zero classes give 1, one class gives 2; otherwise exhaustive flower
     enumeration at desk scale decides, which may raise SearchSpaceTooLarge.
     The flowers and each flower's classes are memoized on the tangle
-    (`_oracle_flowers`, and `_oracle_shown` per S family).
+    (`_oracle_flowers`, and `_oracle_shown` keyed by `_family_key`).
     """
     memo = tangle.__dict__.setdefault("_oracle_shown", {})
+    family = _family_key(s_family)
 
     def shown(g: Flower) -> Set[FrozenSet[int]]:
-        key = (s_family, g.k, g.petals)
+        key = (family, g.k, g.petals)
         if key not in memo:
             memo[key] = _class_keys(sys, tangle, s_family,
                                     _displayed_unions(sys, g.k, g.petals))
@@ -557,8 +603,8 @@ def differential_report(sys: ConnectivitySystem, tangle: Tangle,
 
     _guard(sys)
     report = OracleReport(sys.kind, sys.n, tangle.k)
-    for x in range(1 << sys.n):
-        if sys.lam(x) <= tangle.k and not _weak(tangle, x):
+    for x in _all_separating(sys, tangle):
+        if not _weak(tangle, x):
             got = full_closure(sys, tangle, x)
             want = oracle_full_closure(sys, tangle, x)
             report.closure_checks += 1

@@ -17,7 +17,7 @@ from tangleforge.errors import DichotomyViolation, ViolationFound
 from tangleforge.flowers import (ANEMONE, DAISY, Flower, _is_cyclic_run, classify,
                                  displayed_separations)
 from tangleforge.oracle import (_displayed_unions, _flower_class_literal, _fully_closed,
-                               _weak_set, oracle_full_closure)
+                               _in_S, _weak_set, oracle_full_closure)
 from tangleforge.tangles import Tangle
 
 
@@ -151,6 +151,16 @@ def assert_walks_are_literal(sys, tangle):
                 oracle_full_closure(sys, tangle, x)
         else:
             assert oracle_full_closure(sys, tangle, x) == want
+
+
+def reference_kS_separations(sys, tangle, s_family=None):
+    """The (k,S)-separations by their odd side, by the walk over every odd
+    mask of the ground set with one `_in_S` test per side."""
+    out = []
+    for x in range(1, 1 << sys.n, 2):
+        if _in_S(sys, tangle, s_family, x) and _in_S(sys, tangle, s_family, sys.full ^ x):
+            out.append(Separation(x, tangle.k))
+    return out
 
 
 def literal_petal_unions(petals):

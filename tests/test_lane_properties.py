@@ -268,8 +268,12 @@ def test_scans_of_a_table_without_bytes_make_no_lam_call(table):
 ], ids=["byte-table", "list-table"])
 def test_flags_refuse_masks_outside_the_ground_set(build):
     system = build()
-    for bad in ([system.full + 1], [1, -1, 2], [0, 1 << 70],
-                range(system.full - 1, system.full + 2)):
+    for bad in ([system.full + 1], [1, -1, 2], [0, 1 << 70], [3, -1], [1 << system.n],
+                range(system.full - 1, system.full + 2), range(-1, 4), range(4, -2, -1)):
         with pytest.raises(PreconditionFailed):
             system.lam_flags(1, bad)
+    for empty in ([], range(0), range(5, 5)):
+        assert system.lam_flags(1, empty) == b""
+    for masks in (range(system.full, -1, -1), range(1, system.full + 1, 3), [system.full, 0]):
+        assert system.lam_flags(1, masks) == bytes(system.lam(x) <= 1 for x in masks)
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from tangleforge import oracle
@@ -6,8 +9,8 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
 from tangleforge.closure import build_default_S
 from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 from tangleforge.flowers import Flower, classify, displayed_class_ids
-from tangleforge.oracle import (ORACLE_MAX_N, _fully_closed, _weak, _weak_set,
-                                differential_report, oracle_certify_tree,
+from tangleforge.oracle import (ORACLE_MAX_N, _fully_closed, _sep_table, _weak,
+                                _weak_set, differential_report, oracle_certify_tree,
                                 oracle_classes, oracle_flowers,
                                 oracle_full_closure, s_order)
 from tangleforge.tangles import Tangle
@@ -219,13 +222,47 @@ class TestOracleMemos:
         verdicts = [[_fully_closed(barbell, t, x) for x in masks] for t in (first, second)]
         closures = [[oracle_full_closure(barbell, t, x) for x in masks
                      if barbell.lam(x) <= 2 and not _weak(t, x)] for t in (first, second)]
+        classes = [oracle_classes(barbell, t) for t in (first, second)]
         assert verdicts[0] != verdicts[1] and closures[0] != closures[1]
+        assert classes[0] != classes[1]
         for attr in ("_oracle_weak", "_oracle_fc_cache", "_oracle_fcl_cache",
-                     "_oracle_fc_table"):
+                     "_oracle_fc_table", "_oracle_sep", "_oracle_classes"):
             assert getattr(first, attr) is not getattr(second, attr)
-        for t, got in zip((first, second), verdicts):
+        for t, got, cls in zip((first, second), verdicts, classes):
             fresh = Tangle(barbell, 2, t.members)
             assert got == [_fully_closed(barbell, fresh, x) for x in masks]
+            assert cls == oracle_classes(barbell, fresh)
+
+    @pytest.mark.parametrize("name", CTX_NAMES)
+    def test_parity_tables_are_the_lam_predicate(self, name, request):
+        ctx = request.getfixturevalue(name)
+        sys, tangle = ctx.sys, ctx.tangle
+        for parity in (0, 1):
+            assert _sep_table(sys, tangle, parity) == [
+                x for x in range(parity, 1 << sys.n, 2) if sys.lam(x) <= tangle.k]
+
+    def test_tangle_dies_by_refcount_after_the_oracle(self, c6g):
+        """No oracle memo refers back to the tangle: with the cyclic
+        collector off, the tangle is freed once its last name goes, after
+        the differential report, the certificate and the S-order."""
+        def run():
+            tangle, = enumerate_tangles(c6g, 2)
+            s_family = build_default_S(c6g, tangle)
+            tree = build_maximal_tree(c6g, tangle, s_family)
+            assert differential_report(c6g, tangle, s_family).ok
+            assert oracle_certify_tree(c6g, tangle, s_family, tree)[0]
+            f = oracle_flowers(c6g, tangle, 6)[-1]
+            assert s_order(c6g, tangle, s_family, f) == f.n == 6
+            assert "_oracle_shown" in tangle.__dict__
+            return weakref.ref(tangle)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert run()() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestLiteralWalks:
@@ -285,7 +322,9 @@ class TestOracleCost:
     The differential report on M(K5) at order 4 (classes computed first)
     asks for closures of sets that are not fully closed.  Walking all
     supersets of each such X took 27036 lam calls; intersecting the
-    table of fully closed k-separating sets, built once, takes 4291."""
+    table of fully closed k-separating sets, built once, took 4291.  With
+    every walk over the masks reading the tangle's two parity tables of
+    lam <= k, it takes 2755."""
 
     @staticmethod
     def count_lam(system):
@@ -328,6 +367,35 @@ class TestOracleCost:
         assert calls[0] <= 4400
         assert "_oracle_fc_table" in tangle.__dict__
 
+
+    @pytest.mark.parametrize("build, k, want_lam", [
+        (lambda: ConnectivitySystem.matroid(RankFunction.graphic(K5_EDGES)), 4, 0),
+        (lambda: ConnectivitySystem.graph([(i, (i + 1) % 10) for i in range(10)]), 2, 1156),
+        (lambda: ConnectivitySystem.matroid(RankFunction.uniform(7, 8)), 2, 544),
+    ], ids=["MK5", "C10", "U7_8"])
+    def test_certify_after_differential_reuses_classes(self, build, k, want_lam):
+        """The certificate reads the classes the differential report
+        computed on the same tangle and S.  Walking every odd mask again
+        made the certificates 512, 1713 and 799 lam calls."""
+        system = build()
+        tangle = enumerate_tangles(system, k)[0]
+        s_family = build_default_S(system, tangle)
+        tree = build_maximal_tree(system, tangle, s_family)
+        report = differential_report(system, tangle, s_family)
+        assert report.ok, report.disagreements
+        calls = self.count_lam(system)
+        ok, problems = oracle_certify_tree(system, tangle, s_family, tree)
+        assert ok, problems
+        assert calls[0] == want_lam
+
+    def test_returned_classes_are_copies(self, ctx_barbell):
+        sys, tangle, S = ctx_barbell.sys, ctx_barbell.tangle, ctx_barbell.S
+        got = oracle_classes(sys, tangle, S)
+        want = [list(cls) for cls in got]
+        assert want
+        got[0].clear()
+        got.append([])
+        assert oracle_classes(sys, tangle, S) == want
 
     def test_anemone_partition_classified_once(self, monkeypatch):
         """An anemone's verdict and dedup key do not depend on the cyclic

@@ -10,7 +10,8 @@ an anemone, and four petals take about 1.5 s there against 0.3 s for three.
 The oracle's flower scans are also checked against their per-bit
 references on random petal partitions of random multigraphs, and its
 fully-closed test and full closure against the exhaustive walks on every
-mask.
+mask, and its (k,S)-separations against the walk over every odd mask, for
+default S and for random explicit families.
 """
 
 from itertools import combinations
@@ -20,11 +21,13 @@ from hypothesis import strategies as st
 
 from tangleforge import (ConnectivitySystem, RankFunction, build_default_S,
                          build_maximal_tree, enumerate_tangles, is_robust)
+from tangleforge.closure import TreeCompatibleSet
 from tangleforge.oracle import (_weak, differential_report, oracle_certify_tree,
-                               oracle_full_closure)
+                               oracle_full_closure, oracle_kS_separations)
 from tangleforge.tangles import Tangle
 
-from conftest import assert_flower_scans_match, assert_walks_are_literal
+from conftest import (assert_flower_scans_match, assert_walks_are_literal,
+                      reference_kS_separations)
 
 MAX_EDGES = 9
 MAX_PETALS = 4
@@ -106,3 +109,28 @@ def test_closures_match_the_literal_walks(edges, k):
                 oracle_full_closure(system, fresh, x)
         event("table built" if "_oracle_fc_table" in fresh.__dict__ else "no table")
         assert_walks_are_literal(system, tangle)
+
+
+@settings(max_examples=50, deadline=None)
+@given(edges=multigraphs(), k=st.sampled_from([2, 3]), data=st.data())
+def test_kS_separations_match_the_odd_mask_walk(edges, k, data):
+    """Default S on fresh memos, then an explicit family per tangle: random
+    masks of the ground set, some with their complements, so that members
+    need not be k-separating and some complements are missing, and odd
+    masks past the ground set paired with their complements."""
+    system = ConnectivitySystem.graph(edges, verify=False)
+    n, full = system.n, system.full
+    for tangle in enumerate_tangles(system, k):
+        fresh = Tangle(system, k, tangle.members)
+        assert (oracle_kS_separations(system, fresh)
+                == reference_kS_separations(system, Tangle(system, k, tangle.members)))
+        masks = data.draw(st.lists(st.integers(0, full), min_size=4, max_size=24))
+        paired = data.draw(st.lists(st.booleans(), min_size=len(masks), max_size=len(masks)))
+        outside = data.draw(st.lists(st.integers(1 << n, 1 << (n + 1)), max_size=3))
+        family = set(masks)
+        family |= {full ^ x for x, both in zip(masks, paired) if both}
+        family |= {x | 1 for x in outside} | {full ^ (x | 1) for x in outside}
+        explicit = TreeCompatibleSet(system, fresh, mode="explicit", explicit=family)
+        got = oracle_kS_separations(system, fresh, explicit)
+        assert got == reference_kS_separations(system, fresh, explicit)
+        event(f"{len(got)} explicit separations" if len(got) < 3 else "3+ explicit separations")
