@@ -137,7 +137,7 @@ def _resolve_S(system, tangle, args) -> TreeCompatibleSet:
         return build_default_S(system, tangle)
     with open(args.s_mode) as fh:
         masks = explicit_s_from_json(system, json.load(fh))
-    s_family = TreeCompatibleSet(system, tangle, mode="explicit", explicit=masks)
+    s_family = TreeCompatibleSet(system, tangle, explicit=masks)
     report = verify_tree_compatible(system, tangle, s_family)
     if report:
         raise InputReportError("invalid_S", report)

@@ -13,7 +13,7 @@ members of W inside E-X: one shift per greedy step.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .bitset import disjoint_from, popcount_layers
 from .core import ConnectivitySystem, Violation
@@ -76,23 +76,6 @@ def full_closure(sys: ConnectivitySystem, tangle: Tangle, x: int) -> int:
     return full_closure_sequence(sys, tangle, x)[0]
 
 
-def validate_partial_k_sequence(sys: ConnectivitySystem, tangle: Tangle,
-                                x: int, seq: Sequence[int]) -> bool:
-    """Pairwise disjoint non-empty weak subsets of E-X whose cumulative
-    unions with X stay k-separating."""
-    k = tangle.k
-    cur = x
-    used = x
-    for y in seq:
-        if y == 0 or y & used or tangle.is_strong(y):
-            return False
-        cur |= y
-        used |= y
-        if sys.lam(cur) > k:
-            return False
-    return True
-
-
 def is_sequential(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
     """X is sequential iff E-X is strong and fcl(E-X) = E."""
     if sys.lam(x) > tangle.k:
@@ -143,34 +126,22 @@ def equivalent_separations(sys: ConnectivitySystem, tangle: Tangle,
     return closure_pair(sys, tangle, s1) == closure_pair(sys, tangle, s2)
 
 
-def equivalent_one_sided(sys: ConnectivitySystem, tangle: Tangle,
-                         s1: Separation, s2: Separation) -> bool:
-    """The economical one-sided test for non-sequential separations:
-    fcl(A) equals the closure of either side of the other separation."""
-    a = full_closure(sys, tangle, s1.side)
-    c, d = s2.sides(sys)
-    return a == full_closure(sys, tangle, c) or a == full_closure(sys, tangle, d)
-
-
 class TreeCompatibleSet:
     """A tree-compatible family S of k-separating sets.
 
-    Default mode: all non-sequential k-separating sets with T-strong
-    complements.  Explicit mode: a fixed family, verified against (S1)/(S2)
-    on demand.  Membership and the (k,S)-separation index are cached; the
-    classes are indexed both by member and by closure pair, and every class
-    question is answered from those two maps.
+    Without `explicit`: all non-sequential k-separating sets with T-strong
+    complements.  With `explicit` (even an empty one): that fixed family,
+    verified against (S1)/(S2) on demand.  Membership and the
+    (k,S)-separation index are cached; the classes are indexed both by
+    member and by closure pair, and every class question is answered from
+    those two maps.
     """
 
     def __init__(self, sys: ConnectivitySystem, tangle: Tangle,
-                 mode: str = "default_nonsequential",
                  explicit: Optional[Iterable[int]] = None):
         self.sys = sys
         self.tangle = tangle
-        self.mode = mode
         self._explicit = frozenset(explicit) if explicit is not None else None
-        if mode == "explicit" and self._explicit is None:
-            raise PreconditionFailed("explicit mode needs a mask family")
         self._member_cache: Dict[int, bool] = {}
         self._separations: Optional[List[Separation]] = None
         self._classes: Optional[List[List[Separation]]] = None
@@ -182,7 +153,7 @@ class TreeCompatibleSet:
         return self.tangle.k
 
     def contains(self, x: int) -> bool:
-        if self.mode == "explicit":
+        if self._explicit is not None:
             return x in self._explicit
         v = self._member_cache.get(x)
         if v is None:

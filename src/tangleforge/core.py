@@ -524,14 +524,6 @@ def verify_connectivity_axioms(sys: ConnectivitySystem) -> List[Violation]:
     return []
 
 
-def is_k_separating(sys: ConnectivitySystem, x: int, k: int) -> bool:
-    return sys.lam(x) <= k
-
-
-def is_exactly_k_separating(sys: ConnectivitySystem, x: int, k: int) -> bool:
-    return sys.lam(x) == k
-
-
 def is_vertically_k_connected(rank: RankFunction, k: int) -> bool:
     """Every (k-1)-separation of lambda_M has a side of rank <= k-2.
 

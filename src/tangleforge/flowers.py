@@ -87,13 +87,6 @@ def verify_flower(sys: ConnectivitySystem, tangle: Tangle,
     return Flower(petals, k)
 
 
-def _is_cyclic_run(bits: int, n: int) -> bool:
-    """True iff the petal-index mask is consecutive in the cyclic order on
-    [n]: exactly one i in the mask has i+1 (mod n) outside it."""
-    rotated = ((bits << 1) | (bits >> (n - 1))) & ((1 << n) - 1)
-    return bin(rotated & ~bits).count("1") == 1
-
-
 def petal_unions(petals: Sequence[int]) -> List[int]:
     """union[b] = union of the petals indexed by the bits of b, for every b
     in [0, 2^m): each petal doubles the list, the new half being the old
@@ -156,22 +149,23 @@ def classify(sys: ConnectivitySystem, f: Flower) -> str:
     elif flags == _run_flags(n):
         klass = DAISY
     else:
-        raise DichotomyViolation(_dichotomy_witness(sys, f))
+        raise DichotomyViolation(_dichotomy_witness(n, flags, _run_flags(n)))
     f.klass = klass
     return klass
 
 
-def _dichotomy_witness(sys: ConnectivitySystem, f: Flower) -> FrozenSet[int]:
+def _dichotomy_witness(n: int, flags: bytes, runs: bytes) -> FrozenSet[int]:
     """Petal indices of a union that breaks the dichotomy: a non-separating
-    cyclic run if there is one, else a separating non-run."""
-    n = f.n
+    cyclic run if there is one, else a separating non-run.  Byte b-1 of
+    `flags` is 1 iff the union of index mask b is k-separating, and of
+    `runs` iff b is a cyclic run (`_run_flags`)."""
     sep_sets: Set[FrozenSet[int]] = set()
     consec: Set[FrozenSet[int]] = set()
     for bits in range(1, (1 << n) - 1):
         idx = frozenset(i for i in range(n) if bits >> i & 1)
-        if sys.lam(petal_union(f, idx)) <= f.k:
+        if flags[bits - 1]:
             sep_sets.add(idx)
-        if _is_cyclic_run(bits, n):
+        if runs[bits - 1]:
             consec.add(idx)
     witness = next(iter(sep_sets.symmetric_difference(consec) - sep_sets), None)
     if witness is None:
@@ -198,13 +192,6 @@ def concatenate(f: Flower, breakpoints: Sequence[int]) -> Flower:
         out.append(u)
         start = b
     return Flower(out, f.k)
-
-
-def petal_union(f: Flower, indices) -> int:
-    u = 0
-    for i in indices:
-        u |= f.petals[i]
-    return u
 
 
 def displayed_separations(sys: ConnectivitySystem, tangle: Tangle,
@@ -300,14 +287,6 @@ def petal_cross_kind(tangle: Tangle, part: int, r: int, g: int) -> str:
     if not sa and not sb:
         return WEAK
     return MIXED
-
-
-def crossing_profile(sys: ConnectivitySystem, tangle: Tangle, sep: Separation,
-                     f: Flower, indices) -> str:
-    """Classification of the petal union P_I relative to the separation."""
-    union = petal_union(f, indices)
-    r, g = sep.sides(sys)
-    return petal_cross_kind(tangle, union, r, g)
 
 
 def class_conforms(sys: ConnectivitySystem, members: Sequence[Separation],

@@ -1,4 +1,5 @@
-"""JSON (de)serialization for systems, tangles, separations, flowers, trees.
+"""JSON readers for systems, tangles and explicit S families, and writers
+for tangles, separations, flowers and trees.
 
 Subsets serialize as sorted element arrays of 0-based ground-set indices.
 Readers check the shape of what they read and refuse anything else with
@@ -131,19 +132,11 @@ def separation_to_json(sys: ConnectivitySystem, sep: Separation) -> dict:
     return {"side": elements_of(sep.side), "k": sep.k}
 
 
-def separation_from_json(sys: ConnectivitySystem, obj: dict) -> Separation:
-    return Separation.make(sys, sys.mask(obj["side"]), obj["k"])
-
-
 def flower_to_json(sys: ConnectivitySystem, f: Flower) -> dict:
     out = {"petals": [elements_of(p) for p in f.petals], "k": f.k}
     if f.klass:
         out["class"] = f.klass
     return out
-
-
-def flower_from_json(sys: ConnectivitySystem, obj: dict) -> Flower:
-    return Flower([sys.mask(p) for p in obj["petals"]], obj["k"], obj.get("class"))
 
 
 def tree_to_json(sys: ConnectivitySystem, t: PiTree) -> dict:
@@ -159,19 +152,6 @@ def tree_to_json(sys: ConnectivitySystem, t: PiTree) -> dict:
             vertices.append(entry)
     return {"k": t.k, "vertices": vertices,
             "edges": [list(e) for e in t.edges()]}
-
-
-def tree_from_json(sys: ConnectivitySystem, obj: dict) -> PiTree:
-    bags, labels, cyclic = {}, {}, {}
-    for v in obj["vertices"]:
-        if v["type"] == "bag":
-            bags[v["id"]] = sys.mask(v["elements"])
-        else:
-            labels[v["id"]] = v["label"]
-            if "cyclic" in v:
-                cyclic[v["id"]] = tuple(v["cyclic"])
-    return PiTree(obj["k"], bags, labels,
-                  [tuple(e) for e in obj["edges"]], cyclic)
 
 
 def dumps(obj) -> str:

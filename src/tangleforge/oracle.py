@@ -19,8 +19,7 @@ over all 2^n masks reads the literal predicate lam <= k from two tables kept
 per tangle, one per parity of the mask, each built on first use with one
 lam call per mask of its parity (`_oracle_sep`).  The classes are kept
 per S, keyed by the explicit family or None for default S and never by
-the S object, which holds the tangle (`_oracle_classes`, and likewise
-each flower's classes in `_oracle_shown`).  A flower
+the S object, which holds the tangle (`_oracle_classes`).  A flower
 scan may read its petal unions from a list that each petal doubles, and
 its one-run index masks from a table kept per petal count: both depend
 only on petal indices, never on the system.  One scan of a flower's
@@ -162,9 +161,7 @@ def oracle_full_closure(sys: ConnectivitySystem, tangle: Tangle, x: int) -> int:
 def _family_key(s_family: Optional[TreeCompatibleSet]) -> Optional[FrozenSet[int]]:
     """The explicit family itself, or None for default S: a memo key that
     holds no reference to the tangle."""
-    if s_family is not None and s_family.mode == "explicit":
-        return s_family._explicit
-    return None
+    return None if s_family is None else s_family._explicit
 
 
 def _co_qualifies(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
@@ -176,7 +173,7 @@ def _co_qualifies(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
 
 def _in_S(sys: ConnectivitySystem, tangle: Tangle,
           s_family: Optional[TreeCompatibleSet], x: int) -> bool:
-    """Membership recomputed from the definition for default mode; explicit
+    """Membership recomputed from the definition for default S; explicit
     families are raw data, taken as given."""
     explicit = _family_key(s_family)
     if explicit is not None:
@@ -364,40 +361,6 @@ def _enumerate_flowers(sys: ConnectivitySystem, tangle: Tangle,
                     break  # every order is an anemone with this key
     out.sort(key=lambda f: (f.n, f.petals))
     return out
-
-
-def s_order(sys: ConnectivitySystem, tangle: Tangle,
-            s_family: TreeCompatibleSet, f: Flower,
-            max_petals: Optional[int] = None) -> int:
-    """Minimum petal count among flowers displaying the same (k,S)-classes.
-
-    A class is the oracle closure pair of a displayed (k,S)-separation.
-    Zero classes give 1, one class gives 2; otherwise exhaustive flower
-    enumeration at desk scale decides, which may raise SearchSpaceTooLarge.
-    The flowers and each flower's classes are memoized on the tangle
-    (`_oracle_flowers`, and `_oracle_shown` keyed by `_family_key`).
-    """
-    memo = tangle.__dict__.setdefault("_oracle_shown", {})
-    family = _family_key(s_family)
-
-    def shown(g: Flower) -> Set[FrozenSet[int]]:
-        key = (family, g.k, g.petals)
-        if key not in memo:
-            memo[key] = _class_keys(sys, tangle, s_family,
-                                    _displayed_unions(sys, g.k, g.petals))
-        return memo[key]
-
-    classes = shown(f)
-    if not classes:
-        return 1
-    if len(classes) == 1:
-        return 2
-    cap = max_petals if max_petals is not None else f.n
-    best = f.n
-    for g in oracle_flowers(sys, tangle, max_petals=cap):
-        if g.n < best and shown(g) == classes:
-            best = g.n
-    return best
 
 
 # -- tree certification ----------------------------------------------------

@@ -10,16 +10,16 @@ k-separations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .bitset import down_closure, elements_of, maximal_family, popcount
 from .core import ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet, full_closure, full_closure_sequence
 from .errors import (DichotomyViolation, NotAFlowerVertex, PreconditionFailed,
                      SearchSpaceTooLarge, TangleforgeError, ViolationFound)
-from .flowers import (ANEMONE, DAISY, Flower, class_conforms, classify, concatenate,
-                      displayed_kS, displayed_separations, first_nonconforming,
-                      loose_petals, maximal_flower_from, verify_flower)
+from .flowers import (ANEMONE, DAISY, Flower, classify, concatenate, displayed_kS,
+                      displayed_separations, first_nonconforming, loose_petals,
+                      maximal_flower_from, verify_flower)
 from .tangles import Tangle, is_robust
 
 
@@ -164,22 +164,12 @@ def single_bag_tree(sys: ConnectivitySystem, k: int) -> PiTree:
     return PiTree(k, {0: sys.full}, {}, [])
 
 
-def displayed_by_edge(sys: ConnectivitySystem, t: PiTree, edge: Tuple[int, int]) -> Separation:
-    u, v = edge
-    return Separation.make(sys, t.side(u, v), t.k)
-
-
 def flower_at(sys: ConnectivitySystem, tangle: Tangle, t: PiTree, v: int) -> Flower:
     """The flower displayed by a non-bag vertex: component bag-unions in the
     vertex's edge order (cyclic for D, sorted for A)."""
     if t.is_bag_vertex(v):
         raise NotAFlowerVertex(f"vertex {v} is a bag vertex")
     return verify_flower(sys, tangle, t.petals_at(v), t.k)
-
-
-def displayed_by_flower_vertex(sys: ConnectivitySystem, tangle: Tangle,
-                               t: PiTree, v: int) -> List[Separation]:
-    return displayed_separations(sys, tangle, flower_at(sys, tangle, t, v))
 
 
 def _tree_display(sys: ConnectivitySystem, tangle: Tangle, t: PiTree
@@ -207,23 +197,8 @@ def _tree_display(sys: ConnectivitySystem, tangle: Tangle, t: PiTree
     return out, at
 
 
-def displayed_tree_class_ids(sys: ConnectivitySystem, tangle: Tangle,
-                             s_family: TreeCompatibleSet, t: PiTree) -> FrozenSet[int]:
-    """Classes displayed by t; a tree of another order displays none."""
-    return s_family.class_ids(_tree_display(sys, tangle, t)[0]) - {None}
-
-
 def _nonempty_bags(t: PiTree) -> List[int]:
     return [b for b in t.bags.values() if b]
-
-
-def conforms_with_tree(sys: ConnectivitySystem, tangle: Tangle,
-                       s_family: TreeCompatibleSet, sep: Separation,
-                       t: PiTree) -> bool:
-    """Equivalent to a displayed separation, or an equivalent has a side
-    inside a bag."""
-    return class_conforms(sys, s_family.class_of(sep), _tree_display(sys, tangle, t)[0],
-                          _nonempty_bags(t))
 
 
 @dataclass
@@ -314,20 +289,6 @@ def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,
 
     verdict.displayed = sorted(displayed)
     return verdict
-
-
-def laminarity_check(sys: ConnectivitySystem, t: PiTree) -> bool:
-    """Edge-displayed separations pairwise non-crossing (all four pairwise
-    intersections non-empty means crossing)."""
-    sides = [t.side(u, v) for u, v in t.edges()]
-    full = sys.full
-    for i in range(len(sides)):
-        for j in range(i + 1, len(sides)):
-            a, b = sides[i], full ^ sides[i]
-            c, d = sides[j], full ^ sides[j]
-            if a & c and a & d and b & c and b & d:
-                return False
-    return True
 
 
 def flower_to_tree(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> PiTree:

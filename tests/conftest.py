@@ -11,14 +11,15 @@ import pytest
 
 from tangleforge import (ConnectivitySystem, RankFunction, build_r8_rank,
                          enumerate_tangles)
-from tangleforge.closure import Separation, build_default_S
+from tangleforge.closure import Separation, build_default_S, full_closure
 from tangleforge.core import Violation
 from tangleforge.errors import DichotomyViolation, ViolationFound
-from tangleforge.flowers import (ANEMONE, DAISY, Flower, _is_cyclic_run, classify,
+from tangleforge.flowers import (ANEMONE, DAISY, Flower, class_conforms, classify,
                                  displayed_separations)
 from tangleforge.oracle import (_displayed_unions, _flower_class_literal, _fully_closed,
                                _in_S, _weak_set, oracle_full_closure)
 from tangleforge.tangles import Tangle
+from tangleforge.trees import _nonempty_bags, _tree_display
 
 
 def lab(*elements_1based):
@@ -153,6 +154,56 @@ def assert_walks_are_literal(sys, tangle):
             assert oracle_full_closure(sys, tangle, x) == want
 
 
+def validate_partial_k_sequence(sys, tangle, x, seq):
+    """Pairwise disjoint non-empty weak subsets of E-X whose cumulative
+    unions with X stay k-separating."""
+    k = tangle.k
+    cur = x
+    used = x
+    for y in seq:
+        if y == 0 or y & used or tangle.is_strong(y):
+            return False
+        cur |= y
+        used |= y
+        if sys.lam(cur) > k:
+            return False
+    return True
+
+
+def equivalent_one_sided(sys, tangle, s1, s2):
+    """The economical one-sided test for non-sequential separations:
+    fcl(A) equals the closure of either side of the other separation."""
+    a = full_closure(sys, tangle, s1.side)
+    c, d = s2.sides(sys)
+    return a == full_closure(sys, tangle, c) or a == full_closure(sys, tangle, d)
+
+
+def displayed_tree_class_ids(sys, tangle, s_family, t):
+    """Classes displayed by t; a tree of another order displays none."""
+    return s_family.class_ids(_tree_display(sys, tangle, t)[0]) - {None}
+
+
+def conforms_with_tree(sys, tangle, s_family, sep, t):
+    """Equivalent to a displayed separation, or an equivalent has a side
+    inside a bag."""
+    return class_conforms(sys, s_family.class_of(sep), _tree_display(sys, tangle, t)[0],
+                          _nonempty_bags(t))
+
+
+def laminarity_check(sys, t):
+    """Edge-displayed separations pairwise non-crossing (all four pairwise
+    intersections non-empty means crossing)."""
+    sides = [t.side(u, v) for u, v in t.edges()]
+    full = sys.full
+    for i in range(len(sides)):
+        for j in range(i + 1, len(sides)):
+            a, b = sides[i], full ^ sides[i]
+            c, d = sides[j], full ^ sides[j]
+            if a & c and a & d and b & c and b & d:
+                return False
+    return True
+
+
 def reference_kS_separations(sys, tangle, s_family=None):
     """The (k,S)-separations by their odd side, by the walk over every odd
     mask of the ground set with one `_in_S` test per side."""
@@ -216,6 +267,35 @@ def reference_separating(sys, k, union):
     one lam call per union."""
     lam = sys.lam
     return [b for b in range(1, len(union) - 1) if lam(union[b]) <= k]
+
+
+def _is_cyclic_run(bits, n):
+    """True iff the petal-index mask is consecutive in the cyclic order on
+    [n]: exactly one i in the mask has i+1 (mod n) outside it."""
+    rotated = ((bits << 1) | (bits >> (n - 1))) & ((1 << n) - 1)
+    return bin(rotated & ~bits).count("1") == 1
+
+
+def reference_dichotomy_witness(sys, f):
+    """Petal indices of a union that breaks the dichotomy, by one lam call
+    per proper petal union: a non-separating cyclic run if there is one,
+    else a separating non-run."""
+    n = f.n
+    sep_sets = set()
+    consec = set()
+    for bits in range(1, (1 << n) - 1):
+        idx = frozenset(i for i in range(n) if bits >> i & 1)
+        union = 0
+        for i in idx:
+            union |= f.petals[i]
+        if sys.lam(union) <= f.k:
+            sep_sets.add(idx)
+        if _is_cyclic_run(bits, n):
+            consec.add(idx)
+    witness = next(iter(sep_sets.symmetric_difference(consec) - sep_sets), None)
+    if witness is None:
+        witness = next(iter(sep_sets - consec))
+    return witness
 
 
 def reference_flower_class(sys, petals, k):

@@ -1,10 +1,12 @@
 import argparse
 import json
 import re
+import types
 from pathlib import Path
 
 import pytest
 
+import tangleforge
 from tangleforge.bitset import elements_of
 from tangleforge.cli import _parser, run
 from tangleforge.core import MAX_N
@@ -240,6 +242,26 @@ def test_basis_outside_the_ground_set_is_refused(tmp_path, capsys):
 
 def test_readme_flag_table_matches_the_parser():
     assert _readme_flags() == _registered_flags()
+
+
+def _readme_api():
+    """The README's table under "## API", as {module: set of names}."""
+    rows = README.read_text().split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in rows.splitlines():
+        match = re.match(r"\| `(\w+)` +\|(.*)\|$", line)
+        if match:
+            table[match.group(1)] = set(re.findall(r"`(\w+)`", match.group(2)))
+    return table
+
+
+def test_readme_api_table_matches_the_exports():
+    exported = {}
+    for name in tangleforge.__all__:
+        obj = getattr(tangleforge, name)
+        if not isinstance(obj, types.ModuleType):
+            exported.setdefault(obj.__module__.rsplit(".", 1)[1], set()).add(name)
+    assert _readme_api() == exported
 
 
 def test_readme_ground_set_cap_matches_the_library():

@@ -1,15 +1,16 @@
 import pytest
 
-from tangleforge import (equivalent_one_sided, equivalent_separations,
-                         full_closure, is_fully_closed, is_sequential,
-                         validate_partial_k_sequence, verify_tree_compatible)
+from tangleforge import (equivalent_separations, full_closure, is_fully_closed,
+                         is_sequential, verify_tree_compatible)
 from tangleforge.bitset import elements_of
 from tangleforge.closure import (Separation, TreeCompatibleSet, closure_pair,
                                  full_closure_sequence, strong_k_separations)
 from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge
+from tangleforge.oracle import oracle_classes
 from tangleforge.tangles import Tangle
 
-from conftest import lab, weak_extension_candidates
+from conftest import (equivalent_one_sided, lab, validate_partial_k_sequence,
+                      weak_extension_candidates)
 
 
 def strong_k_separating_sets(ctx):
@@ -292,10 +293,24 @@ class TestTreeCompatible:
         for ctx in (ctx_u26, ctx_barbell, ctx_pc4, ctx_r8p1):
             assert verify_tree_compatible(ctx.sys, ctx.tangle, ctx.S) == []
 
+    def test_explicit_family_alone_is_the_family(self, ctx_c6):
+        # an explicit family needs no other argument, and an empty one is
+        # still explicit: it has no separations, not the default S's 15
+        sys, t = ctx_c6.sys, ctx_c6.tangle
+        side = sys.mask([0, 1, 2])
+        one = TreeCompatibleSet(sys, t, explicit=[side, sys.full ^ side])
+        assert one.separations() == [Separation(side, 2)]
+        assert one.classes() == [[Separation(side, 2)]]
+        assert oracle_classes(sys, t, one) == [[Separation(side, 2)]]
+        empty = TreeCompatibleSet(sys, t, explicit=[])
+        assert not empty.contains(side)
+        assert empty.separations() == [] and empty.classes() == []
+        assert oracle_classes(sys, t, empty) == []
+        assert len(ctx_c6.S.separations()) == 15
+
     def test_all_subsets_family_fails(self, ctx_r8p1):
         sys, t = ctx_r8p1.sys, ctx_r8p1.tangle
-        every = TreeCompatibleSet(sys, t, mode="explicit",
-                                  explicit=range(1, sys.full))
+        every = TreeCompatibleSet(sys, t, explicit=range(1, sys.full))
         assert verify_tree_compatible(sys, t, every) != []
 
     def test_refused_above_scan_cap_before_any_lambda(self, monkeypatch):
@@ -381,8 +396,7 @@ def explicit_family(ctx, drop=(), add=()):
     """The default family's members minus `drop` plus `add`, as an explicit S."""
     sys = ctx.sys
     members = [x for x in range(1 << sys.n) if ctx.S.contains(x) and x not in drop]
-    return TreeCompatibleSet(sys, ctx.tangle, mode="explicit",
-                             explicit=members + list(add))
+    return TreeCompatibleSet(sys, ctx.tangle, explicit=members + list(add))
 
 
 def violations(ctx, family):

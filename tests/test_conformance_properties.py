@@ -11,10 +11,11 @@ all conform, and the two-bag tree of every (k,S)-separation, which fails
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangleforge import (ConnectivitySystem, build_default_S, conforms_with_tree,
-                         enumerate_tangles, extend_tree, is_robust,
-                         verify_partial_kS_tree)
+from tangleforge import (ConnectivitySystem, build_default_S, enumerate_tangles,
+                         extend_tree, is_robust, verify_partial_kS_tree)
 from tangleforge.trees import PiTree, single_bag_tree
+
+from conftest import conforms_with_tree
 
 MAX_EDGES = 8
 

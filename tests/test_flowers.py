@@ -4,10 +4,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from tangleforge import (classify, concatenate, conforms_with_flower,
-                         crossing_profile, displayed_kS, displayed_separations,
-                         loose_petals, maximal_flower, phi_minimum_representative,
-                         refine_with, s_order, tighten, verify_flower)
+from tangleforge import (classify, concatenate, conforms_with_flower, displayed_kS,
+                         displayed_separations, loose_petals, maximal_flower,
+                         refine_with, tighten, verify_flower)
 from tangleforge.bitset import elements_of
 from tangleforge.closure import Separation
 from tangleforge.core import ConnectivitySystem
@@ -16,11 +15,11 @@ from tangleforge.errors import (DichotomyViolation, InvalidBreakpoints, NonRobus
                                 WeakPetal)
 from tangleforge.flowers import (ANEMONE, DAISY, MIXED, STRONG, UNCROSSED, WEAK,
                                  Flower, displayed_class_ids, petal_cross_kind,
-                                 petal_unions)
+                                 petal_unions, phi_minimum_representative)
 from tangleforge.oracle import _displayed_unions, oracle_flowers
 
 from conftest import (assert_engine_flower_matches, lab, literal_petal_unions,
-                      reference_displayed)
+                      reference_dichotomy_witness, reference_displayed)
 
 
 def phi_r8(ctx):
@@ -31,6 +30,16 @@ def phi_r8(ctx):
 def r8_daisy(ctx):
     return verify_flower(ctx.sys, ctx.tangle,
                          [lab(1, 3), lab(5, 7), lab(6, 8), lab(2, 4)])
+
+
+def s_order(ctx, f):
+    """The fewest petals of an oracle flower that displays the same
+    (k,S)-classes as f: 1 with no class and 2 with one."""
+    ids = displayed_class_ids(ctx.sys, ctx.tangle, ctx.S, f)
+    if len(ids) < 2:
+        return len(ids) + 1
+    return min([f.n] + [g.n for g in oracle_flowers(ctx.sys, ctx.tangle, f.n)
+                        if displayed_class_ids(ctx.sys, ctx.tangle, ctx.S, g) == ids])
 
 
 class TestVerify:
@@ -145,6 +154,23 @@ def test_flags_scan_matches_the_per_union_reference(case, k):
     event(str(verdict) if len(petals) > 2 else "n <= 2")
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=petal_partitions(), k=st.sampled_from([2, 3, 1]))
+def test_dichotomy_witness_matches_the_per_union_reference(case, k):
+    # the witness built from classify's flags is the one the per-union
+    # lam scan gives, on every petal order that breaks the dichotomy
+    edges, petals = case
+    system = ConnectivitySystem.graph(edges, verify=False)
+    f = Flower(petals, k)
+    try:
+        classify(system, f)
+    except DichotomyViolation as exc:
+        assert exc.witness_indices == reference_dichotomy_witness(system, f)
+        event("neither")
+    else:
+        event("classified")
+
+
 class TestConcatenate:
     def test_identity(self, ctx_r8p1):
         f = phi_r8(ctx_r8p1)
@@ -221,20 +247,18 @@ class TestDisplayed:
     def test_single_petal_displays_nothing(self, ctx_r8p1):
         f = verify_flower(ctx_r8p1.sys, ctx_r8p1.tangle, [ctx_r8p1.sys.full])
         assert displayed_separations(ctx_r8p1.sys, ctx_r8p1.tangle, f) == []
-        assert s_order(ctx_r8p1.sys, ctx_r8p1.tangle, ctx_r8p1.S, f) == 1
+        assert s_order(ctx_r8p1, f) == 1
 
     def test_phi_r8_s_order_four(self, ctx_r8p1):
-        assert s_order(ctx_r8p1.sys, ctx_r8p1.tangle, ctx_r8p1.S,
-                       phi_r8(ctx_r8p1)) == 4
+        assert s_order(ctx_r8p1, phi_r8(ctx_r8p1)) == 4
 
     def test_daisy_s_order_four(self, ctx_r8p1):
-        assert s_order(ctx_r8p1.sys, ctx_r8p1.tangle, ctx_r8p1.S,
-                       r8_daisy(ctx_r8p1)) == 4
+        assert s_order(ctx_r8p1, r8_daisy(ctx_r8p1)) == 4
 
     def test_two_petal_s_order(self, ctx_r8p1):
         f = verify_flower(ctx_r8p1.sys, ctx_r8p1.tangle,
                           [lab(1, 2, 3, 4), lab(5, 6, 7, 8)])
-        assert s_order(ctx_r8p1.sys, ctx_r8p1.tangle, ctx_r8p1.S, f) == 2
+        assert s_order(ctx_r8p1, f) == 2
 
     @pytest.mark.parametrize("fixture", ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6",
                                          "ctx_pc4", "ctx_barbell", "ctx_r8m3", "ctx_mk4"])
@@ -299,14 +323,17 @@ class TestPhiMinimum:
 class TestCrossing:
     def test_weak_crossing(self, ctx_r8p1):
         sep = Separation.make(ctx_r8p1.sys, lab(1, 3, 5, 7), 4)
-        assert crossing_profile(ctx_r8p1.sys, ctx_r8p1.tangle, sep,
-                                phi_r8(ctx_r8p1), [0]) == WEAK
+        f = phi_r8(ctx_r8p1)
+        assert petal_cross_kind(ctx_r8p1.tangle, f.petals[0],
+                                *sep.sides(ctx_r8p1.sys)) == WEAK
 
     def test_uncrossed_inside_one_side(self, ctx_r8p1):
         sep = Separation.make(ctx_r8p1.sys, lab(1, 2, 3, 4), 4)
         f = phi_r8(ctx_r8p1)
-        assert crossing_profile(ctx_r8p1.sys, ctx_r8p1.tangle, sep, f, [0]) == UNCROSSED
-        assert crossing_profile(ctx_r8p1.sys, ctx_r8p1.tangle, sep, f, [0, 1]) == UNCROSSED
+        sides = sep.sides(ctx_r8p1.sys)
+        assert petal_cross_kind(ctx_r8p1.tangle, f.petals[0], *sides) == UNCROSSED
+        assert (petal_cross_kind(ctx_r8p1.tangle, f.petals[0] | f.petals[1], *sides)
+                == UNCROSSED)
 
     def test_strong_crossing(self, ctx_barbell):
         sys, t = ctx_barbell.sys, ctx_barbell.tangle

@@ -3,14 +3,12 @@ import re
 
 import pytest
 
-from tangleforge import build_r8_rank, enumerate_tangles, verify_flower
+from tangleforge import build_r8_rank, enumerate_tangles
 from tangleforge.closure import (Separation, TreeCompatibleSet,
                                  verify_tree_compatible)
 from tangleforge.errors import PreconditionFailed
-from tangleforge.jsonio import (dumps, flower_from_json, flower_to_json,
-                                load_system, separation_from_json,
-                                separation_to_json, tangle_from_json,
-                                tangle_to_json)
+from tangleforge.jsonio import (dumps, load_system, separation_to_json,
+                                tangle_from_json, tangle_to_json)
 
 from conftest import lab
 
@@ -84,18 +82,9 @@ def test_tangle_roundtrip(r8p1):
     assert back.members == t.members and back.k == t.k
 
 
-def test_separation_roundtrip(r8p1):
+def test_separation_to_json_is_canonical(r8p1):
     s = Separation.make(r8p1, lab(5, 6, 7, 8), 4)
-    data = separation_to_json(r8p1, s)
-    assert data == {"side": [0, 1, 2, 3], "k": 4}  # canonicalized
-    assert separation_from_json(r8p1, data) == s
-
-
-def test_flower_roundtrip(ctx_r8p1):
-    f = verify_flower(ctx_r8p1.sys, ctx_r8p1.tangle,
-                      [lab(1, 2), lab(3, 4), lab(5, 6), lab(7, 8)])
-    back = flower_from_json(ctx_r8p1.sys, flower_to_json(ctx_r8p1.sys, f))
-    assert back.petals == f.petals and back.k == f.k
+    assert separation_to_json(r8p1, s) == {"side": [0, 1, 2, 3], "k": 4}
 
 
 def test_dumps_deterministic():
@@ -107,7 +96,7 @@ def test_dumps_deterministic():
 def test_explicit_S_matches_default_on_r8(ctx_r8p1):
     sys, tangle = ctx_r8p1.sys, ctx_r8p1.tangle
     masks = [x for x in range(1 << sys.n) if ctx_r8p1.S.contains(x)]
-    explicit = TreeCompatibleSet(sys, tangle, mode="explicit", explicit=masks)
+    explicit = TreeCompatibleSet(sys, tangle, explicit=masks)
     assert verify_tree_compatible(sys, tangle, explicit) == []
     assert explicit.separations() == ctx_r8p1.S.separations()
     got = [[s.side for s in cls] for cls in explicit.classes()]

@@ -9,10 +9,10 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
 from tangleforge.closure import build_default_S
 from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 from tangleforge.flowers import Flower, classify, displayed_class_ids
-from tangleforge.oracle import (ORACLE_MAX_N, _fully_closed, _sep_table, _weak,
-                                _weak_set, differential_report, oracle_certify_tree,
-                                oracle_classes, oracle_flowers,
-                                oracle_full_closure, s_order)
+from tangleforge.oracle import (ORACLE_MAX_N, _class_keys, _displayed_unions,
+                                _fully_closed, _sep_table, _weak, _weak_set,
+                                differential_report, oracle_certify_tree,
+                                oracle_classes, oracle_flowers, oracle_full_closure)
 from tangleforge.tangles import Tangle
 from tangleforge.trees import PiTree, flower_to_tree
 
@@ -125,6 +125,10 @@ class TestOracleClasses:
 
 
 class TestSOrder:
+    """The S-order clause of (P3)/(P4), "at least two classes shown", reads
+    the classes of a flower's displays; the oracle keys them by closure
+    pairs, the engine by class ids."""
+
     @pytest.mark.parametrize("name", CTX_NAMES)
     def test_matches_engine_class_ids(self, name, request):
         # the oracle compares closure pairs; the engine's class ids must agree
@@ -132,32 +136,24 @@ class TestSOrder:
         sys, tangle, S = ctx.sys, ctx.tangle, ctx.S
         flowers = oracle_flowers(sys, tangle, 4)
         ids = [displayed_class_ids(sys, tangle, S, f) for f in flowers]
-        for f, own in zip(flowers, ids):
-            want = min(g.n for g, other in zip(flowers, ids) if other == own)
-            assert s_order(sys, tangle, S, f) == {0: 1, 1: 2}.get(len(own), want)
-
+        keys = [_class_keys(sys, tangle, S, _displayed_unions(sys, f.k, f.petals))
+                for f in flowers]
+        for own_ids, own_keys in zip(ids, keys):
+            assert len(own_keys) == len(own_ids)
+            assert [other == own_ids for other in ids] == [other == own_keys
+                                                          for other in keys]
 
     def test_repeated_calls_enumerate_nothing(self, ctx_u56, monkeypatch):
         sys = ctx_u56.sys
         tangle = Tangle(sys, ctx_u56.tangle.k, ctx_u56.tangle.members)  # empty memos
-        S = build_default_S(sys, tangle)
-        counts = {"_partitions_into_blocks": 0, "_displayed_unions": 0}
-        for name in counts:
-            def counted(*args, _real=getattr(oracle, name), _name=name):
-                counts[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(oracle, name, counted)
+        calls = []
+        real = oracle._partitions_into_blocks
+        monkeypatch.setattr(oracle, "_partitions_into_blocks",
+                            lambda *args: calls.append(args) or real(*args))
         flowers = oracle_flowers(sys, tangle, 4)
-        assert counts["_partitions_into_blocks"] == 1
-        f = flowers[-1]  # four petals, so s_order has to search the flowers
-        want = s_order(sys, tangle, S, f)
-        after_first = dict(counts)
-        assert s_order(sys, tangle, S, f) == want
-        assert counts == after_first
-        for g in flowers:  # the same petal cap: one enumeration serves all
-            s_order(sys, tangle, S, g, max_petals=4)
-        assert counts["_partitions_into_blocks"] == 1
-        assert oracle_flowers(sys, tangle, 4) == flowers
+        assert len(calls) == 1
+        assert oracle_flowers(sys, tangle, 4) == flowers  # the same petal cap
+        assert len(calls) == 1
 
 
 class TestOracleCertify:
@@ -244,16 +240,15 @@ class TestOracleMemos:
     def test_tangle_dies_by_refcount_after_the_oracle(self, c6g):
         """No oracle memo refers back to the tangle: with the cyclic
         collector off, the tangle is freed once its last name goes, after
-        the differential report, the certificate and the S-order."""
+        the differential report, the certificate and the flower list."""
         def run():
             tangle, = enumerate_tangles(c6g, 2)
             s_family = build_default_S(c6g, tangle)
             tree = build_maximal_tree(c6g, tangle, s_family)
             assert differential_report(c6g, tangle, s_family).ok
             assert oracle_certify_tree(c6g, tangle, s_family, tree)[0]
-            f = oracle_flowers(c6g, tangle, 6)[-1]
-            assert s_order(c6g, tangle, s_family, f) == f.n == 6
-            assert "_oracle_shown" in tangle.__dict__
+            assert oracle_flowers(c6g, tangle, 6)[-1].n == 6
+            assert "_oracle_flowers" in tangle.__dict__
             return weakref.ref(tangle)
 
         enabled = gc.isenabled()

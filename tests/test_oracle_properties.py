@@ -130,7 +130,7 @@ def test_kS_separations_match_the_odd_mask_walk(edges, k, data):
         family = set(masks)
         family |= {full ^ x for x, both in zip(masks, paired) if both}
         family |= {x | 1 for x in outside} | {full ^ (x | 1) for x in outside}
-        explicit = TreeCompatibleSet(system, fresh, mode="explicit", explicit=family)
+        explicit = TreeCompatibleSet(system, fresh, explicit=family)
         got = oracle_kS_separations(system, fresh, explicit)
         assert got == reference_kS_separations(system, fresh, explicit)
         event(f"{len(got)} explicit separations" if len(got) < 3 else "3+ explicit separations")

@@ -10,8 +10,9 @@ from tangleforge import (ConnectivitySystem, RankFunction, enumerate_tangles,
 from tangleforge.closure import build_default_S
 from tangleforge.errors import SearchSpaceTooLarge
 from tangleforge.oracle import differential_report, oracle_certify_tree
-from tangleforge.trees import (build_maximal_tree, displayed_tree_class_ids,
-                               verify_partial_kS_tree)
+from tangleforge.trees import build_maximal_tree, verify_partial_kS_tree
+
+from conftest import displayed_tree_class_ids
 
 
 def random_edges(rng, min_v=3, max_v=6, max_e=8, allow_multi=True):

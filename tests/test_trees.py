@@ -1,20 +1,17 @@
 import pytest
 
 from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
-                         conforms_with_tree, displayed_by_edge,
-                         displayed_by_flower_vertex, enumerate_tangles,
-                         extend_tree, flower_to_tree, grow_terminal_bag,
-                         laminarity_check, retarget_terminal_bag,
-                         split_terminal_bag, verify_flower,
-                         verify_partial_kS_tree)
+                         displayed_separations, enumerate_tangles, extend_tree,
+                         flower_to_tree, grow_terminal_bag, retarget_terminal_bag,
+                         split_terminal_bag, verify_flower, verify_partial_kS_tree)
 from tangleforge.bitset import elements_of
 from tangleforge.closure import Separation, build_default_S, full_closure
 from tangleforge.errors import NotAFlowerVertex, PreconditionFailed
 from tangleforge.oracle import oracle_certify_tree
-from tangleforge.trees import (PiTree, displayed_tree_class_ids, flower_at,
-                               single_bag_tree)
+from tangleforge.trees import PiTree, flower_at, single_bag_tree
 
-from conftest import Ctx, lab
+from conftest import (Ctx, conforms_with_tree, displayed_tree_class_ids, lab,
+                      laminarity_check)
 
 
 def face_tree(ctx):
@@ -31,12 +28,13 @@ def phi_r8_tree(ctx):
 class TestDisplayed:
     def test_two_bag_edge(self, ctx_r8p1):
         t = face_tree(ctx_r8p1)
-        sep = displayed_by_edge(ctx_r8p1.sys, t, (0, 1))
+        sep = Separation.make(ctx_r8p1.sys, t.side(0, 1), t.k)
         assert sep == Separation.make(ctx_r8p1.sys, lab(1, 2, 3, 4), 4)
 
     def test_star_flower_vertex_displays_unions(self, ctx_r8p1):
         t = phi_r8_tree(ctx_r8p1)
-        shown = displayed_by_flower_vertex(ctx_r8p1.sys, ctx_r8p1.tangle, t, 0)
+        shown = displayed_separations(ctx_r8p1.sys, ctx_r8p1.tangle,
+                                      flower_at(ctx_r8p1.sys, ctx_r8p1.tangle, t, 0))
         sides = {s.side for s in shown}
         assert lab(1, 2, 3, 4) in sides          # consecutive union
         assert lab(1, 2, 5, 6) in sides          # anemone cross union
@@ -51,8 +49,8 @@ class TestDisplayed:
         sys = ctx_u56.sys
         t = PiTree(2, {0: sys.mask([0]), 1: sys.mask([1]),
                        2: sys.mask([2, 3, 4, 5])}, {}, [(0, 1), (1, 2)])
-        assert displayed_by_edge(sys, t, (0, 1)).side == sys.mask([0])
-        assert displayed_by_edge(sys, t, (1, 2)).side == sys.mask([0, 1])
+        assert Separation.make(sys, t.side(0, 1), t.k).side == sys.mask([0])
+        assert Separation.make(sys, t.side(1, 2), t.k).side == sys.mask([0, 1])
 
 
 class TestFlowerToTree:
@@ -393,17 +391,6 @@ class TestTriangleChain:
                             lambda t: calls.append(t) or search(t))
         build_maximal_tree(fresh.sys, fresh.tangle, fresh.S)
         assert calls == [fresh.tangle]
-
-
-class TestJsonRoundTrip:
-    def test_tree_roundtrip(self, ctx_c6):
-        from tangleforge.jsonio import tree_from_json, tree_to_json
-        t = build_maximal_tree(ctx_c6.sys, ctx_c6.tangle, ctx_c6.S)
-        back = tree_from_json(ctx_c6.sys, tree_to_json(ctx_c6.sys, t))
-        assert back.bags == t.bags
-        assert back.labels == t.labels
-        assert back.edges() == t.edges()
-        assert back.cyclic == t.cyclic
 
 
 def _built_trees(ctx, chain):
