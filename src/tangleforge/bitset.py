@@ -8,7 +8,7 @@ Everything here is total and closed over valid masks.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 
 def full_mask(n: int) -> int:
@@ -40,23 +40,6 @@ def elements_of(mask: int) -> List[int]:
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
-
-
-def complement(mask: int, n: int) -> int:
-    return mask ^ full_mask(n)
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself.
-
-    Standard descending-submask walk; 2^popcount(mask) values.
-    """
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
 
 
 def maximal_masks(masks: Iterable[int]) -> Tuple[int, ...]:

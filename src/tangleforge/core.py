@@ -22,12 +22,11 @@ from .errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 #
 # Every system holds its full lambda table, the scans visit all 2^n masks, and
 # families of subsets are 2^n-bit ints (bitset.down_closure), so a ground set
-# has at most MAX_N elements.  The tangle search stops after NODE_CAP nodes.
-# The oracle's literal walks run up to ORACLE_MAX_N elements, and its flower
-# enumeration up to ORACLE_MAX_PETALS petals.
+# has at most MAX_N elements, for the engine and the oracle alike.  The tangle
+# search stops after NODE_CAP nodes, and the oracle's flower walk after
+# NODE_CAP candidates.  The flower walk takes at most ORACLE_MAX_PETALS petals.
 MAX_N = 16
 NODE_CAP = 1 << 20
-ORACLE_MAX_N = 14
 ORACLE_MAX_PETALS = 8
 
 

@@ -17,9 +17,13 @@ returns (the weak set below is the definition "X lies inside a member"
 computed once per tangle by a submask walk of each member).  Every walk
 over all 2^n masks reads the literal predicate lam <= k from two tables kept
 per tangle, one per parity of the mask, each built on first use with one
-lam call per mask of its parity (`_oracle_sep`).  The classes are kept
-per S, keyed by the explicit family or None for default S and never by
-the S object, which holds the tangle (`_oracle_classes`).  A flower
+lam call per mask of its parity (`_oracle_sep`).  The flower walk builds
+each partition of E block by block from the admissible petals: the masks
+of those two tables less the weak set, filtered once per walk.  The next
+block holds the least element not yet covered, so the walk yields exactly
+the partitions whose blocks all pass the literal petal test.  The classes
+are kept per S, keyed by the explicit family or None for default S and
+never by the S object, which holds the tangle (`_oracle_classes`).  A flower
 scan may read its petal unions from a list that each petal doubles, and
 its one-run index masks from a table kept per petal count: both depend
 only on petal indices, never on the system.  One scan of a flower's
@@ -39,17 +43,12 @@ from itertools import permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .bitset import elements_of
-from .core import ORACLE_MAX_N, ORACLE_MAX_PETALS, ConnectivitySystem
+from .core import NODE_CAP, ORACLE_MAX_PETALS, ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet
 from .errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 from .flowers import Flower
 from .tangles import Tangle
 from .trees import PiTree
-
-
-def _guard(sys: ConnectivitySystem):
-    if sys.n > ORACLE_MAX_N:
-        raise SearchSpaceTooLarge(f"oracle requires n <= {ORACLE_MAX_N}")
 
 
 def _weak_set(tangle: Tangle) -> Set[int]:
@@ -138,7 +137,6 @@ def oracle_full_closure(sys: ConnectivitySystem, tangle: Tangle, x: int) -> int:
     Each entry is what the exhaustive walk returns, so caching does not
     borrow from the greedy engine.
     """
-    _guard(sys)
     cache = tangle.__dict__.setdefault("_oracle_fcl_cache", {})
     hit = cache.get(x)
     if hit is not None:
@@ -186,7 +184,6 @@ def oracle_kS_separations(sys: ConnectivitySystem, tangle: Tangle,
     """The (k,S)-separations by their odd side, ascending.  Default S walks
     the tangle's odd k-separating table; an explicit family walks its own
     odd members inside the ground set."""
-    _guard(sys)
     full, k = sys.full, tangle.k
     explicit = _family_key(s_family)
     if explicit is not None:
@@ -224,25 +221,34 @@ def oracle_classes(sys: ConnectivitySystem, tangle: Tangle,
 # -- flower enumeration ----------------------------------------------------
 
 
-def _partitions_into_blocks(n: int, max_blocks: int):
-    """All set partitions of range(n) into at most max_blocks blocks, as
-    tuples of masks with block minima increasing."""
+def _admissible_partitions(full: int, petals: Set[int], max_blocks: int):
+    """Every partition of full into at most max_blocks blocks of petals, as
+    tuples of masks with block minima increasing.  The next block holds the
+    least element not yet covered and is a submask of the uncovered set
+    that lies in petals; the last block allowed is the whole uncovered set."""
     blocks: List[int] = []
 
-    def rec(e: int):
-        if e == n:
+    def rec(rest: int):
+        if not rest:
             yield tuple(blocks)
             return
-        for i in range(len(blocks)):
-            blocks[i] |= 1 << e
-            yield from rec(e + 1)
-            blocks[i] &= ~(1 << e)
-        if len(blocks) < max_blocks:
-            blocks.append(1 << e)
-            yield from rec(e + 1)
-            blocks.pop()
+        if len(blocks) == max_blocks - 1:
+            if rest in petals:
+                yield tuple(blocks) + (rest,)
+            return
+        low = rest & -rest
+        others = sub = rest ^ low
+        while True:
+            block = low | sub
+            if block in petals:
+                blocks.append(block)
+                yield from rec(rest ^ block)
+                blocks.pop()
+            if not sub:
+                return
+            sub = (sub - 1) & others
 
-    yield from rec(0)
+    yield from rec(full)
 
 
 def _index_unions(petals: Sequence[int]) -> List[int]:
@@ -308,8 +314,8 @@ def oracle_flowers(sys: ConnectivitySystem, tangle: Tangle,
     to labels (any permutation for anemones, n-gon symmetry for daisies).
 
     Memoized per (tangle, max_petals) in `_oracle_flowers`; each call gets
-    its own list."""
-    _guard(sys)
+    its own list.  A walk past NODE_CAP candidates raises
+    `SearchSpaceTooLarge` and memoizes nothing."""
     if max_petals < 1:
         raise PreconditionFailed("petal cap must be at least 1")
     if max_petals > ORACLE_MAX_PETALS:
@@ -322,43 +328,41 @@ def oracle_flowers(sys: ConnectivitySystem, tangle: Tangle,
 
 def _enumerate_flowers(sys: ConnectivitySystem, tangle: Tangle,
                        max_petals: int) -> List[Flower]:
+    """The flowers of `oracle_flowers`, over the partitions of E into
+    admissible petals: the k-separating masks that are not weak.  A
+    partition into at most two blocks, and each cyclic order of a larger
+    one whose consecutive unions are tested, is one candidate; more than
+    NODE_CAP candidates raise `SearchSpaceTooLarge`."""
     k = tangle.k
+    admissible = set(_all_separating(sys, tangle)) - _weak_set(tangle)
     seen_keys: Set[object] = set()
     out: List[Flower] = []
-    for blocks in _partitions_into_blocks(sys.n, max_petals):
-        if any(_weak(tangle, b) for b in blocks):
-            continue
-        if any(sys.lam(b) > k for b in blocks):
-            continue
+    candidates = 0
+    for blocks in _admissible_partitions(sys.full, admissible, max_petals):
         m = len(blocks)
-        if m <= 2:
-            f = Flower(blocks, k)
-            f.klass = _flower_class_literal(sys, f)
-            key = ("a", frozenset(blocks))
+        first, rest = blocks[0], blocks[1:]
+        for perm in permutations(rest):
+            if perm > perm[::-1]:
+                continue  # reflection through the fixed block
+            candidates += 1
+            if candidates > NODE_CAP:
+                raise SearchSpaceTooLarge(f"flower search exceeded {NODE_CAP} candidates")
+            petals = (first,) + perm
+            if m > 2 and any(sys.lam(petals[i] | petals[(i + 1) % m]) > k for i in range(m)):
+                continue
+            f = Flower(petals, k)
+            klass = f.klass = _flower_class_literal(sys, f)
+            if klass == "anemone":
+                key = ("a", frozenset(petals))
+            elif klass == "daisy":
+                key = ("d", _daisy_canonical(petals))
+            else:
+                key = ("x", petals)
             if key not in seen_keys:
                 seen_keys.add(key)
                 out.append(f)
-            continue
-        first, rest = blocks[0], blocks[1:]
-        for perm in permutations(rest):
-            if perm > tuple(reversed(perm)):
-                continue  # reflection through the fixed block
-            petals = (first,) + perm
-            if all(sys.lam(petals[i] | petals[(i + 1) % m]) <= k for i in range(m)):
-                f = Flower(petals, k)
-                klass = _flower_class_literal(sys, f)
-                f.klass = klass
-                if klass == "anemone":
-                    key = ("a", frozenset(petals))
-                elif klass == "daisy":
-                    key = ("d", _daisy_canonical(petals))
-                else:
-                    key = ("x", petals)
-                if key not in seen_keys:
-                    seen_keys.add(key)
-                    out.append(f)
-                if klass == "anemone":
-                    break  # every order is an anemone with this key
+            if klass == "anemone":
+                break  # every order is an anemone with this key
     out.sort(key=lambda f: (f.n, f.petals))
     return out
 
@@ -428,7 +432,6 @@ def oracle_displayed_kS(sys: ConnectivitySystem, tangle: Tangle,
                         s_family: Optional[TreeCompatibleSet],
                         f: Flower) -> List[Separation]:
     """The (k,S)-separations displayed by f, by the literal union scan."""
-    _guard(sys)
     return _kS_only(sys, tangle, s_family, _displayed_unions(sys, f.k, f.petals))
 
 
@@ -460,7 +463,6 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
     """Literal (P1)-(P5) check; with require_maximal also demand that every
     (k,S)-separation is equivalent to a displayed one.
     """
-    _guard(sys)
     problems: List[str] = []
     k = t.k
     union = 0
@@ -564,7 +566,6 @@ def differential_report(sys: ConnectivitySystem, tangle: Tangle,
     from .closure import full_closure
     from .flowers import classify
 
-    _guard(sys)
     report = OracleReport(sys.kind, sys.n, tangle.k)
     for x in _all_separating(sys, tangle):
         if not _weak(tangle, x):

@@ -17,9 +17,9 @@ from .core import ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet, full_closure, full_closure_sequence
 from .errors import (DichotomyViolation, NotAFlowerVertex, PreconditionFailed,
                      SearchSpaceTooLarge, TangleforgeError, ViolationFound)
-from .flowers import (ANEMONE, DAISY, Flower, classify, concatenate, displayed_kS,
-                      displayed_separations, first_nonconforming, loose_petals,
-                      maximal_flower_from, verify_flower)
+from .flowers import (ANEMONE, DAISY, Flower, classify, concatenate, displayed_class_ids,
+                      displayed_kS, displayed_separations, first_nonconforming, loose_petals,
+                      maximal_flower, maximal_flower_from, verify_flower)
 from .tangles import Tangle, is_robust
 
 
@@ -39,7 +39,12 @@ class PiTree:
         self.edge_list = tuple(tuple(sorted(e)) for e in edges)
         self.cyclic = dict(cyclic or {})
         adj: Dict[int, List[int]] = {v: [] for v in self.vertices()}
+        if not adj:
+            raise PreconditionFailed("tree has no vertex")
         for u, v in self.edge_list:
+            if u not in adj or v not in adj:
+                raise PreconditionFailed(
+                    f"edge ({u},{v}) has an end that is neither a bag nor a flower vertex")
             adj[u].append(v)
             adj[v].append(u)
         self.adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
@@ -556,7 +561,6 @@ def _seed_tree(sys: ConnectivitySystem, tangle: Tangle,
     """The tree of a maximal flower displaying seed's class, concatenated to
     two petals when it displays only one class (its flower vertex would
     otherwise have S-order < 3)."""
-    from .flowers import displayed_class_ids, maximal_flower
     f = maximal_flower(sys, tangle, s_family, seed)
     ids = displayed_class_ids(sys, tangle, s_family, f)
     if len(ids) == 1 and f.n > 2:

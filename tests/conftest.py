@@ -6,6 +6,7 @@ matroid the traditional 1-based vertex labels go through `lab`.
 """
 
 from itertools import combinations, combinations_with_replacement
+from typing import List
 
 import pytest
 
@@ -94,6 +95,40 @@ def barbell():
 @pytest.fixture(scope="session")
 def mk4():
     return ConnectivitySystem.matroid(RankFunction.graphic(K4_EDGES))
+
+
+def submasks(mask):
+    """All submasks of mask, including 0 and mask itself.
+
+    Standard descending-submask walk; 2^popcount(mask) values.
+    """
+    s = mask
+    while True:
+        yield s
+        if s == 0:
+            return
+        s = (s - 1) & mask
+
+
+def reference_partitions(n: int, max_blocks: int):
+    """All set partitions of range(n) into at most max_blocks blocks, as
+    tuples of masks with block minima increasing."""
+    blocks: List[int] = []
+
+    def rec(e: int):
+        if e == n:
+            yield tuple(blocks)
+            return
+        for i in range(len(blocks)):
+            blocks[i] |= 1 << e
+            yield from rec(e + 1)
+            blocks[i] &= ~(1 << e)
+        if len(blocks) < max_blocks:
+            blocks.append(1 << e)
+            yield from rec(e + 1)
+            blocks.pop()
+
+    yield from rec(0)
 
 
 def weak_extension_candidates(tangle, rest):

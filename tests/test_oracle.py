@@ -9,9 +9,8 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
 from tangleforge.closure import build_default_S
 from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 from tangleforge.flowers import Flower, classify, displayed_class_ids
-from tangleforge.oracle import (ORACLE_MAX_N, _class_keys, _displayed_unions,
-                                _fully_closed, _sep_table, _weak, _weak_set,
-                                differential_report, oracle_certify_tree,
+from tangleforge.oracle import (_class_keys, _displayed_unions, _fully_closed, _sep_table,
+                                _weak, _weak_set, differential_report, oracle_certify_tree,
                                 oracle_classes, oracle_flowers, oracle_full_closure)
 from tangleforge.tangles import Tangle
 from tangleforge.trees import PiTree, flower_to_tree
@@ -78,6 +77,27 @@ class TestOracleFlowers:
     def test_petal_cap_enforced(self, ctx_r8p1):
         with pytest.raises(SearchSpaceTooLarge):
             oracle_flowers(ctx_r8p1.sys, ctx_r8p1.tangle, 9)
+
+    def test_partitions_follow_the_flowers(self, monkeypatch):
+        """C12 at order 2 has 782 flowers of at most four petals, one per
+        partition into admissible petals.  Walking every partition of E into
+        at most four blocks and filtering afterwards generated 700,075."""
+        system = ConnectivitySystem.graph([(i, (i + 1) % 12) for i in range(12)])
+        tangle = enumerate_tangles(system, 2)[0]
+        yielded = []
+        real = oracle._admissible_partitions
+        monkeypatch.setattr(oracle, "_admissible_partitions",
+                            lambda *args: (yielded.append(p) or p for p in real(*args)))
+        assert len(oracle_flowers(system, tangle, 4)) == 782
+        assert len(yielded) <= 1000
+
+    def test_walk_over_node_cap_is_refused_and_not_kept(self, c6g, monkeypatch):
+        tangle, = enumerate_tangles(c6g, 2)
+        monkeypatch.setattr(oracle, "NODE_CAP", 10)
+        with pytest.raises(SearchSpaceTooLarge, match="flower search exceeded 10 candidates"):
+            oracle_flowers(c6g, tangle, 4)
+        assert 4 not in tangle.__dict__["_oracle_flowers"]
+        assert oracle_flowers(c6g, tangle, 1) == [Flower((c6g.full,), 2)]
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_petal_cap_below_one_is_refused(self, ctx_u26, cap):
@@ -147,8 +167,8 @@ class TestSOrder:
         sys = ctx_u56.sys
         tangle = Tangle(sys, ctx_u56.tangle.k, ctx_u56.tangle.members)  # empty memos
         calls = []
-        real = oracle._partitions_into_blocks
-        monkeypatch.setattr(oracle, "_partitions_into_blocks",
+        real = oracle._admissible_partitions
+        monkeypatch.setattr(oracle, "_admissible_partitions",
                             lambda *args: calls.append(args) or real(*args))
         flowers = oracle_flowers(sys, tangle, 4)
         assert len(calls) == 1
@@ -417,10 +437,10 @@ class TestOracleCost:
 
 class TestOracleCap:
     @pytest.mark.parametrize("build", [
-        lambda: ConnectivitySystem.graph(
-            [(i, (i + 1) % ORACLE_MAX_N) for i in range(ORACLE_MAX_N)], verify=False),
+        lambda: ConnectivitySystem.graph([(i, (i + 1) % 14) for i in range(14)], verify=False),
         lambda: ConnectivitySystem.matroid(RankFunction.uniform(11, 12), verify=False),
-    ], ids=["C14", "U11_12"])
+        lambda: ConnectivitySystem.graph([(i, (i + 1) % 16) for i in range(16)], verify=False),
+    ], ids=["C14", "U11_12", "C16"])
     def test_built_tree_certified_at_desk_scale(self, build):
         system = build()
         tangle = enumerate_tangles(system, 2)[0]

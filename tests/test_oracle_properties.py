@@ -11,7 +11,9 @@ The oracle's flower scans are also checked against their per-bit
 references on random petal partitions of random multigraphs, and its
 fully-closed test and full closure against the exhaustive walks on every
 mask, and its (k,S)-separations against the walk over every odd mask, for
-default S and for random explicit families.
+default S and for random explicit families.  The flower walk's partitions
+into admissible petals are checked against every partition of E filtered
+by random petal tables.
 """
 
 from itertools import combinations
@@ -22,12 +24,13 @@ from hypothesis import strategies as st
 from tangleforge import (ConnectivitySystem, RankFunction, build_default_S,
                          build_maximal_tree, enumerate_tangles, is_robust)
 from tangleforge.closure import TreeCompatibleSet
-from tangleforge.oracle import (_weak, differential_report, oracle_certify_tree,
-                               oracle_full_closure, oracle_kS_separations)
+from tangleforge.oracle import (_admissible_partitions, _weak, differential_report,
+                               oracle_certify_tree, oracle_full_closure,
+                               oracle_kS_separations)
 from tangleforge.tangles import Tangle
 
 from conftest import (assert_flower_scans_match, assert_walks_are_literal,
-                      reference_kS_separations)
+                      reference_kS_separations, reference_partitions)
 
 MAX_EDGES = 9
 MAX_PETALS = 4
@@ -134,3 +137,27 @@ def test_kS_separations_match_the_odd_mask_walk(edges, k, data):
         got = oracle_kS_separations(system, fresh, explicit)
         assert got == reference_kS_separations(system, fresh, explicit)
         event(f"{len(got)} explicit separations" if len(got) < 3 else "3+ explicit separations")
+
+
+@st.composite
+def petal_tables(draw):
+    """A ground-set size n <= 9 and a set of non-empty masks, each mask in
+    it with a drawn probability, so that sparse and dense tables both come
+    up."""
+    n = draw(st.integers(1, 9))
+    density = draw(st.sampled_from([0.3, 0.6, 0.8, 0.9, 1.0]))
+    rnd = draw(st.randoms(use_true_random=False))
+    return n, {x for x in range(1, 1 << n) if rnd.random() < density}
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=petal_tables(), max_blocks=st.integers(1, 5))
+def test_admissible_partitions_are_the_filtered_partitions(table, max_blocks):
+    n, petals = table
+    got = list(_admissible_partitions((1 << n) - 1, petals, max_blocks))
+    want = [blocks for blocks in reference_partitions(n, max_blocks)
+            if all(b in petals for b in blocks)]
+    event("no partition" if not want else "one partition" if len(want) == 1
+          else "partitions")
+    assert len(set(got)) == len(got)
+    assert set(got) == set(want)

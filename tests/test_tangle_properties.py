@@ -13,10 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tangleforge import ConnectivitySystem, enumerate_tangles, is_robust, verify_tangle
-from tangleforge.bitset import submasks
 from tangleforge.tangles import Tangle
 
-from conftest import reference_verify_tangle
+from conftest import reference_verify_tangle, submasks
 
 MAX_N = 8
 MAX_EDGES = 8

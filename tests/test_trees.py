@@ -11,7 +11,7 @@ from tangleforge.oracle import oracle_certify_tree
 from tangleforge.trees import PiTree, flower_at, single_bag_tree
 
 from conftest import (Ctx, conforms_with_tree, displayed_tree_class_ids, lab,
-                      laminarity_check)
+                      laminarity_check, submasks)
 
 
 def face_tree(ctx):
@@ -51,6 +51,13 @@ class TestDisplayed:
                        2: sys.mask([2, 3, 4, 5])}, {}, [(0, 1), (1, 2)])
         assert Separation.make(sys, t.side(0, 1), t.k).side == sys.mask([0])
         assert Separation.make(sys, t.side(1, 2), t.k).side == sys.mask([0, 1])
+
+    def test_malformed_trees_are_refused_at_construction(self):
+        # these raised KeyError from __init__ and IndexError from the checks
+        with pytest.raises(PreconditionFailed, match=r"edge \(0,5\) has an end"):
+            PiTree(2, {0: 7}, {}, [(0, 5)])
+        with pytest.raises(PreconditionFailed, match="tree has no vertex"):
+            PiTree(2, {}, {}, [])
 
 
 class TestFlowerToTree:
@@ -491,7 +498,7 @@ def test_lam_error_at_flower_vertex_propagates():
 def test_maximal_k_separating_between_matches_the_submask_walk(ctx_barbell, ctx_r8p1,
                                                                ctx_mk4):
     import random
-    from tangleforge.bitset import maximal_masks, submasks
+    from tangleforge.bitset import maximal_masks
     from tangleforge.trees import _maximal_k_separating_between
     rng = random.Random(23)
     for ctx in (ctx_barbell, ctx_r8p1, ctx_mk4):
