@@ -38,16 +38,12 @@ def elements_of(mask: int) -> List[int]:
     return out
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def maximal_masks(masks: Iterable[int]) -> Tuple[int, ...]:
     """The subset-maximal masks among `masks`, largest first.  A mask is
     kept iff no kept mask contains it: any strict superset is larger, so it
     was met earlier and is itself kept or inside a kept one."""
     out: List[int] = []
-    for m in sorted(set(masks), key=popcount, reverse=True):
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
         if not any(m & ~kept == 0 for kept in out):
             out.append(m)
     return tuple(out)

@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bitset import (byte_lanes, down_closure, element_absent, elements_of, family_of,
-                     full_mask, mask_of, popcount, popcount_layers, up_closure)
+                     full_mask, mask_of, popcount_layers, up_closure)
 from .errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 
 # -- caps ----------------------------------------------------------------------
@@ -74,24 +74,27 @@ class Violation:
 
 # -- byte tables -----------------------------------------------------------
 #
-# A table whose values all lie in 0..255 is also kept as bytes (byte x is the
-# value at mask x).  `lam` and `rank` keep indexing the list, which is faster
-# for single lookups; the bytes serve scans, which `translate` runs without a
-# Python loop, and lane arithmetic (`bitset.byte_lanes`, `_lanes`).
+# A table whose values all lie in 0..255 is kept as bytes (byte x is the
+# value at mask x), any other table as a list, and held once: `lam` and
+# `rank` index it too, though a loop of `lam` calls on bytes ran up to about
+# 10% slower than on a list (CPython 3.11).  Scans of bytes run as one
+# `translate` without a Python loop, and lane arithmetic
+# (`bitset.byte_lanes`, `_lanes`) reads them as they are.
 
 _UP_TO_127 = bytes(range(128))
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"
 
 
-def _byte_table(values: Sequence[int]) -> Optional[bytes]:
-    """The values as bytes, or None if one lies outside 0..255.  A value
-    that is not an int raises ValueError."""
+def _held_table(values: Sequence[int]) -> Sequence[int]:
+    """The values as bytes when every one lies in 0..255, else as a list.
+    A value that is not an int raises ValueError."""
     if isinstance(values, bytes):
         return values
+    values = list(values)
     if not set(map(type, values)) <= {int}:
         raise ValueError("table values must be integers")
     if min(values) < 0 or max(values) > 255:
-        return None
+        return values
     return bytes(values)
 
 
@@ -135,8 +138,7 @@ class RankFunction:
             raise ValueError("rank table must have 2^n entries")
         self.n = n
         self.source = source
-        self._table = list(table) if isinstance(table, bytes) else table
-        self._bytes = _byte_table(table)
+        self._table = _held_table(table)
         if verify:
             bad = verify_rank_axioms(self)
             if bad:
@@ -147,7 +149,7 @@ class RankFunction:
 
     def rank_at_most(self, k: int, masks: range) -> List[int]:
         """The masks of `masks` of rank at most k, ascending."""
-        flags = _at_most_flags(self._bytes or self._table, k)
+        flags = _at_most_flags(self._table, k)
         return list(compress(masks, _select(flags, masks)))
 
     @property
@@ -159,17 +161,17 @@ class RankFunction:
         on byte lanes (the table of r(E-X) is the rank table reversed); as a
         list from the formula when a lane would leave 0..255, which an
         unverified rank table can make happen."""
-        table, drop = self._bytes, self.full_rank - 1
+        table, drop = self._table, self.full_rank - 1
         # ranks up to 127 sum without carrying into the next lane
-        if table is not None and not table.translate(None, _UP_TO_127):
+        if isinstance(table, bytes) and not table.translate(None, _UP_TO_127):
             total = (int.from_bytes(table, "little")
                      + int.from_bytes(table[::-1], "little")).to_bytes(len(table), "little")
             # no r(X) + r(E-X) below r(E) - 1, so no lambda below 0: the
             # lanes lie in max(drop, 0)..254 and subtracting drop wraps none
             if drop <= 0 or not total.translate(None, bytes(range(drop, 256))):
                 return total.translate(bytes((v - drop) & 0xFF for v in range(256)))
-        r, full = self._table, full_mask(self.n)
-        return [r[x] + r[full ^ x] - drop for x in range(1 << self.n)]
+        full = full_mask(self.n)
+        return [table[x] + table[full ^ x] - drop for x in range(1 << self.n)]
 
     @classmethod
     def from_table(cls, n: int, values: Sequence[int], verify: bool = True) -> "RankFunction":
@@ -335,7 +337,7 @@ def verify_rank_axioms(rank: RankFunction) -> List[Violation]:
     out = []
     if rank._table[0] != 0:
         out.append(Violation("rank_empty", (0,)))
-    lanes, w = _lanes(rank._bytes or rank._table)
+    lanes, w = _lanes(rank._table)
     step = _lane_unit_increment_failure(lanes, rank.n, w)
     if step:
         out.append(Violation("rank_unit_increment", step))
@@ -364,7 +366,7 @@ def build_r8_rank() -> RankFunction:
     planes = {mask_of([e - 1 for e in p], 8) for p in one_based_planes}
     table = []
     for m in range(1 << 8):
-        size = popcount(m)
+        size = m.bit_count()
         if size <= 3:
             table.append(size)
         elif size == 4:
@@ -395,8 +397,7 @@ class ConnectivitySystem:
         self._outside = ~self.full  # bits of masks that leave the ground set
         self._flags_by_k: Dict[int, bytes] = {}
         self._k_separating: Dict[int, int] = {}
-        self._table = list(table) if isinstance(table, bytes) else table
-        self._bytes = _byte_table(table)
+        self._table = _held_table(table)
         if verify is None or verify:
             bad = verify_connectivity_axioms(self)
             if bad:
@@ -411,7 +412,7 @@ class ConnectivitySystem:
         """One byte per mask, 1 where lam <= k; built once per k."""
         flags = self._flags_by_k.get(k)
         if flags is None:
-            flags = self._flags_by_k[k] = _at_most_flags(self._bytes or self._table, k)
+            flags = self._flags_by_k[k] = _at_most_flags(self._table, k)
         return flags
 
     def lam_at_most(self, k: int, masks: range) -> List[int]:
@@ -511,7 +512,7 @@ def verify_connectivity_axioms(sys: ConnectivitySystem) -> List[Violation]:
     its reverse; submodularity is checked exhaustively on the lanes of
     `_lanes`, and the least asymmetric X is read off them as well.
     """
-    values = sys._bytes or sys._table
+    values = sys._table
     lanes, w = _lanes(values)
     flipped = values[::-1]  # entry X holds lam(E-X)
     if values != flipped:

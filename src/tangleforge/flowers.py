@@ -225,30 +225,31 @@ def displayed_class_ids(sys: ConnectivitySystem, tangle: Tangle,
     return s_family.class_ids(displayed_separations(sys, tangle, f))
 
 
-def loose_petals(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> List[int]:
-    """Indices i with P_i inside fcl(P_j) for a petal P_j consecutive with
-    P_i up to labels: cyclic neighbours for a daisy, any other petal for an
-    anemone (whose petals can always be relabelled adjacent)."""
+def _absorber(sys: ConnectivitySystem, tangle: Tangle, f: Flower, i: int) -> Optional[int]:
+    """The first j with P_i inside fcl(P_j), P_j consecutive with P_i up to
+    labels: the cyclic neighbours first, then, for an anemone (whose petals
+    can always be relabelled adjacent), every other petal; None if no petal
+    absorbs P_i."""
     n = f.n
-    if n < 2:
+    order = [(i - 1) % n, (i + 1) % n]
+    if classify(sys, f) == ANEMONE:
+        order += [j for j in range(n) if j not in order]
+    for j in order:
+        if j != i and f.petals[i] & ~full_closure(sys, tangle, f.petals[j]) == 0:
+            return j
+    return None
+
+
+def loose_petals(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> List[int]:
+    """Indices i of the petals that another petal absorbs (`_absorber`)."""
+    if f.n < 2:
         return []
-    klass = classify(sys, f)
-    out = []
-    for i in range(n):
-        if klass == ANEMONE:
-            others = [j for j in range(n) if j != i]
-        else:
-            others = sorted({(i - 1) % n, (i + 1) % n} - {i})
-        for j in others:
-            if f.petals[i] & ~full_closure(sys, tangle, f.petals[j]) == 0:
-                out.append(i)
-                break
-    return out
+    return [i for i in range(f.n) if _absorber(sys, tangle, f, i) is not None]
 
 
 def tighten(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> Flower:
-    """Absorb loose petals (lowest index first) into an absorbing neighbour
-    until none remain.  Output is loose-free; displayed (k,S)-classes are
+    """Absorb loose petals (lowest index first) into their absorber until
+    none remain.  Output is loose-free; displayed (k,S)-classes are
     preserved.  Exact S-tightness is certified only at oracle scale."""
     cur = f
     while True:
@@ -256,23 +257,8 @@ def tighten(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> Flower:
         if not loose:
             return cur
         i = loose[0]
-        n = cur.n
-        klass = classify(sys, cur)
-        if klass == ANEMONE:
-            order = [(i - 1) % n, (i + 1) % n] + [j for j in range(n)
-                                                  if j not in {i, (i - 1) % n, (i + 1) % n}]
-        else:
-            order = [(i - 1) % n, (i + 1) % n]
-        absorber = None
-        for j in order:
-            if j != i and cur.petals[i] & ~full_closure(sys, tangle, cur.petals[j]) == 0:
-                absorber = j
-                break
-        if absorber is None:
-            raise ViolationFound("loose petal has no absorbing neighbour",
-                                 (cur.petals[i],))
         merged = list(cur.petals)
-        merged[absorber] |= merged[i]
+        merged[_absorber(sys, tangle, cur, i)] |= merged[i]
         del merged[i]
         cur = verify_flower(sys, tangle, merged, cur.k)
 

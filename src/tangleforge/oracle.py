@@ -296,22 +296,11 @@ def _flower_class_literal(sys: ConnectivitySystem, f: Flower) -> str:
     return _class_of_masks(f.n, _separating_masks(sys, f.k, f.petals)[1])
 
 
-def _daisy_canonical(petals: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Minimal rotation/reflection of the cyclic petal tuple."""
-    n = len(petals)
-    best = None
-    for seq in (petals, tuple(reversed(petals))):
-        for r in range(n):
-            cand = seq[r:] + seq[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
 def oracle_flowers(sys: ConnectivitySystem, tangle: Tangle,
                    max_petals: int) -> List[Flower]:
-    """Every verified flower with at most max_petals petals, deduplicated up
-    to labels (any permutation for anemones, n-gon symmetry for daisies).
+    """Every verified flower with at most max_petals petals, each once up to
+    labels (any permutation for anemones, n-gon symmetry for daisies): the
+    walk of `_enumerate_flowers` meets each such flower once by construction.
 
     Memoized per (tangle, max_petals) in `_oracle_flowers`; each call gets
     its own list.  A walk past NODE_CAP candidates raises
@@ -332,10 +321,15 @@ def _enumerate_flowers(sys: ConnectivitySystem, tangle: Tangle,
     admissible petals: the k-separating masks that are not weak.  A
     partition into at most two blocks, and each cyclic order of a larger
     one whose consecutive unions are tested, is one candidate; more than
-    NODE_CAP candidates raise `SearchSpaceTooLarge`."""
+    NODE_CAP candidates raise `SearchSpaceTooLarge`.
+
+    The walk meets each flower once up to labels, with no dedup set: each
+    partition comes once, its orders fix the block that holds element 0
+    (rotations) and keep one of each order and its reverse (reflections),
+    and a partition stops after its first order that is an anemone, since
+    every order of an anemone is one."""
     k = tangle.k
     admissible = set(_all_separating(sys, tangle)) - _weak_set(tangle)
-    seen_keys: Set[object] = set()
     out: List[Flower] = []
     candidates = 0
     for blocks in _admissible_partitions(sys.full, admissible, max_petals):
@@ -351,39 +345,15 @@ def _enumerate_flowers(sys: ConnectivitySystem, tangle: Tangle,
             if m > 2 and any(sys.lam(petals[i] | petals[(i + 1) % m]) > k for i in range(m)):
                 continue
             f = Flower(petals, k)
-            klass = f.klass = _flower_class_literal(sys, f)
-            if klass == "anemone":
-                key = ("a", frozenset(petals))
-            elif klass == "daisy":
-                key = ("d", _daisy_canonical(petals))
-            else:
-                key = ("x", petals)
-            if key not in seen_keys:
-                seen_keys.add(key)
-                out.append(f)
-            if klass == "anemone":
-                break  # every order is an anemone with this key
+            f.klass = _flower_class_literal(sys, f)
+            out.append(f)
+            if f.klass == "anemone":
+                break  # every other order is the same anemone
     out.sort(key=lambda f: (f.n, f.petals))
     return out
 
 
 # -- tree certification ----------------------------------------------------
-
-
-def _tree_component_mask(t: PiTree, start: int, blocked: Tuple[int, int]) -> int:
-    seen = {start}
-    stack = [start]
-    mask = 0
-    while stack:
-        v = stack.pop()
-        mask |= t.bags.get(v, 0)
-        for w in t.adj[v]:
-            if {v, w} == set(blocked):
-                continue
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return mask
 
 
 class _Sides(dict):
@@ -395,7 +365,18 @@ class _Sides(dict):
         self.t = t
 
     def __missing__(self, edge: Tuple[int, int]) -> int:
-        mask = self[edge] = _tree_component_mask(self.t, edge[0], edge)
+        t, start, blocked = self.t, edge[0], set(edge)
+        seen = {start}
+        stack = [start]
+        mask = 0
+        while stack:
+            v = stack.pop()
+            mask |= t.bags.get(v, 0)
+            for w in t.adj[v]:
+                if {v, w} != blocked and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        self[edge] = mask
         return mask
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .bitset import down_closure, elements_of, maximal_family, popcount
+from .bitset import down_closure, elements_of, maximal_family
 from .core import ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet, full_closure, full_closure_sequence
 from .errors import (DichotomyViolation, NotAFlowerVertex, PreconditionFailed,
@@ -48,22 +48,23 @@ class PiTree:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self._sides = self._edge_sides()
         self._petals: Dict[int, Tuple[int, ...]] = {}
+        self._index_structure()
 
-    def _edge_sides(self) -> Dict[Tuple[int, int], int]:
-        """side[(u, v)] for both orientations of every edge, by one rooted
-        DFS: a child's side is its subtree's bag union, the parent's side
-        the rest.  Inputs that are not a tree with disjoint bags get an
-        empty index and fall back to a component search per query."""
+    def _index_structure(self):
+        """One walk of the bags and edges, at construction.  It records the
+        bag union, whether two bags overlap, whether a BFS from the least
+        vertex reaches every vertex, and side[(u, v)] for both orientations
+        of every edge: a child's side is its subtree's bag union, the
+        parent's side the rest.  Inputs that are not a tree with disjoint
+        bags get an empty side index and fall back to a component search
+        per query."""
         verts = self.vertices()
-        total = 0
+        union = overlap = 0
         for bag in self.bags.values():
-            if total & bag:
-                return {}
-            total |= bag
-        if len(self.edge_list) != len(verts) - 1:
-            return {}
+            overlap |= union & bag
+            union |= bag
+        self._union, self._overlap = union, bool(overlap)
         parent = {verts[0]: None}
         order = [verts[0]]
         for v in order:
@@ -71,15 +72,15 @@ class PiTree:
                 if w not in parent:
                     parent[w] = v
                     order.append(w)
-        if len(order) != len(verts):
-            return {}
+        self._connected = len(order) == len(verts)
+        self._sides: Dict[Tuple[int, int], int] = {}
+        if self._overlap or not self._connected or len(self.edge_list) != len(verts) - 1:
+            return
         down = {v: self.bags.get(v, 0) for v in verts}
-        sides = {}
         for w in reversed(order[1:]):
             down[parent[w]] |= down[w]
-            sides[(w, parent[w])] = down[w]
-            sides[(parent[w], w)] = total ^ down[w]
-        return sides
+            self._sides[(w, parent[w])] = down[w]
+            self._sides[(parent[w], w)] = union ^ down[w]
 
     def side(self, u: int, v: int) -> int:
         """Union of the bags in u's component of the tree minus the edge (u,v)."""
@@ -123,30 +124,18 @@ class PiTree:
         return max(self.vertices()) + 1
 
     def validate_structure(self, sys: ConnectivitySystem) -> List[str]:
-        """Tree-ness, bag partition, label sanity, cyclic-order sanity."""
+        """Tree-ness, bag partition, label sanity, cyclic-order sanity, read
+        off the facts `_index_structure` recorded."""
         problems = []
-        verts = self.vertices()
         if set(self.bags) & set(self.labels):
             problems.append("vertex both bag and flower vertex")
-        if len(self.edge_list) != len(verts) - 1:
+        if len(self.edge_list) != len(self.adj) - 1:
             problems.append("edge count is not |V|-1")
-        seen = set()
-        stack = [verts[0]]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(self.adj.get(v, ()))
-        if seen != set(verts):
+        if not self._connected:
             problems.append("graph is not connected")
-        union = 0
-        for b in self.bags.values():
-            if union & b:
-                problems.append("bags overlap")
-                break
-            union |= b
-        if union != sys.full:
+        if self._overlap:
+            problems.append("bags overlap")
+        if self._union != sys.full:
             problems.append("bags do not cover the ground set")
         for v, lab in self.labels.items():
             if lab not in ("A", "D"):
@@ -345,11 +334,16 @@ def split_terminal_bag(sys: ConnectivitySystem, tangle: Tangle,
         raise PreconditionFailed("x must be a non-empty weak subset of B")
     if sys.lam(b & ~x) > t.k:
         raise PreconditionFailed("B - x is not k-separating")
+    return _split_bag(t, leaf, b & ~x)
+
+
+def _split_bag(t: PiTree, u: int, moved: int) -> PiTree:
+    """Move `moved` out of u's bag into a fresh leaf hung off u."""
     v = t.fresh_vertex()
     bags = dict(t.bags)
-    bags[leaf] = x
-    bags[v] = b & ~x
-    return t.replaced(bags=bags, edges=list(t.edge_list) + [(leaf, v)])
+    bags[u] &= ~moved
+    bags[v] = moved
+    return t.replaced(bags=bags, edges=list(t.edge_list) + [(u, v)])
 
 
 def retarget_terminal_bag(sys: ConnectivitySystem, tangle: Tangle,
@@ -438,7 +432,7 @@ def _arrange_prefix(sys, f: Flower, c: int) -> Tuple[Flower, int]:
     the relabelled flower and the prefix length j."""
     klass = classify(sys, f)
     in_c = [i for i, p in enumerate(f.petals) if p & ~c == 0]
-    if sum(popcount(f.petals[i]) for i in in_c) != popcount(c):
+    if sum(f.petals[i].bit_count() for i in in_c) != c.bit_count():
         raise ViolationFound("C is not a union of petals", (c,))
     if klass == ANEMONE:
         order = in_c + [i for i in range(f.n) if i not in in_c]
@@ -499,11 +493,7 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
             if not s_family.is_kS_separation(Separation.make(sys, z, k)):
                 raise ViolationFound("internal-bag Z is not a (k,S)-separation",
                                      Separation.make(sys, z, k))
-            v = work.fresh_vertex()
-            bags = dict(work.bags)
-            bags[u] = bags[u] & ~z
-            bags[v] = z
-            work = work.replaced(bags=bags, edges=list(work.edge_list) + [(u, v)])
+            work = _split_bag(work, u, z)
             continue
 
         # Case I: u is a leaf with bag B containing the side properly.
@@ -524,12 +514,8 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
             raise ViolationFound("(W, Z) is not a (k,S)-separation", wz)
         bw = b1 & w
         if sys.lam(bw) > k:
-            # New leaf Z; the old terminal vertex keeps B & W.
-            v = work.fresh_vertex()
-            bags = dict(work.bags)
-            bags[holder] = bw
-            bags[v] = z
-            work = work.replaced(bags=bags, edges=list(work.edge_list) + [(holder, v)])
+            # New leaf Z; the old terminal vertex, whose bag is B1, keeps B & W.
+            work = _split_bag(work, holder, z)
             continue
         # Flower route: (Z, B & W, E - B) seeds a maximal flower.
         if not tangle.is_strong(bw):

@@ -131,6 +131,30 @@ def reference_partitions(n: int, max_blocks: int):
     yield from rec(0)
 
 
+def daisy_canonical(petals):
+    """Minimal rotation/reflection of the cyclic petal tuple."""
+    n = len(petals)
+    best = None
+    for seq in (petals, tuple(reversed(petals))):
+        for r in range(n):
+            cand = seq[r:] + seq[:r]
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def flower_label_key(f):
+    """A flower up to labels: its petal set for an anemone (any order), the
+    `daisy_canonical` tuple for a daisy (n-gon symmetry), and the petals as
+    listed for anything else.  The oracle's flower walk once kept these
+    keys to drop repeats; its walk meets each flower once by construction."""
+    if f.klass == ANEMONE:
+        return ("a", frozenset(f.petals))
+    if f.klass == DAISY:
+        return ("d", daisy_canonical(f.petals))
+    return ("x", f.petals)
+
+
 def weak_extension_candidates(tangle, rest):
     """The non-empty weak subsets of `rest`, read off the members literally:
     every non-empty submask of rest inside some member, smallest first and

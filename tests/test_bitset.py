@@ -4,7 +4,7 @@ import pytest
 
 from tangleforge.bitset import (byte_lanes, complements, disjoint_from, down_closure,
                                 elements_of, family_of, flags, full_mask, join, mask_of,
-                                maximal_family, maximal_masks, popcount, popcount_layers,
+                                maximal_family, maximal_masks, popcount_layers,
                                 up_closure)
 
 from conftest import submasks
@@ -14,7 +14,7 @@ def test_mask_roundtrip():
     m = mask_of([0, 3, 5], 6)
     assert m == 0b101001
     assert elements_of(m) == [0, 3, 5]
-    assert popcount(m) == 3
+    assert m.bit_count() == 3
 
 
 def test_mask_range_checked():
@@ -47,7 +47,7 @@ def test_complements_match_member_definition():
 def test_submasks_count_and_membership():
     m = 0b10110
     subs = list(submasks(m))
-    assert len(subs) == 1 << popcount(m)
+    assert len(subs) == 1 << m.bit_count()
     assert len(set(subs)) == len(subs)
     assert all(s & ~m == 0 for s in subs)
     assert 0 in subs and m in subs
@@ -80,7 +80,7 @@ def test_maximal_masks_are_the_subset_maximal_ones():
             assert set(got) == {m for m in masks
                                 if not any(m != w and m & ~w == 0 for w in masks)}
             assert len(got) == len(set(got))
-            assert [popcount(m) for m in got] == sorted(map(popcount, got), reverse=True)
+            assert [m.bit_count() for m in got] == sorted(map(int.bit_count, got), reverse=True)
 
 
 def random_family(rng, n):
@@ -106,7 +106,7 @@ def test_popcount_layers_partition_the_masks():
         assert len(layers) == n + 1
         union = 0
         for j, layer in enumerate(layers):
-            assert members(layer) == {x for x in range(1 << n) if popcount(x) == j}
+            assert members(layer) == {x for x in range(1 << n) if x.bit_count() == j}
             assert union & layer == 0
             union |= layer
         assert union == (1 << (1 << n)) - 1

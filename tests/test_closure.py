@@ -126,7 +126,7 @@ class TestFullClosure:
         from tangleforge import ConnectivitySystem
         table = [300 + bin(x).count("1") * (3 - bin(x).count("1")) for x in range(8)]
         sys = ConnectivitySystem.from_table(3, table, verify=False)
-        assert sys._bytes is None
+        assert not isinstance(sys._table, bytes)
         assert sys.k_separating(302) == sum(1 << x for x in range(8) if table[x] <= 302)
 
     def test_recorded_sequence_is_partial_k_sequence(self, ctx_barbell):

@@ -13,7 +13,8 @@ fully-closed test and full closure against the exhaustive walks on every
 mask, and its (k,S)-separations against the walk over every odd mask, for
 default S and for random explicit families.  The flower walk's partitions
 into admissible petals are checked against every partition of E filtered
-by random petal tables.
+by random petal tables, and the flowers it lists are distinct up to labels
+on random multigraphs and on R_8.
 """
 
 from itertools import combinations
@@ -22,15 +23,15 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tangleforge import (ConnectivitySystem, RankFunction, build_default_S,
-                         build_maximal_tree, enumerate_tangles, is_robust)
+                         build_maximal_tree, build_r8_rank, enumerate_tangles, is_robust)
 from tangleforge.closure import TreeCompatibleSet
 from tangleforge.oracle import (_admissible_partitions, _weak, differential_report,
-                               oracle_certify_tree, oracle_full_closure,
+                               oracle_certify_tree, oracle_flowers, oracle_full_closure,
                                oracle_kS_separations)
 from tangleforge.tangles import Tangle
 
 from conftest import (assert_flower_scans_match, assert_walks_are_literal,
-                      reference_kS_separations, reference_partitions)
+                      flower_label_key, reference_kS_separations, reference_partitions)
 
 MAX_EDGES = 9
 MAX_PETALS = 4
@@ -161,3 +162,24 @@ def test_admissible_partitions_are_the_filtered_partitions(table, max_blocks):
           else "partitions")
     assert len(set(got)) == len(got)
     assert set(got) == set(want)
+
+
+# R_8 and its polymatroids f_1..f_3, each with the order of its tangles
+R8_SYSTEMS = [(ConnectivitySystem.matroid(build_r8_rank()), 3)] + [
+    (ConnectivitySystem.r8_polymatroid(ell), ell + 3) for ell in (1, 2, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.one_of(multigraphs().map(lambda edges: (
+    ConnectivitySystem.graph(edges, verify=False), 2)), st.sampled_from(R8_SYSTEMS)),
+    cap=st.integers(1, 5))
+def test_oracle_flowers_are_distinct_up_to_labels(system, cap):
+    """No two listed flowers are equal up to labels (`flower_label_key`),
+    with fresh memos per tangle."""
+    system, k = system
+    for tangle in enumerate_tangles(system, k):
+        keys = [flower_label_key(f)
+                for f in oracle_flowers(system, Tangle(system, k, tangle.members), cap)]
+        event("4+ petal daisies" if any(key[0] == "d" and len(key[1]) > 3 for key in keys)
+              else "no daisy of 4+ petals")
+        assert len(set(keys)) == len(keys)

@@ -14,6 +14,16 @@ from conftest import (Ctx, conforms_with_tree, displayed_tree_class_ids, lab,
                       laminarity_check, submasks)
 
 
+# The bag-partition messages of the engine's verdict and of the oracle's
+# certificate, which words "cover" differently.
+BAG_MESSAGES = {"bags overlap": "overlap", "bags do not cover the ground set": "cover",
+                "bags do not cover E": "cover"}
+
+
+def bag_message_kinds(messages):
+    return [BAG_MESSAGES[m] for m in messages if m in BAG_MESSAGES]
+
+
 def face_tree(ctx):
     """Two-bag tree on the R_8 face separation."""
     return PiTree(4, {0: lab(1, 2, 3, 4), 1: lab(5, 6, 7, 8)}, {}, [(0, 1)])
@@ -128,11 +138,23 @@ class TestVerify:
         data = verify_partial_kS_tree(ctx_c6.sys, ctx_c6.tangle, ctx_c6.S, t).to_json()
         assert data["failures"] == [{"axiom": "P3", "witness": {
             "vertex": 0, "detail": "flower vertex fails label/order/looseness"}}]
-        t = PiTree(2, {0: 0b11, 1: ctx_c6.sys.full ^ 0b1}, {}, [(0, 1)])
-        data = verify_partial_kS_tree(ctx_c6.sys, ctx_c6.tangle, ctx_c6.S, t).to_json()
-        assert data["failures"] == [
+        # {0,1} and E-{0} overlap in 1 but cover E
+        c6 = ctx_c6.sys
+        t = PiTree(2, {0: 0b11, 1: c6.full ^ 0b1}, {}, [(0, 1)])
+        data = verify_partial_kS_tree(c6, ctx_c6.tangle, ctx_c6.S, t).to_json()
+        assert data["failures"] == [{"axiom": "P2", "witness": "bags overlap"}]
+        # {0,1} and {1,2,3,4} overlap and miss 5; other axioms fail as well
+        t2 = PiTree(2, {0: 0b11, 1: 0b11110}, {}, [(0, 1)])
+        data = verify_partial_kS_tree(c6, ctx_c6.tangle, ctx_c6.S, t2).to_json()
+        assert [f for f in data["failures"] if f["axiom"] == "P2"] == [
             {"axiom": "P2", "witness": "bags overlap"},
             {"axiom": "P2", "witness": "bags do not cover the ground set"}]
+        # the oracle's certificate names the same bag faults on both trees
+        for tree in (t, t2):
+            engine = [w for a, w in verify_partial_kS_tree(c6, ctx_c6.tangle, ctx_c6.S,
+                                                           tree).failures if a == "P2"]
+            problems = oracle_certify_tree(c6, ctx_c6.tangle, ctx_c6.S, tree)[1]
+            assert bag_message_kinds(problems) == bag_message_kinds(engine) != []
 
 
 class TestConformsWithTree:
