@@ -446,13 +446,14 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
     """
     problems: List[str] = []
     k = t.k
-    union = 0
+    union = overlap = 0
     for b in t.bags.values():
-        if union & b:
-            problems.append("bags overlap")
+        overlap |= union & b
         union |= b
+    if overlap:
+        problems.append("bags overlap")
     if union != sys.full:
-        problems.append("bags do not cover E")
+        problems.append("bags do not cover the ground set")
 
     sides = _Sides(t)
     displayed, shown_at = _tree_displayed(sys, t, sides)

@@ -16,7 +16,7 @@ from .bitset import down_closure, elements_of, maximal_family
 from .core import ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet, full_closure, full_closure_sequence
 from .errors import (DichotomyViolation, NotAFlowerVertex, PreconditionFailed,
-                     SearchSpaceTooLarge, TangleforgeError, ViolationFound)
+                     TangleforgeError, ViolationFound)
 from .flowers import (ANEMONE, DAISY, Flower, classify, concatenate, displayed_class_ids,
                       displayed_kS, displayed_separations, first_nonconforming, loose_petals,
                       maximal_flower, maximal_flower_from, verify_flower)
@@ -374,17 +374,14 @@ def retarget_terminal_bag(sys: ConnectivitySystem, tangle: Tangle,
 # -- the extension step and the main construction --------------------------
 
 
-def _find_rep_in_bag(sys, s_family, t, displayed, target):
-    """A class member of `target` with a side inside a bag; None if the
-    class is equivalent to a separation in t's display set instead."""
-    members = s_family.class_of(target)
-    if any(m in displayed for m in members):
-        return None
-    for member in members:
+def _find_rep_in_bag(sys, s_family, t, target):
+    """A side of a member of target's class inside a bag, and that bag's
+    vertex; target's class has no member in t's display set."""
+    for member in s_family.class_of(target):
         for side in member.sides(sys):
             for v, bag in sorted(t.bags.items()):
                 if bag and side & ~bag == 0:
-                    return member, side, v
+                    return side, v
     raise ViolationFound("separation neither displayed-equivalent nor in a bag (P5 broken)",
                          target)
 
@@ -449,97 +446,97 @@ def _arrange_prefix(sys, f: Flower, c: int) -> Tuple[Flower, int]:
     return f.rotated(start), len(in_c)
 
 
+def _split_internal_bag(sys, tangle, s_family, t, u, side) -> PiTree:
+    """Case II: split the internal bag at u around a maximal k-separating Z
+    between side and the bag."""
+    z = _maximal_k_separating_between(sys, tangle, side, t.bags[u], allow_equal=True)
+    if not s_family.is_kS_separation(Separation.make(sys, z, t.k)):
+        raise ViolationFound("internal-bag Z is not a (k,S)-separation",
+                             Separation.make(sys, z, t.k))
+    return _split_bag(t, u, z)
+
+
+def _extend_at_leaf(sys, tangle, s_family, t, u, side) -> PiTree:
+    """Case I: u is a leaf whose bag B contains side properly.  Fully close
+    B's complement, choose a maximal k-separating Z around side, then either
+    hang Z as a new leaf (when B & W is not k-separating) or graft a maximal
+    flower grown from the 3-petal flower (Z, B & W, E - B)."""
+    k = t.k
+    fcl_co, steps = full_closure_sequence(sys, tangle, sys.full ^ t.bags[u])
+    holder = u
+    for y in steps:
+        t = split_terminal_bag(sys, tangle, s_family, t, holder, y)
+        holder = max(t.vertices())
+    b1 = sys.full ^ fcl_co
+    r1 = sys.full ^ full_closure(sys, tangle, sys.full ^ side)
+    if not r1 or r1 & ~b1 or r1 == b1:
+        raise ViolationFound("R1 is not a non-empty proper subset of B1", (r1, b1))
+    z = _maximal_k_separating_between(sys, tangle, r1, b1, allow_equal=False)
+    w = sys.full ^ z
+    wz = Separation.make(sys, z, k)
+    if not s_family.is_kS_separation(wz):
+        raise ViolationFound("(W, Z) is not a (k,S)-separation", wz)
+    bw = b1 & w
+    if sys.lam(bw) > k:
+        # New leaf Z; the old terminal vertex, whose bag is B1, keeps B & W.
+        return _split_bag(t, holder, z)
+    if not tangle.is_strong(bw):
+        raise ViolationFound("B & W is weak on the flower route", (bw,))
+    f0 = verify_flower(sys, tangle, (z, bw, sys.full ^ b1), k)
+    fstar = maximal_flower_from(sys, tangle, s_family, f0)
+    class_b = set(s_family.class_of(Separation.make(sys, b1, k)))
+    fcl_of_b1 = full_closure(sys, tangle, b1)
+    shown = displayed_kS(sys, tangle, s_family, fstar)
+    c = next((cand for s in shown if s in class_b for cand in s.sides(sys)
+              if full_closure(sys, tangle, cand) == fcl_of_b1 and b1 & ~cand == 0),
+             None)
+    if c is None:
+        raise ViolationFound("maximal flower lost the terminal-bag class",
+                             Separation.make(sys, b1, k))
+    class_wz = set(s_family.class_of(wz))
+    if not any(side & ~c == 0 for s in shown if s in class_wz for side in s.sides(sys)):
+        raise ViolationFound("no displayed equivalent of (W,Z) inside C", wz)
+    arranged, j = _arrange_prefix(sys, fstar, c)
+    fpp = concatenate(arranged, list(range(1, j + 1)) + [arranged.n])
+    fpp = verify_flower(sys, tangle, fpp.petals, k)
+    t, holder = retarget_terminal_bag(sys, tangle, s_family, t, holder, c)
+    return _attach_flower_star(t, holder, arranged.petals[:j], classify(sys, fpp))
+
+
 def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
                 s_family: TreeCompatibleSet, t: PiTree) -> Optional[PiTree]:
-    """One extension step: returns a tree displaying a strictly larger set
-    of (k,S)-classes, or None when every class is already displayed.
+    """One extension step: returns a tree above t in the quasi-order (it
+    displays every (k,S)-class t displays and at least one more), or None
+    when every class is already displayed.
 
-    The construction: pick a non-displayed class, move an equivalent side
-    into a terminal bag (splitting internal bags on the way), fully close
-    the bag's complement, choose a maximal k-separating Z around the side,
-    then either attach Z as a new leaf (when B & W is not k-separating) or
-    graft a maximal flower grown from the 3-petal flower (Z, B & W, E - B).
+    The target is the first class t does not display.  A side of one of its
+    members lies in a bag; an internal bag is split (Case II), a leaf bag
+    gets a new leaf or a grafted flower (Case I).  A step that is not above
+    t raises ViolationFound.
     """
     if not is_robust(tangle):
         raise PreconditionFailed("tangle is not robust")
-    k = t.k
-    displayed = _tree_display(sys, tangle, t)[0]
-    base_ids = s_family.class_ids(displayed) - {None}  # None: t has another order
-    all_ids = set(range(len(s_family.classes())))
-    missing = sorted(all_ids - base_ids)
-    if not missing:
+
+    def shown_ids(tree):  # None stands for a (k,S)-separation of another order
+        return s_family.class_ids(_tree_display(sys, tangle, tree)[0]) - {None}
+
+    base_ids = shown_ids(t)
+    target = next((cls[0] for cid, cls in enumerate(s_family.classes())
+                   if cid not in base_ids), None)
+    if target is None:
         return None
-    target = min((s for cid in missing for s in s_family.classes()[cid]),
-                 key=lambda s: s.side)
     if not base_ids:
         # Trivial tree: replace it by the tree of a maximal flower seeded at
         # the target class (vacuously above the input in the quasi-order).
         return _seed_tree(sys, tangle, s_family, target)
-    work = t
-    for step in range(4 * (1 << sys.n) + 16):
-        if step:
-            displayed = _tree_display(sys, tangle, work)[0]
-            if len(s_family.class_ids(displayed)) > len(base_ids):
-                return work
-        found = _find_rep_in_bag(sys, s_family, work, displayed, target)
-        if found is None:
-            raise ViolationFound("target class displayed without a new class", target)
-        rep, side, u = found
-
-        if not work.is_leaf(u):
-            # Case II: split the internal bag around a maximal Z and retry.
-            z = _maximal_k_separating_between(sys, tangle, side, work.bags[u],
-                                              allow_equal=True)
-            if not s_family.is_kS_separation(Separation.make(sys, z, k)):
-                raise ViolationFound("internal-bag Z is not a (k,S)-separation",
-                                     Separation.make(sys, z, k))
-            work = _split_bag(work, u, z)
-            continue
-
-        # Case I: u is a leaf with bag B containing the side properly.
-        b = work.bags[u]
-        fcl_co, steps = full_closure_sequence(sys, tangle, sys.full ^ b)
-        holder = u
-        for y in steps:
-            work = split_terminal_bag(sys, tangle, s_family, work, holder, y)
-            holder = max(work.vertices())
-        b1 = sys.full ^ fcl_co
-        r1 = sys.full ^ full_closure(sys, tangle, sys.full ^ side)
-        if not r1 or r1 & ~b1 or r1 == b1:
-            raise ViolationFound("R1 is not a non-empty proper subset of B1", (r1, b1))
-        z = _maximal_k_separating_between(sys, tangle, r1, b1, allow_equal=False)
-        w = sys.full ^ z
-        wz = Separation.make(sys, z, k)
-        if not s_family.is_kS_separation(wz):
-            raise ViolationFound("(W, Z) is not a (k,S)-separation", wz)
-        bw = b1 & w
-        if sys.lam(bw) > k:
-            # New leaf Z; the old terminal vertex, whose bag is B1, keeps B & W.
-            work = _split_bag(work, holder, z)
-            continue
-        # Flower route: (Z, B & W, E - B) seeds a maximal flower.
-        if not tangle.is_strong(bw):
-            raise ViolationFound("B & W is weak on the flower route", (bw,))
-        f0 = verify_flower(sys, tangle, (z, bw, sys.full ^ b1), k)
-        fstar = maximal_flower_from(sys, tangle, s_family, f0)
-        class_b = set(s_family.class_of(Separation.make(sys, b1, k)))
-        fcl_of_b1 = full_closure(sys, tangle, b1)
-        shown = displayed_kS(sys, tangle, s_family, fstar)
-        c = next((cand for s in shown if s in class_b for cand in s.sides(sys)
-                  if full_closure(sys, tangle, cand) == fcl_of_b1 and b1 & ~cand == 0),
-                 None)
-        if c is None:
-            raise ViolationFound("maximal flower lost the terminal-bag class",
-                                 Separation.make(sys, b1, k))
-        class_wz = set(s_family.class_of(wz))
-        if not any(side & ~c == 0 for s in shown if s in class_wz for side in s.sides(sys)):
-            raise ViolationFound("no displayed equivalent of (W,Z) inside C", wz)
-        arranged, j = _arrange_prefix(sys, fstar, c)
-        fpp = concatenate(arranged, list(range(1, j + 1)) + [arranged.n])
-        fpp = verify_flower(sys, tangle, fpp.petals, k)
-        work, holder = retarget_terminal_bag(sys, tangle, s_family, work, holder, c)
-        work = _attach_flower_star(work, holder, arranged.petals[:j], classify(sys, fpp))
-    raise SearchSpaceTooLarge("extension step did not converge")
+    side, u = _find_rep_in_bag(sys, s_family, t, target)
+    case = _extend_at_leaf if t.is_leaf(u) else _split_internal_bag
+    nxt = case(sys, tangle, s_family, t, u, side)
+    ids = shown_ids(nxt)
+    if not base_ids < ids:
+        raise ViolationFound("extension step is not above its input in the quasi-order",
+                             sorted(base_ids - ids) or target)
+    return nxt
 
 
 def _seed_tree(sys: ConnectivitySystem, tangle: Tangle,

@@ -6,22 +6,12 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
                          split_terminal_bag, verify_flower, verify_partial_kS_tree)
 from tangleforge.bitset import elements_of
 from tangleforge.closure import Separation, build_default_S, full_closure
-from tangleforge.errors import NotAFlowerVertex, PreconditionFailed
+from tangleforge.errors import NotAFlowerVertex, PreconditionFailed, ViolationFound
 from tangleforge.oracle import oracle_certify_tree
 from tangleforge.trees import PiTree, flower_at, single_bag_tree
 
 from conftest import (Ctx, conforms_with_tree, displayed_tree_class_ids, lab,
                       laminarity_check, submasks)
-
-
-# The bag-partition messages of the engine's verdict and of the oracle's
-# certificate, which words "cover" differently.
-BAG_MESSAGES = {"bags overlap": "overlap", "bags do not cover the ground set": "cover",
-                "bags do not cover E": "cover"}
-
-
-def bag_message_kinds(messages):
-    return [BAG_MESSAGES[m] for m in messages if m in BAG_MESSAGES]
 
 
 def face_tree(ctx):
@@ -149,12 +139,16 @@ class TestVerify:
         assert [f for f in data["failures"] if f["axiom"] == "P2"] == [
             {"axiom": "P2", "witness": "bags overlap"},
             {"axiom": "P2", "witness": "bags do not cover the ground set"}]
-        # the oracle's certificate names the same bag faults on both trees
-        for tree in (t, t2):
+        # {0,1}, {1,2}, {2,3,4,5} on a path: two bags meet an earlier one,
+        # and the overlap is still one fault
+        t3 = PiTree(2, {0: 0b11, 1: 0b110, 2: 0b111100}, {}, [(0, 1), (1, 2)])
+        # the oracle's certificate names the same bag faults in the same words
+        for tree in (t, t2, t3):
             engine = [w for a, w in verify_partial_kS_tree(c6, ctx_c6.tangle, ctx_c6.S,
                                                            tree).failures if a == "P2"]
             problems = oracle_certify_tree(c6, ctx_c6.tangle, ctx_c6.S, tree)[1]
-            assert bag_message_kinds(problems) == bag_message_kinds(engine) != []
+            assert [m for m in problems if m.startswith("bags ")] == engine != []
+        assert engine == ["bags overlap"]
 
 
 class TestConformsWithTree:
@@ -324,13 +318,24 @@ class TestExtendAndBuild:
                 nxt = extend_tree(sys, tangle, S, t)
                 if nxt is None:
                     break
-                assert (len(displayed_tree_class_ids(sys, tangle, S, nxt))
-                        > len(displayed_tree_class_ids(sys, tangle, S, t)))
+                assert (displayed_tree_class_ids(sys, tangle, S, t)
+                        < displayed_tree_class_ids(sys, tangle, S, nxt))
                 t = nxt
                 count += 1
                 assert count < 64
             assert (displayed_tree_class_ids(sys, tangle, S, t)
                     == frozenset(range(len(S.classes()))))
+
+    def test_step_not_above_its_input_raises(self, ctx_u26, monkeypatch):
+        # U_{2,6}'s construction splits internal bags (Case II); a split
+        # that returns its input shows no new class, so the step is refused
+        from tangleforge import trees
+        monkeypatch.setattr(trees, "_split_internal_bag",
+                            lambda sys, tangle, s_family, t, u, side: t)
+        sys, tangle, S = ctx_u26.sys, ctx_u26.tangle, ctx_u26.S
+        with pytest.raises(ViolationFound, match="not above its input") as info:
+            build_maximal_tree(sys, tangle, S)
+        assert info.value.witness in S.separations()
 
     def test_zero_separation_instance_gives_single_bag(self, u49):
         tangle = [t for t in enumerate_tangles(u49, 3)][0]
