@@ -7,9 +7,8 @@ from .closure import (Separation, TreeCompatibleSet, build_default_S,
                       enumerate_kS_separations, equivalent_separations, full_closure,
                       is_fully_closed, is_sequential, verify_tree_compatible)
 from .errors import (DichotomyViolation, InvalidBreakpoints, NonRobustObstruction,
-                     NotAFlowerVertex, NotAPartition, NotKSeparating,
-                     PreconditionFailed, SearchSpaceTooLarge, TangleforgeError,
-                     ViolationFound, WeakPetal)
+                     NotAPartition, NotKSeparating, PreconditionFailed,
+                     SearchSpaceTooLarge, TangleforgeError, ViolationFound, WeakPetal)
 from .flowers import (Flower, classify, concatenate, conforms_with_flower,
                       displayed_kS, displayed_separations, loose_petals,
                       maximal_flower, refine_with, tighten, verify_flower)

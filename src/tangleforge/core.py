@@ -132,12 +132,11 @@ class RankFunction:
     local submodularity exhaustively.
     """
 
-    def __init__(self, n: int, table: Sequence[int], source: str, verify: bool = True):
+    def __init__(self, n: int, table: Sequence[int], verify: bool = True):
         check_ground_size(n)
         if len(table) != 1 << n:
             raise ValueError("rank table must have 2^n entries")
         self.n = n
-        self.source = source
         self._table = _held_table(table)
         if verify:
             bad = verify_rank_axioms(self)
@@ -175,7 +174,7 @@ class RankFunction:
 
     @classmethod
     def from_table(cls, n: int, values: Sequence[int], verify: bool = True) -> "RankFunction":
-        return cls(n, list(values), "table", verify=verify)
+        return cls(n, list(values), verify=verify)
 
     @classmethod
     def uniform(cls, r: int, n: int) -> "RankFunction":
@@ -186,7 +185,7 @@ class RankFunction:
         for _ in range(n):
             counts += counts.translate(_PLUS_ONE)
         capped = counts.translate(bytes(min(v, r) for v in range(256)))
-        return cls(n, capped, f"uniform({r},{n})", verify=False)
+        return cls(n, capped, verify=False)
 
     @classmethod
     def graphic(cls, edges: Sequence[Tuple[object, object]]) -> "RankFunction":
@@ -216,7 +215,7 @@ class RankFunction:
                             reach[t] = reach.get(t, 0) | new
                             grown = True
             total += byte_lanes(present[e] & ~reach.get(v, 0), n)
-        return cls(n, total.to_bytes(1 << n, "little"), "graphic", verify=False)
+        return cls(n, total.to_bytes(1 << n, "little"), verify=False)
 
     @classmethod
     def from_bases(cls, n: int, bases: Sequence[int]) -> "RankFunction":
@@ -237,7 +236,7 @@ class RankFunction:
         total = 0
         for layer in popcount_layers(n)[1:]:
             total += byte_lanes(up_closure(independent & layer, n), n)
-        return cls(n, total.to_bytes(1 << n, "little"), "bases")
+        return cls(n, total.to_bytes(1 << n, "little"))
 
 
 # -- axiom checks on lanes ---------------------------------------------------
@@ -373,7 +372,7 @@ def build_r8_rank() -> RankFunction:
             table.append(3 if m in planes else 4)
         else:
             table.append(4)
-    return RankFunction(8, table, "r8")
+    return RankFunction(8, table)
 
 
 class ConnectivitySystem:
@@ -384,8 +383,7 @@ class ConnectivitySystem:
     """
 
     def __init__(self, ground: GroundSet, kind: str, table: Sequence[int],
-                 rank: Optional[RankFunction] = None, verify: Optional[bool] = None,
-                 meta: Optional[dict] = None):
+                 rank: Optional[RankFunction] = None, verify: Optional[bool] = None):
         """`table` holds lambda at every mask of the ground set.  The axioms
         are checked unless `verify` is False."""
         self.ground = ground
@@ -393,7 +391,6 @@ class ConnectivitySystem:
         self.full = ground.full
         self.kind = kind
         self.rank = rank
-        self.meta = meta or {}
         self._outside = ~self.full  # bits of masks that leave the ground set
         self._flags_by_k: Dict[int, bytes] = {}
         self._k_separating: Dict[int, int] = {}
@@ -475,8 +472,7 @@ class ConnectivitySystem:
         total = 0
         for m in inc:
             total += byte_lanes(every ^ down_closure(full ^ m) ^ up_closure(1 << m, n), n)
-        return cls(ground, "graph", total.to_bytes(1 << n, "little"), verify=verify,
-                   meta={"edges": list(edges)})
+        return cls(ground, "graph", total.to_bytes(1 << n, "little"), verify=verify)
 
     @classmethod
     def r8_polymatroid(cls, ell: int, verify: Optional[bool] = None) -> "ConnectivitySystem":
@@ -488,8 +484,7 @@ class ConnectivitySystem:
         full = full_mask(8)
         table = [1 if m in (0, full) else r(m) + r(full ^ m) + ell - 3 for m in range(1 << 8)]
         labels = tuple(str(i) for i in range(1, 9))
-        return cls(GroundSet(8, labels), "r8_polymatroid", table, rank=rank,
-                   verify=verify, meta={"ell": ell})
+        return cls(GroundSet(8, labels), "r8_polymatroid", table, rank=rank, verify=verify)
 
     @classmethod
     def from_table(cls, n: int, values: Sequence[int], labels=None,

@@ -58,10 +58,6 @@ class DichotomyViolation(TangleforgeError):
         self.witness_indices = witness_indices
 
 
-class NotAFlowerVertex(TangleforgeError):
-    """The tree vertex is a bag vertex, not a flower vertex."""
-
-
 class NonRobustObstruction(TangleforgeError):
     """Flower refinement hit an all-weakly-crossed separation.
 

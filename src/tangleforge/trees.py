@@ -10,13 +10,12 @@ k-separations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .bitset import down_closure, elements_of, maximal_family
 from .core import ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet, full_closure, full_closure_sequence
-from .errors import (DichotomyViolation, NotAFlowerVertex, PreconditionFailed,
-                     TangleforgeError, ViolationFound)
+from .errors import DichotomyViolation, PreconditionFailed, TangleforgeError, ViolationFound
 from .flowers import (ANEMONE, DAISY, Flower, classify, concatenate, displayed_class_ids,
                       displayed_kS, displayed_separations, first_nonconforming, loose_petals,
                       maximal_flower, maximal_flower_from, verify_flower)
@@ -158,19 +157,13 @@ def single_bag_tree(sys: ConnectivitySystem, k: int) -> PiTree:
     return PiTree(k, {0: sys.full}, {}, [])
 
 
-def flower_at(sys: ConnectivitySystem, tangle: Tangle, t: PiTree, v: int) -> Flower:
-    """The flower displayed by a non-bag vertex: component bag-unions in the
-    vertex's edge order (cyclic for D, sorted for A)."""
-    if t.is_bag_vertex(v):
-        raise NotAFlowerVertex(f"vertex {v} is a bag vertex")
-    return verify_flower(sys, tangle, t.petals_at(v), t.k)
-
-
 def _tree_display(sys: ConnectivitySystem, tangle: Tangle, t: PiTree
-                  ) -> Tuple[Set[Separation], Dict[int, Tuple[Flower, List[Separation]]]]:
+                  ) -> Tuple[Set[Separation],
+                             Dict[int, Union[TangleforgeError, Tuple[Flower, List[Separation]]]]]:
     """The display set of t (k-separating edge sides and the displays of
-    every flower vertex), and each vertex that displays a flower mapped to
-    that flower and its displays.  Other flower vertices are skipped."""
+    every flower vertex), and each flower vertex mapped to its flower and
+    displays, or to the error its petals raise; such a vertex displays
+    nothing."""
     out = set()
     for u, v in t.edges():
         x = t.side(u, v)
@@ -179,9 +172,10 @@ def _tree_display(sys: ConnectivitySystem, tangle: Tangle, t: PiTree
     at = {}
     for v in t.labels:
         try:
-            f = flower_at(sys, tangle, t, v)
-        except TangleforgeError:
-            continue  # bad flower vertices are (P3)/(P4) failures, not displays
+            f = verify_flower(sys, tangle, t.petals_at(v), t.k)
+        except TangleforgeError as exc:
+            at[v] = exc  # a (P3)/(P4) failure, not a display
+            continue
         try:
             classify(sys, f)  # a classified flower displays without lambda calls
         except DichotomyViolation:
@@ -195,17 +189,25 @@ def _nonempty_bags(t: PiTree) -> List[int]:
     return [b for b in t.bags.values() if b]
 
 
+AXIOMS = ("P2", "P1", "P3", "P4", "P5")  # in the key order of TreeVerdict.passed
+
+
 @dataclass
 class TreeVerdict:
-    """Per-axiom outcome of partial (k,S)-tree verification."""
+    """The failures of partial (k,S)-tree verification; an axiom passes iff
+    no failure names it."""
 
-    passed: Dict[str, bool] = field(default_factory=dict)
     failures: List[Tuple[str, object]] = field(default_factory=list)
     displayed: List[Separation] = field(default_factory=list)
 
     @property
+    def passed(self) -> Dict[str, bool]:
+        failed = {a for a, _ in self.failures}
+        return {a: a not in failed for a in AXIOMS}
+
+    @property
     def ok(self) -> bool:
-        return all(self.passed.values())
+        return not self.failures
 
     def to_json(self):
         return {
@@ -235,52 +237,31 @@ def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,
     """Check (P1)-(P5).  The tree's display set is built once and serves
     (P3)/(P4), (P5) and `verdict.displayed`; (P5) tests each class of the
     enumerated (k,S)-separations once against it."""
-    verdict = TreeVerdict()
-    structural = t.validate_structure(sys)
-    verdict.passed["P2"] = not structural
-    for msg in structural:
-        verdict.failures.append(("P2", msg))
-
-    ok1 = True
+    verdict = TreeVerdict([("P2", msg) for msg in t.validate_structure(sys)])
     for u, v in t.edges():
         x = t.side(u, v)
         y = sys.full ^ x
-        if sys.lam(x) > t.k or tangle.is_weak(x) or tangle.is_weak(y):
-            ok1 = False
+        if (sys.lam(x) > t.k or tangle.is_weak(x) or tangle.is_weak(y)
+                or t.is_bag_vertex(u) and t.is_bag_vertex(v)
+                and not s_family.is_kS_separation(Separation.make(sys, x, t.k))):
             verdict.failures.append(("P1", (u, v)))
-            continue
-        if t.is_bag_vertex(u) and t.is_bag_vertex(v):
-            if not s_family.is_kS_separation(Separation.make(sys, x, t.k)):
-                ok1 = False
-                verdict.failures.append(("P1", (u, v)))
-    verdict.passed["P1"] = ok1
 
     displayed, at = _tree_display(sys, tangle, t)
-    ok3 = ok4 = True
     for v, lab in t.labels.items():
-        axiom = "P3" if lab == "A" else "P4"
         try:
-            if v not in at:
-                flower_at(sys, tangle, t, v)  # raises the vertex's failure
+            if isinstance(at[v], TangleforgeError):
+                raise at[v]  # its petals are no flower
             f, shown = at[v]
             klass = classify(sys, f)
             want_ok = (klass == ANEMONE) if lab == "A" else (klass == DAISY or f.n <= 3)
             if not want_ok or len(s_family.class_ids(shown)) < 2 or loose_petals(sys, tangle, f):
                 raise ViolationFound("flower vertex fails label/order/looseness", v)
         except TangleforgeError as exc:
-            if lab == "A":
-                ok3 = False
-            else:
-                ok4 = False
-            verdict.failures.append((axiom, (v, str(exc))))
-    verdict.passed["P3"] = ok3
-    verdict.passed["P4"] = ok4
+            verdict.failures.append(("P3" if lab == "A" else "P4", (v, str(exc))))
 
     failing = first_nonconforming(sys, s_family, displayed, _nonempty_bags(t))
     if failing is not None:
         verdict.failures.append(("P5", failing))
-    verdict.passed["P5"] = failing is None
-
     verdict.displayed = sorted(displayed)
     return verdict
 

@@ -249,6 +249,46 @@ def conforms_with_tree(sys, tangle, s_family, sep, t):
                           _nonempty_bags(t))
 
 
+def tree_mutants(t):
+    """Broken copies of t, in four kinds: an element moved or copied to
+    another bag, the label of a flower vertex swapped between A and D, two
+    entries of a cyclic order swapped, and a leaf bag merged into its
+    neighbouring bag."""
+    out = []
+    for u, bag in sorted(t.bags.items()):
+        for w in sorted(t.bags):
+            if w == u:
+                continue
+            for e in range(bag.bit_length()):
+                if bag >> e & 1:
+                    moved = dict(t.bags)
+                    moved[w] |= 1 << e
+                    out.append(t.replaced(bags=dict(moved)))
+                    moved[u] ^= 1 << e
+                    out.append(t.replaced(bags=moved))
+    for v, label in sorted(t.labels.items()):
+        cyclic = dict(t.cyclic)
+        if label == "A":
+            cyclic[v] = t.adj[v]
+        else:
+            del cyclic[v]
+        out.append(t.replaced(labels={**t.labels, v: "D" if label == "A" else "A"},
+                              cyclic=cyclic))
+        order = t.cyclic.get(v, ())
+        for i, j in combinations(range(len(order)), 2):
+            swapped = list(order)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            out.append(t.replaced(cyclic={**t.cyclic, v: tuple(swapped)}))
+    for u in sorted(t.bags):
+        if t.is_leaf(u) and t.is_bag_vertex(t.adj[u][0]):
+            (w,) = t.adj[u]
+            bags = {x: b for x, b in t.bags.items() if x != u}
+            bags[w] |= t.bags[u]
+            out.append(t.replaced(bags=bags,
+                                  edges=[e for e in t.edge_list if u not in e]))
+    return out
+
+
 def laminarity_check(sys, t):
     """Edge-displayed separations pairwise non-crossing (all four pairwise
     intersections non-empty means crossing)."""

@@ -36,7 +36,7 @@ def _path(n):
 # table construction would fail differently.
 OVERSIZED = [
     ("GroundSet", False, lambda n: GroundSet(n)),
-    ("RankFunction", False, lambda n: RankFunction(n, [0], "table")),
+    ("RankFunction", False, lambda n: RankFunction(n, [0])),
     ("RankFunction.from_table", False, lambda n: RankFunction.from_table(n, [0])),
     ("RankFunction.uniform", False, lambda n: RankFunction.uniform(3, n)),
     ("RankFunction.graphic", True, lambda n: RankFunction.graphic(_path(n))),

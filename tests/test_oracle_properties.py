@@ -14,16 +14,19 @@ mask, and its (k,S)-separations against the walk over every odd mask, for
 default S and for random explicit families.  The flower walk's partitions
 into admissible petals are checked against every partition of E filtered
 by random petal tables, and the flowers it lists are distinct up to labels
-on random multigraphs and on R_8.
+on random multigraphs and on R_8.  On broken copies of the maximal trees
+(`tree_mutants`), the engine's verifier and the oracle's certificate give
+the same verdict.
 """
 
 from itertools import combinations
 
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from tangleforge import (ConnectivitySystem, RankFunction, build_default_S,
-                         build_maximal_tree, build_r8_rank, enumerate_tangles, is_robust)
+                         build_maximal_tree, build_r8_rank, enumerate_tangles, is_robust,
+                         verify_partial_kS_tree)
 from tangleforge.closure import TreeCompatibleSet
 from tangleforge.oracle import (_admissible_partitions, _weak, differential_report,
                                oracle_certify_tree, oracle_flowers, oracle_full_closure,
@@ -31,7 +34,8 @@ from tangleforge.oracle import (_admissible_partitions, _weak, differential_repo
 from tangleforge.tangles import Tangle
 
 from conftest import (assert_flower_scans_match, assert_walks_are_literal,
-                      flower_label_key, reference_kS_separations, reference_partitions)
+                      flower_label_key, reference_kS_separations, reference_partitions,
+                      tree_mutants)
 
 MAX_EDGES = 9
 MAX_PETALS = 4
@@ -83,6 +87,39 @@ def uniform_ranks(draw):
 def test_engine_agrees_with_oracle_on_uniform_matroids(rn, k):
     system = ConnectivitySystem.matroid(RankFunction.uniform(*rn), verify=False)
     assert_engine_agrees(system, k, MAX_MATROID_PETALS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edges=multigraphs(), matroid=st.booleans(), k=st.sampled_from([2, 3]),
+       data=st.data())
+def test_verifiers_agree_on_broken_trees(edges, matroid, k, data):
+    """The maximal tree of each robust tangle passes both checks; on its
+    first mutant (an element copied into another bag, so bags overlap) and
+    a few drawn ones, the engine's verdict is the oracle's.  Draws without
+    a mutant are discarded."""
+    system = (ConnectivitySystem.matroid(RankFunction.graphic(edges), verify=False)
+              if matroid else ConnectivitySystem.graph(edges, verify=False))
+    cases = []
+    for tangle in enumerate_tangles(system, k):
+        if is_robust(tangle):
+            s_family = build_default_S(system, tangle)
+            tree = build_maximal_tree(system, tangle, s_family)
+            cases.append((tangle, s_family, tree, tree_mutants(tree)))
+    assume(any(mutants for *_, mutants in cases))
+    rejected = accepted = 0
+    for tangle, s_family, tree, mutants in cases:
+        assert verify_partial_kS_tree(system, tangle, s_family, tree).ok
+        assert oracle_certify_tree(system, tangle, s_family, tree)[0]
+        if not mutants:
+            continue
+        for t in mutants[:1] + data.draw(st.lists(st.sampled_from(mutants), max_size=6)):
+            ok = verify_partial_kS_tree(system, tangle, s_family, t).ok
+            assert ok == oracle_certify_tree(system, tangle, s_family, t,
+                                             require_maximal=False)[0]
+            rejected += not ok
+            accepted += ok
+    assert rejected
+    event("a mutant accepted by both" if accepted else "every mutant rejected")
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,9 +6,9 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
                          split_terminal_bag, verify_flower, verify_partial_kS_tree)
 from tangleforge.bitset import elements_of
 from tangleforge.closure import Separation, build_default_S, full_closure
-from tangleforge.errors import NotAFlowerVertex, PreconditionFailed, ViolationFound
+from tangleforge.errors import PreconditionFailed, ViolationFound
 from tangleforge.oracle import oracle_certify_tree
-from tangleforge.trees import PiTree, flower_at, single_bag_tree
+from tangleforge.trees import PiTree, single_bag_tree
 
 from conftest import (Ctx, conforms_with_tree, displayed_tree_class_ids, lab,
                       laminarity_check, submasks)
@@ -33,17 +33,12 @@ class TestDisplayed:
 
     def test_star_flower_vertex_displays_unions(self, ctx_r8p1):
         t = phi_r8_tree(ctx_r8p1)
-        shown = displayed_separations(ctx_r8p1.sys, ctx_r8p1.tangle,
-                                      flower_at(ctx_r8p1.sys, ctx_r8p1.tangle, t, 0))
+        f = verify_flower(ctx_r8p1.sys, ctx_r8p1.tangle, t.petals_at(0), t.k)
+        shown = displayed_separations(ctx_r8p1.sys, ctx_r8p1.tangle, f)
         sides = {s.side for s in shown}
         assert lab(1, 2, 3, 4) in sides          # consecutive union
         assert lab(1, 2, 5, 6) in sides          # anemone cross union
         assert Separation.make(ctx_r8p1.sys, lab(1, 2), 4).side in sides
-
-    def test_bag_vertex_is_not_a_flower_vertex(self, ctx_r8p1):
-        t = phi_r8_tree(ctx_r8p1)
-        with pytest.raises(NotAFlowerVertex):
-            flower_at(ctx_r8p1.sys, ctx_r8p1.tangle, t, 1)
 
     def test_path_of_bags_prefix_unions(self, ctx_u56):
         sys = ctx_u56.sys
@@ -116,7 +111,8 @@ class TestVerify:
         verdict = verify_partial_kS_tree(sys, tangle, S, t)
         assert not verdict.passed["P3"]
 
-    def test_failing_verdict_json_has_structured_witnesses(self, ctx_r8p1, ctx_c6):
+    def test_failing_verdict_json_has_structured_witnesses(self, ctx_r8p1, ctx_c6, ctx_u56,
+                                                           ctx_pc4):
         sys = ctx_r8p1.sys
         t = PiTree(4, {0: lab(1, 2), 1: sys.full ^ lab(1, 2)}, {}, [(0, 1)])
         data = verify_partial_kS_tree(sys, ctx_r8p1.tangle, ctx_r8p1.S, t).to_json()
@@ -128,6 +124,26 @@ class TestVerify:
         data = verify_partial_kS_tree(ctx_c6.sys, ctx_c6.tangle, ctx_c6.S, t).to_json()
         assert data["failures"] == [{"axiom": "P3", "witness": {
             "vertex": 0, "detail": "flower vertex fails label/order/looseness"}}]
+        # the same star labelled D on the anemone of U_{5,6}
+        star = PiTree(2, bags, {0: "D"}, [(0, i + 1) for i in range(6)], {0: tuple(bags)})
+        data = verify_partial_kS_tree(ctx_u56.sys, ctx_u56.tangle, ctx_u56.S, star).to_json()
+        assert data["failures"] == [{"axiom": "P4", "witness": {
+            "vertex": 0, "detail": "flower vertex fails label/order/looseness"}}]
+        # edges 0 and 2 of C6 are next to each other in the cyclic order
+        swapped = star.replaced(cyclic={0: (1, 3, 2, 4, 5, 6)})
+        data = verify_partial_kS_tree(ctx_c6.sys, ctx_c6.tangle, ctx_c6.S, swapped).to_json()
+        assert data["failures"] == [
+            {"axiom": "P4",
+             "witness": {"vertex": 0, "detail": "mask 0x5 has connectivity 4 > 2"}},
+            {"axiom": "P5", "witness": [0, 1]}]
+        # a daisy star on the pendant C4 whose pendant edge 4 is a weak petal
+        pendant = PiTree(2, {i + 1: 1 << i for i in range(5)}, {0: "D"},
+                         [(0, i + 1) for i in range(5)], {0: (1, 2, 3, 4, 5)})
+        data = verify_partial_kS_tree(ctx_pc4.sys, ctx_pc4.tangle, ctx_pc4.S, pendant).to_json()
+        assert data["failures"] == [
+            {"axiom": "P1", "witness": [0, 5]},
+            {"axiom": "P4", "witness": {"vertex": 0, "detail": "petal 4 is weak"}},
+            {"axiom": "P5", "witness": [0, 1]}]
         # {0,1} and E-{0} overlap in 1 but cover E
         c6 = ctx_c6.sys
         t = PiTree(2, {0: 0b11, 1: c6.full ^ 0b1}, {}, [(0, 1)])
@@ -149,6 +165,12 @@ class TestVerify:
             problems = oracle_certify_tree(c6, ctx_c6.tangle, ctx_c6.S, tree)[1]
             assert [m for m in problems if m.startswith("bags ")] == engine != []
         assert engine == ["bags overlap"]
+        # a daisy vertex that also holds an empty bag is a structure fault;
+        # its petals are checked like those of any flower vertex
+        both = swapped.replaced(bags={**swapped.bags, 0: 0}, cyclic={0: (1, 2, 3, 4, 5, 6)})
+        data = verify_partial_kS_tree(c6, ctx_c6.tangle, ctx_c6.S, both).to_json()
+        assert data["failures"] == [
+            {"axiom": "P2", "witness": "vertex both bag and flower vertex"}]
 
 
 class TestConformsWithTree:
@@ -494,6 +516,25 @@ def test_one_oracle_scan_per_flower_vertex(ctx_r8p1, ctx_c6, ctx_u56, ctx_u26, c
                 assert klass == _flower_class_literal(c.sys, Flower(petals, t.k))
                 checked.add(klass)
     assert checked == {"anemone", "daisy"}
+
+
+def test_failing_flower_vertex_is_checked_once(ctx_c6, monkeypatch):
+    # the display records the error of the vertex's petals; the verifier
+    # reports it without checking the petals again
+    import tangleforge.trees as trees
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return verify_flower(*args)
+
+    monkeypatch.setattr(trees, "verify_flower", counting)
+    t = PiTree(2, {i + 1: 1 << i for i in range(6)}, {0: "D"},
+               [(0, i + 1) for i in range(6)], {0: (1, 3, 2, 4, 5, 6)})
+    verdict = verify_partial_kS_tree(ctx_c6.sys, ctx_c6.tangle, ctx_c6.S, t)
+    assert [a for a, _ in verdict.failures] == ["P4", "P5"]
+    assert verdict.passed == {"P2": True, "P1": True, "P3": True, "P4": False, "P5": False}
+    assert calls == [t.petals_at(0)]
 
 
 def test_lam_error_at_flower_vertex_propagates():
