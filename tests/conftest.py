@@ -12,6 +12,7 @@ import pytest
 
 from tangleforge import (ConnectivitySystem, RankFunction, build_r8_rank,
                          enumerate_tangles)
+from tangleforge.bitset import elements_of
 from tangleforge.closure import Separation, build_default_S, full_closure
 from tangleforge.core import Violation
 from tangleforge.errors import DichotomyViolation, ViolationFound
@@ -256,16 +257,11 @@ def tree_mutants(t):
     neighbouring bag."""
     out = []
     for u, bag in sorted(t.bags.items()):
-        for w in sorted(t.bags):
-            if w == u:
-                continue
-            for e in range(bag.bit_length()):
-                if bag >> e & 1:
-                    moved = dict(t.bags)
-                    moved[w] |= 1 << e
-                    out.append(t.replaced(bags=dict(moved)))
-                    moved[u] ^= 1 << e
-                    out.append(t.replaced(bags=moved))
+        for w in sorted(set(t.bags) - {u}):
+            for e in elements_of(bag):
+                copied = {**t.bags, w: t.bags[w] | 1 << e}
+                out.append(t.replaced(bags=copied))
+                out.append(t.replaced(bags={**copied, u: bag ^ 1 << e}))
     for v, label in sorted(t.labels.items()):
         cyclic = dict(t.cyclic)
         if label == "A":
