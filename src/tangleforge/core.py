@@ -173,10 +173,6 @@ class RankFunction:
         return [table[x] + table[full ^ x] - drop for x in range(1 << self.n)]
 
     @classmethod
-    def from_table(cls, n: int, values: Sequence[int], verify: bool = True) -> "RankFunction":
-        return cls(n, list(values), verify=verify)
-
-    @classmethod
     def uniform(cls, r: int, n: int) -> "RankFunction":
         check_ground_size(n)
         if not 0 <= r <= n:

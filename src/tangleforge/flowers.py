@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, compress
 from operator import or_
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import Container, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from .core import ConnectivitySystem
 from .closure import (Separation, TreeCompatibleSet, full_closure)
@@ -213,16 +213,33 @@ def displayed_separations(sys: ConnectivitySystem, tangle: Tangle,
     return sorted({Separation.make(sys, u, f.k) for u in sides})
 
 
+class Uncrossed:
+    """A verified flower's display set as a container, decided by petal
+    crossing, never built: a (k,S)-separation of the flower's order has
+    k-separating proper sides, so it is displayed iff no petal meets both
+    sides; others of that order also need a canonical, proper, k-separating side."""
+
+    def __init__(self, s_family: TreeCompatibleSet, f: Flower):
+        self.s_family, self.sys, self.petals, self.k = s_family, s_family.sys, f.petals, f.k
+
+    def __contains__(self, sep: Separation) -> bool:
+        side, k = sep.side, self.k
+        if sep.k != k:
+            return False
+        for p in self.petals:
+            if p & side and p & ~side:
+                return False
+        return (self.s_family.class_id(sep) is not None
+                or side & 1 and side != self.sys.full and self.sys.lam(side) <= k)
+
+
 def displayed_kS(sys: ConnectivitySystem, tangle: Tangle,
                  s_family: TreeCompatibleSet, f: Flower) -> List[Separation]:
-    return [s for s in displayed_separations(sys, tangle, f)
-            if s_family.is_kS_separation(s)]
-
-
-def displayed_class_ids(sys: ConnectivitySystem, tangle: Tangle,
-                        s_family: TreeCompatibleSet, f: Flower) -> FrozenSet[int]:
-    """Equivalence-class ids of the displayed (k,S)-separations."""
-    return s_family.class_ids(displayed_separations(sys, tangle, f))
+    """The (k,S)-separations a verified flower displays, by canonical side,
+    decided by petal crossing (`Uncrossed`); a flower of another order
+    displays none."""
+    shown = Uncrossed(s_family, f)
+    return [s for s in s_family.separations() if s in shown]
 
 
 def _absorber(sys: ConnectivitySystem, tangle: Tangle, f: Flower, i: int) -> Optional[int]:
@@ -276,9 +293,10 @@ def petal_cross_kind(tangle: Tangle, part: int, r: int, g: int) -> str:
 
 
 def class_conforms(sys: ConnectivitySystem, members: Sequence[Separation],
-                   displayed: Set[Separation], parts: Sequence[int]) -> bool:
-    """True iff some member of the class is displayed or has a side inside
-    one of the parts (petals of a flower, bags of a tree)."""
+                   displayed: Container[Separation], parts: Sequence[int]) -> bool:
+    """True iff some member of the class is displayed (a tree's display set,
+    or `Uncrossed` for a flower) or has a side inside one of the parts
+    (petals of a flower, bags of a tree)."""
     for member in members:
         if member in displayed:
             return True
@@ -290,20 +308,16 @@ def class_conforms(sys: ConnectivitySystem, members: Sequence[Separation],
 
 
 def first_nonconforming(sys: ConnectivitySystem, s_family: TreeCompatibleSet,
-                        displayed: Set[Separation],
+                        displayed: Container[Separation],
                         parts: Sequence[int]) -> Optional[Separation]:
     """The first (k,S)-separation, by canonical side, whose class does not
-    conform with the display set and parts; None when every one conforms.
-    Conformance is a property of the class, so each class is tested once."""
-    verdicts: Dict[Optional[int], bool] = {}
-    for sep in s_family.separations():
-        cid = s_family.class_id(sep)
-        ok = verdicts.get(cid)
-        if ok is None:
-            ok = verdicts[cid] = class_conforms(sys, s_family.class_of(sep),
-                                                displayed, parts)
-        if not ok:
-            return sep
+    conform with the displays and parts; None when every one conforms.
+    Conformance is a property of the class, so each class is tested once:
+    classes come ordered by first member, so the first failing class's
+    first member is the first failing separation."""
+    for cls in s_family.classes():
+        if not class_conforms(sys, cls, displayed, parts):
+            return cls[0]
     return None
 
 
@@ -313,8 +327,7 @@ def conforms_with_flower(sys: ConnectivitySystem, tangle: Tangle,
     """True iff some equivalent separation is displayed by f or has a side
     inside a petal.  The scan covers the whole equivalence class, which by
     (S1) is exactly the strong equivalents."""
-    return class_conforms(sys, s_family.class_of(sep),
-                          set(displayed_separations(sys, tangle, f)), f.petals)
+    return class_conforms(sys, s_family.class_of(sep), Uncrossed(s_family, f), f.petals)
 
 
 def phi_minimum_representative(sys: ConnectivitySystem, tangle: Tangle,
@@ -379,6 +392,12 @@ def refine_with(sys: ConnectivitySystem, tangle: Tangle,
         raise PreconditionFailed("flower has loose petals")
     if conforms_with_flower(sys, tangle, s_family, sep, f):
         raise PreconditionFailed("separation already conforms")
+    return _refine(sys, tangle, s_family, f, sep)
+
+
+def _refine(sys: ConnectivitySystem, tangle: Tangle, s_family: TreeCompatibleSet,
+            f: Flower, sep: Separation) -> Optional[Flower]:
+    """`refine_with` past its two checks, which its caller has made."""
     rep = phi_minimum_representative(sys, tangle, s_family, sep, f)
     r, g = rep.sides(sys)
     kinds = [petal_cross_kind(tangle, p, r, g) for p in f.petals]
@@ -407,11 +426,10 @@ def maximal_flower_from(sys: ConnectivitySystem, tangle: Tangle,
     """
     while True:
         f = tighten(sys, tangle, f)
-        target = first_nonconforming(sys, s_family,
-                                     set(displayed_separations(sys, tangle, f)), f.petals)
+        target = first_nonconforming(sys, s_family, Uncrossed(s_family, f), f.petals)
         if target is None:
             return f
-        refined = refine_with(sys, tangle, s_family, f, target)
+        refined = _refine(sys, tangle, s_family, f, target)  # f is tight, target fails
         if refined is None:
             raise NonRobustObstruction(target, flower=f)
         f = refined

@@ -64,7 +64,7 @@ def load_system(obj: dict, verify: Optional[bool] = None) -> ConnectivitySystem:
         elif "rank_table" in source:
             table = _ints(source["rank_table"], "rank_table")
             n = (len(table) - 1).bit_length()
-            rank = RankFunction.from_table(n, table)
+            rank = RankFunction(n, table)
         else:
             raise ValueError("matroid source must be uniform, bases, or rank_table")
         return ConnectivitySystem.matroid(rank, labels=_labels(obj), verify=verify)

@@ -10,15 +10,15 @@ k-separations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .bitset import down_closure, elements_of, maximal_family
 from .core import ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet, full_closure, full_closure_sequence
 from .errors import DichotomyViolation, PreconditionFailed, TangleforgeError, ViolationFound
-from .flowers import (ANEMONE, DAISY, Flower, classify, concatenate, displayed_class_ids,
-                      displayed_kS, displayed_separations, first_nonconforming, loose_petals,
-                      maximal_flower, maximal_flower_from, verify_flower)
+from .flowers import (ANEMONE, DAISY, Flower, classify, concatenate, displayed_kS,
+                      displayed_separations, first_nonconforming, loose_petals, maximal_flower,
+                      maximal_flower_from, verify_flower)
 from .tangles import Tangle, is_robust
 
 
@@ -157,32 +157,51 @@ def single_bag_tree(sys: ConnectivitySystem, k: int) -> PiTree:
     return PiTree(k, {0: sys.full}, {}, [])
 
 
+def _vertex_flowers(sys: ConnectivitySystem, tangle: Tangle, t: PiTree):
+    """Each flower vertex with the flower of its petals, or with the error
+    they raise: a (P3)/(P4) failure, and a vertex that displays nothing."""
+    for v in t.labels:
+        try:
+            f = verify_flower(sys, tangle, t.petals_at(v), t.k)
+        except TangleforgeError as exc:
+            f = exc
+        yield v, f
+
+
 def _tree_display(sys: ConnectivitySystem, tangle: Tangle, t: PiTree
                   ) -> Tuple[Set[Separation],
                              Dict[int, Union[TangleforgeError, Tuple[Flower, List[Separation]]]]]:
     """The display set of t (k-separating edge sides and the displays of
     every flower vertex), and each flower vertex mapped to its flower and
-    displays, or to the error its petals raise; such a vertex displays
-    nothing."""
+    displays, or to the error its petals raise (`_vertex_flowers`)."""
     out = set()
     for u, v in t.edges():
         x = t.side(u, v)
         if x != 0 and x != sys.full and sys.lam(x) <= t.k:
             out.add(Separation.make(sys, x, t.k))
-    at = {}
-    for v in t.labels:
-        try:
-            f = verify_flower(sys, tangle, t.petals_at(v), t.k)
-        except TangleforgeError as exc:
-            at[v] = exc  # a (P3)/(P4) failure, not a display
-            continue
-        try:
-            classify(sys, f)  # a classified flower displays without lambda calls
-        except DichotomyViolation:
-            pass  # a (P3)/(P4) failure; the lambda scan finds its displays
-        at[v] = (f, displayed_separations(sys, tangle, f))
-        out.update(at[v][1])
+    at = dict(_vertex_flowers(sys, tangle, t))
+    for v, f in at.items():
+        if isinstance(f, Flower):
+            try:
+                classify(sys, f)  # a classified flower displays without lambda calls
+            except DichotomyViolation:
+                pass  # a (P3)/(P4) failure; the lambda scan finds its displays
+            at[v] = (f, displayed_separations(sys, tangle, f))
+            out.update(at[v][1])
     return out, at
+
+
+def _shown_class_ids(sys: ConnectivitySystem, tangle: Tangle,
+                     s_family: TreeCompatibleSet, t: PiTree) -> FrozenSet[int]:
+    """The ids of the (k,S)-classes t displays, without its display set: a
+    canonical edge side is looked up in the class index, and a flower
+    vertex whose petals pass `verify_flower` shows the (k,S)-separations
+    no petal crosses (`displayed_kS`).  A tree of another order shows none."""
+    ids = {s_family.class_id(Separation.make(sys, t.side(u, v), t.k)) for u, v in t.edges()}
+    for _, f in _vertex_flowers(sys, tangle, t):
+        if isinstance(f, Flower):
+            ids.update(map(s_family.class_id, displayed_kS(sys, tangle, s_family, f)))
+    return frozenset(ids - {None})
 
 
 def _nonempty_bags(t: PiTree) -> List[int]:
@@ -495,29 +514,32 @@ def extend_tree(sys: ConnectivitySystem, tangle: Tangle,
     gets a new leaf or a grafted flower (Case I).  A step that is not above
     t raises ViolationFound.
     """
+    return _extend(sys, tangle, s_family, t, None)[0]
+
+
+def _extend(sys, tangle, s_family, t, base_ids):
+    """`extend_tree` on t with class ids base_ids (None: not yet found);
+    returns the next tree, or None, and its class ids (None after a seed)."""
     if not is_robust(tangle):
         raise PreconditionFailed("tangle is not robust")
-
-    def shown_ids(tree):  # None stands for a (k,S)-separation of another order
-        return s_family.class_ids(_tree_display(sys, tangle, tree)[0]) - {None}
-
-    base_ids = shown_ids(t)
+    if base_ids is None:
+        base_ids = _shown_class_ids(sys, tangle, s_family, t)
     target = next((cls[0] for cid, cls in enumerate(s_family.classes())
                    if cid not in base_ids), None)
     if target is None:
-        return None
+        return None, base_ids
     if not base_ids:
         # Trivial tree: replace it by the tree of a maximal flower seeded at
         # the target class (vacuously above the input in the quasi-order).
-        return _seed_tree(sys, tangle, s_family, target)
+        return _seed_tree(sys, tangle, s_family, target), None
     side, u = _find_rep_in_bag(sys, s_family, t, target)
     case = _extend_at_leaf if t.is_leaf(u) else _split_internal_bag
     nxt = case(sys, tangle, s_family, t, u, side)
-    ids = shown_ids(nxt)
+    ids = _shown_class_ids(sys, tangle, s_family, nxt)
     if not base_ids < ids:
         raise ViolationFound("extension step is not above its input in the quasi-order",
                              sorted(base_ids - ids) or target)
-    return nxt
+    return nxt, ids
 
 
 def _seed_tree(sys: ConnectivitySystem, tangle: Tangle,
@@ -526,23 +548,24 @@ def _seed_tree(sys: ConnectivitySystem, tangle: Tangle,
     two petals when it displays only one class (its flower vertex would
     otherwise have S-order < 3)."""
     f = maximal_flower(sys, tangle, s_family, seed)
-    ids = displayed_class_ids(sys, tangle, s_family, f)
-    if len(ids) == 1 and f.n > 2:
-        x = displayed_kS(sys, tangle, s_family, f)[0].side
+    shown = displayed_kS(sys, tangle, s_family, f)
+    if len({s_family.class_id(s) for s in shown}) == 1 and f.n > 2:
+        x = shown[0].side
         f = verify_flower(sys, tangle, (x, sys.full ^ x), tangle.k)
     return flower_to_tree(sys, tangle, f)
 
 
 def build_maximal_tree(sys: ConnectivitySystem, tangle: Tangle,
                        s_family: TreeCompatibleSet) -> PiTree:
-    """Iterate extend_tree from a maximal-flower seed until every
-    (k,S)-equivalence class is displayed by the tree."""
+    """Iterate extension steps from a maximal-flower seed until every
+    (k,S)-equivalence class is displayed by the tree; each step hands the
+    class ids of its tree to the next."""
     seps = s_family.separations()
     if not seps:
         return single_bag_tree(sys, tangle.k)
-    t = _seed_tree(sys, tangle, s_family, seps[0])
+    t, ids = _seed_tree(sys, tangle, s_family, seps[0]), None
     while True:
-        nxt = extend_tree(sys, tangle, s_family, t)
+        nxt, ids = _extend(sys, tangle, s_family, t, ids)
         if nxt is None:
             return t
         t = nxt

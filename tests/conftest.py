@@ -238,9 +238,25 @@ def equivalent_one_sided(sys, tangle, s1, s2):
     return a == full_closure(sys, tangle, c) or a == full_closure(sys, tangle, d)
 
 
+def displayed_class_ids(sys, tangle, s_family, f):
+    """Class ids of the (k,S)-separations in f's display set; a
+    (k,S)-separation of another order contributes None."""
+    return s_family.class_ids(displayed_separations(sys, tangle, f))
+
+
 def displayed_tree_class_ids(sys, tangle, s_family, t):
     """Classes displayed by t; a tree of another order displays none."""
     return s_family.class_ids(_tree_display(sys, tangle, t)[0]) - {None}
+
+
+def set_based_class_conforms(sys, members, displayed, parts):
+    """Conformity against a built display set: some member is in the set
+    or has a side inside one of the parts."""
+    for member in members:
+        a, b = member.sides(sys)
+        if member in displayed or any(a & ~p == 0 or b & ~p == 0 for p in parts):
+            return True
+    return False
 
 
 def conforms_with_tree(sys, tangle, s_family, sep, t):

@@ -18,13 +18,13 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_r8_rank,
                          verify_partial_kS_tree)
 from tangleforge.closure import Separation, build_default_S, equivalent_separations
 from tangleforge.errors import NonRobustObstruction
-from tangleforge.flowers import Flower, displayed_class_ids
+from tangleforge.flowers import Flower
 from tangleforge.oracle import (oracle_classes, oracle_certify_tree,
                                 oracle_flowers, oracle_full_closure)
 from tangleforge.trees import PiTree, build_maximal_tree
 
 from conftest import (BARBELL_EDGES, C4_EDGES, C6_EDGES, K4_EDGES, K5_EDGES,
-                      PENDANT_C4_EDGES, Ctx, barbell_left_tangle,
+                      PENDANT_C4_EDGES, Ctx, barbell_left_tangle, displayed_class_ids,
                       displayed_tree_class_ids, equivalent_one_sided, lab,
                       unique_tangle, weak_extension_candidates)
 

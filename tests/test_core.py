@@ -37,7 +37,6 @@ def _path(n):
 OVERSIZED = [
     ("GroundSet", False, lambda n: GroundSet(n)),
     ("RankFunction", False, lambda n: RankFunction(n, [0])),
-    ("RankFunction.from_table", False, lambda n: RankFunction.from_table(n, [0])),
     ("RankFunction.uniform", False, lambda n: RankFunction.uniform(3, n)),
     ("RankFunction.graphic", True, lambda n: RankFunction.graphic(_path(n))),
     ("RankFunction.from_bases", True, lambda n: RankFunction.from_bases(n, [0b111])),
@@ -109,7 +108,7 @@ class TestR8Rank:
 def test_rank_axioms_rejected():
     # r({0}) = 2 breaks the unit-increment axiom.
     with pytest.raises(ViolationFound):
-        RankFunction.from_table(2, [0, 2, 1, 2])
+        RankFunction(2, [0, 2, 1, 2])
 
 
 @pytest.mark.parametrize("values", [[0.5, 0.5], [300.5, 300.5], [0, True]],
@@ -118,12 +117,12 @@ def test_tables_refuse_values_that_are_not_integers(values):
     with pytest.raises(ValueError, match="table values must be integers"):
         ConnectivitySystem.from_table(1, values, verify=False)
     with pytest.raises(ValueError, match="table values must be integers"):
-        RankFunction.from_table(1, values, verify=False)
+        RankFunction(1, values, verify=False)
 
 
 def test_rank_submodularity_witness():
     # Unit increments hold, but r({0}) + r({1}) = 0 < r({0, 1}) + r(empty).
-    rank = RankFunction.from_table(2, [0, 0, 0, 1], verify=False)
+    rank = RankFunction(2, [0, 0, 0, 1], verify=False)
     assert verify_rank_axioms(rank) == [Violation("rank_submodular", (0, 0b01, 0b10))]
 
 

@@ -14,12 +14,12 @@ from tangleforge.errors import (DichotomyViolation, InvalidBreakpoints, NonRobus
                                 NotAPartition, NotKSeparating, PreconditionFailed,
                                 WeakPetal)
 from tangleforge.flowers import (ANEMONE, DAISY, MIXED, STRONG, UNCROSSED, WEAK,
-                                 Flower, displayed_class_ids, petal_cross_kind,
+                                 Flower, petal_cross_kind,
                                  petal_unions, phi_minimum_representative)
 from tangleforge.oracle import _displayed_unions, oracle_flowers
 
-from conftest import (assert_engine_flower_matches, lab, literal_petal_unions,
-                      reference_dichotomy_witness, reference_displayed)
+from conftest import (assert_engine_flower_matches, displayed_class_ids, lab,
+                      literal_petal_unions, reference_dichotomy_witness, reference_displayed)
 
 
 def phi_r8(ctx):

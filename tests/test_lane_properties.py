@@ -111,14 +111,14 @@ def test_unverified_rank_tables_keep_the_formula(case):
     # Values past a byte, and tables whose lambda goes negative, are
     # computed by the formula, values and all.
     n, table = case
-    system = ConnectivitySystem.matroid(RankFunction.from_table(n, table, verify=False),
+    system = ConnectivitySystem.matroid(RankFunction(n, table, verify=False),
                                         verify=False)
     assert list(system._table) == matroid_formula(table, n)
 
 
 def test_negative_lambda_from_an_unverified_rank_table():
     # r(E) = 3 above r({0}) + r({1}) = 0: lambda({0}) = 0 + 0 - 3 + 1 = -2
-    system = ConnectivitySystem.matroid(RankFunction.from_table(2, [0, 0, 0, 3], verify=False),
+    system = ConnectivitySystem.matroid(RankFunction(2, [0, 0, 0, 3], verify=False),
                                         verify=False)
     assert list(system._table) == [1, -2, -2, 1]
     assert system.lam_at_most(-2, range(4)) == [1, 2]
@@ -189,7 +189,7 @@ def test_axiom_reports_match_literal_loops(case, c, d):
     # a scaled table fails unit increment at its first step, so rank
     # tables are only shifted
     for values in (table, [v + d for v in table]):
-        report = verify_rank_axioms(RankFunction.from_table(n, values, verify=False))
+        report = verify_rank_axioms(RankFunction(n, values, verify=False))
         assert [(v.axiom, v.witness) for v in report] == rank_report(values, n)
 
 

@@ -8,14 +8,15 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
                          enumerate_tangles, full_closure, verify_flower)
 from tangleforge.closure import build_default_S
 from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
-from tangleforge.flowers import Flower, classify, displayed_class_ids
+from tangleforge.flowers import Flower, classify
 from tangleforge.oracle import (_class_keys, _displayed_unions, _fully_closed, _sep_table,
                                 _weak, _weak_set, differential_report, oracle_certify_tree,
                                 oracle_classes, oracle_flowers, oracle_full_closure)
 from tangleforge.tangles import Tangle
 from tangleforge.trees import PiTree, flower_to_tree
 
-from conftest import K5_EDGES, assert_flower_scans_match, assert_walks_are_literal, lab
+from conftest import (K5_EDGES, assert_flower_scans_match, assert_walks_are_literal,
+                      displayed_class_ids, lab)
 
 CTX_NAMES = ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6", "ctx_pc4",
              "ctx_barbell", "ctx_r8m3", "ctx_mk4"]

@@ -586,3 +586,37 @@ def test_maximal_k_separating_between_matches_the_submask_walk(ctx_barbell, ctx_
             else:
                 assert (_maximal_k_separating_between(sys, t, lower, upper, allow_equal)
                         == min(maximal_masks(found)))
+
+
+@pytest.mark.parametrize("name", ["c10", "u67"])
+def test_construction_builds_no_display_set(name, monkeypatch):
+    # extension steps carry class ids found by petal crossing, and the
+    # flower loop asks conformity by crossing and refines without asking
+    # again, so the maximal trees of C10 and U_{6,7} come out the same with
+    # every display-set builder raising
+    import json
+    from pathlib import Path
+
+    import tangleforge.flowers as flowers
+    import tangleforge.trees as trees
+    from tangleforge import canonical_vertical_tangle
+    from tangleforge.jsonio import dumps, load_system_file, tree_to_json
+
+    golden = Path(__file__).resolve().parent / "golden"
+    system = load_system_file(str(golden / f"{name}.json"))
+    tangle = (canonical_vertical_tangle(system, 2) if system.kind == "matroid"
+              else enumerate_tangles(system, 2)[0])
+    s_family = build_default_S(system, tangle)
+
+    def refuse(*args):
+        raise AssertionError("a display set was built")
+
+    for module, attr in ((trees, "_tree_display"), (flowers, "conforms_with_flower"),
+                         (trees, "displayed_separations"),
+                         (flowers, "displayed_separations")):
+        monkeypatch.setattr(module, attr, refuse)
+    t = build_maximal_tree(system, tangle, s_family)
+    monkeypatch.undo()
+    want = json.loads((golden / f"tree-{name}.out").read_text())
+    del want["verdict"]
+    assert json.loads(dumps(tree_to_json(system, t))) == want
