@@ -165,8 +165,9 @@ class TreeCompatibleSet:
         return v
 
     def is_kS_separation(self, sep: Separation) -> bool:
+        """sep has the tangle's order and both sides in S."""
         a, b = sep.sides(self.sys)
-        return self.contains(a) and self.contains(b)
+        return sep.k == self.k and self.contains(a) and self.contains(b)
 
     # -- cached enumeration ------------------------------------------------
 
@@ -203,11 +204,6 @@ class TreeCompatibleSet:
             if idx is None:
                 return [sep]
         return self._classes[idx]
-
-    def class_ids(self, seps: Iterable[Separation]) -> FrozenSet[Optional[int]]:
-        """Class ids of the (k,S)-separations among seps; a (k,S)-separation
-        whose order is not the tangle's contributes None."""
-        return frozenset(self.class_id(s) for s in seps if self.is_kS_separation(s))
 
 
 def build_default_S(sys: ConnectivitySystem, tangle: Tangle) -> TreeCompatibleSet:

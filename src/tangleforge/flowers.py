@@ -10,9 +10,7 @@ consecutive ones).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, compress
-from operator import or_
-from typing import Container, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import Container, FrozenSet, List, Optional, Sequence, Set
 
 from .core import ConnectivitySystem
 from .closure import (Separation, TreeCompatibleSet, full_closure)
@@ -97,37 +95,18 @@ def petal_unions(petals: Sequence[int]) -> List[int]:
     return union
 
 
-def _cyclic_runs(n: int) -> List[int]:
-    """Index masks of the n(n-1) proper cyclic runs of [n]."""
-    full = (1 << n) - 1
-    out = []
-    for length in range(1, n):
-        run = (1 << length) - 1
-        for start in range(n):
-            shifted = run << start
-            out.append((shifted | shifted >> n) & full)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _run_flags(n: int) -> bytes:
     """A daisy's flags, built once per n: byte b-1 is 1 iff the proper
     index mask b is a cyclic run of [n]."""
-    flags = bytearray((1 << n) - 2)
-    for b in _cyclic_runs(n):
-        flags[b - 1] = 1
+    full = (1 << n) - 1
+    flags = bytearray(full - 1)
+    for length in range(1, n):
+        run = (1 << length) - 1
+        for start in range(n):
+            shifted = run << start
+            flags[((shifted | shifted >> n) & full) - 1] = 1
     return bytes(flags)
-
-
-def _run_unions(petals: Sequence[int]) -> List[int]:
-    """The unions of the n(n-1) proper cyclic runs of petals: for each
-    start, the running unions of the next n-1 petals."""
-    n = len(petals)
-    ring = tuple(petals) * 2
-    out: List[int] = []
-    for start in range(n):
-        out += accumulate(ring[start:start + n - 1], or_)
-    return out
 
 
 def classify(sys: ConnectivitySystem, f: Flower) -> str:
@@ -196,21 +175,13 @@ def concatenate(f: Flower, breakpoints: Sequence[int]) -> Flower:
 
 def displayed_separations(sys: ConnectivitySystem, tangle: Tangle,
                           f: Flower) -> List[Separation]:
-    """k-separations displayed by f: k-separating proper petal unions.
-
-    A classified flower needs no lambda value: an anemone displays every
-    proper union, and a daisy exactly its n(n-1) cyclic runs, built from
-    the petals without the 2^n union list.  Unclassified flowers, and any
-    other class (the oracle's "neither"), keep the unions whose
-    `lam_flags` byte is 1.
-    """
-    if f.klass == DAISY:
-        sides: Iterable[int] = _run_unions(f.petals)
-    else:
-        sides = petal_unions(f.petals)[1:-1]
-        if f.klass != ANEMONE:
-            sides = compress(sides, sys.lam_flags(f.k, sides))
-    return sorted({Separation.make(sys, u, f.k) for u in sides})
+    """k-separations displayed by f, by canonical side: the sides with
+    lam <= k that no petal crosses (meets on both sides).  Precondition:
+    the petals partition E, so these are exactly the canonical sides of
+    the k-separating proper petal unions.  A stored class is not read."""
+    petals = f.petals
+    return [Separation(x, f.k) for x in sys.lam_at_most(f.k, range(1, sys.full, 2))
+            if not any(p & x and p & ~x for p in petals)]
 
 
 class Uncrossed:

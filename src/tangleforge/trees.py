@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 from .bitset import down_closure, elements_of, maximal_family
 from .core import ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet, full_closure, full_closure_sequence
-from .errors import DichotomyViolation, PreconditionFailed, TangleforgeError, ViolationFound
+from .errors import PreconditionFailed, TangleforgeError, ViolationFound
 from .flowers import (ANEMONE, DAISY, Flower, classify, concatenate, displayed_kS,
                       displayed_separations, first_nonconforming, loose_petals, maximal_flower,
                       maximal_flower_from, verify_flower)
@@ -171,9 +171,10 @@ def _vertex_flowers(sys: ConnectivitySystem, tangle: Tangle, t: PiTree):
 def _tree_display(sys: ConnectivitySystem, tangle: Tangle, t: PiTree
                   ) -> Tuple[Set[Separation],
                              Dict[int, Union[TangleforgeError, Tuple[Flower, List[Separation]]]]]:
-    """The display set of t (k-separating edge sides and the displays of
-    every flower vertex), and each flower vertex mapped to its flower and
-    displays, or to the error its petals raise (`_vertex_flowers`)."""
+    """The display set of t (k-separating edge sides, and at each flower
+    vertex the k-separating sides no petal crosses, whatever its class),
+    and each flower vertex mapped to its flower and displays, or to the
+    error its petals raise (`_vertex_flowers`)."""
     out = set()
     for u, v in t.edges():
         x = t.side(u, v)
@@ -182,10 +183,6 @@ def _tree_display(sys: ConnectivitySystem, tangle: Tangle, t: PiTree
     at = dict(_vertex_flowers(sys, tangle, t))
     for v, f in at.items():
         if isinstance(f, Flower):
-            try:
-                classify(sys, f)  # a classified flower displays without lambda calls
-            except DichotomyViolation:
-                pass  # a (P3)/(P4) failure; the lambda scan finds its displays
             at[v] = (f, displayed_separations(sys, tangle, f))
             out.update(at[v][1])
     return out, at
@@ -273,7 +270,8 @@ def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,
             f, shown = at[v]
             klass = classify(sys, f)
             want_ok = (klass == ANEMONE) if lab == "A" else (klass == DAISY or f.n <= 3)
-            if not want_ok or len(s_family.class_ids(shown)) < 2 or loose_petals(sys, tangle, f):
+            s_order = len({s_family.class_id(s) for s in shown} - {None})
+            if not want_ok or s_order < 2 or loose_petals(sys, tangle, f):
                 raise ViolationFound("flower vertex fails label/order/looseness", v)
         except TangleforgeError as exc:
             verdict.failures.append(("P3" if lab == "A" else "P4", (v, str(exc))))

@@ -15,13 +15,13 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_r8_rank,
 from tangleforge.bitset import elements_of
 from tangleforge.closure import Separation, build_default_S, full_closure
 from tangleforge.core import Violation
-from tangleforge.errors import DichotomyViolation, ViolationFound
+from tangleforge.errors import DichotomyViolation, TangleforgeError, ViolationFound
 from tangleforge.flowers import (ANEMONE, DAISY, Flower, class_conforms, classify,
-                                 displayed_separations)
+                                 displayed_separations, verify_flower)
 from tangleforge.oracle import (_displayed_unions, _flower_class_literal, _fully_closed,
                                _in_S, _weak_set, oracle_full_closure)
 from tangleforge.tangles import Tangle
-from tangleforge.trees import _nonempty_bags, _tree_display
+from tangleforge.trees import _nonempty_bags
 
 
 def lab(*elements_1based):
@@ -238,15 +238,40 @@ def equivalent_one_sided(sys, tangle, s1, s2):
     return a == full_closure(sys, tangle, c) or a == full_closure(sys, tangle, d)
 
 
+def kS_class_ids(s_family, seps):
+    """Class ids of the (k,S)-separations among seps."""
+    return frozenset(s_family.class_id(s) for s in seps if s_family.is_kS_separation(s))
+
+
 def displayed_class_ids(sys, tangle, s_family, f):
-    """Class ids of the (k,S)-separations in f's display set; a
-    (k,S)-separation of another order contributes None."""
-    return s_family.class_ids(displayed_separations(sys, tangle, f))
+    """Class ids of the (k,S)-separations f displays, from the per-union
+    scan (`reference_displayed`); a flower of another order displays none."""
+    return kS_class_ids(s_family, reference_displayed(sys, f.petals, f.k))
+
+
+def reference_tree_display(sys, tangle, t):
+    """t's display set from the per-union scan: the k-separating proper
+    edge sides, and at each flower vertex whose petals pass
+    `verify_flower`, `reference_displayed` of its petals."""
+    out = set()
+    for u, v in t.edges():
+        x = t.side(u, v)
+        if x != 0 and x != sys.full and sys.lam(x) <= t.k:
+            out.add(Separation.make(sys, x, t.k))
+    for v in t.labels:
+        petals = t.petals_at(v)
+        try:
+            verify_flower(sys, tangle, petals, t.k)
+        except TangleforgeError:
+            continue
+        out.update(reference_displayed(sys, petals, t.k))
+    return out
 
 
 def displayed_tree_class_ids(sys, tangle, s_family, t):
-    """Classes displayed by t; a tree of another order displays none."""
-    return s_family.class_ids(_tree_display(sys, tangle, t)[0]) - {None}
+    """Classes displayed by t (`reference_tree_display`); a tree of another
+    order displays none."""
+    return kS_class_ids(s_family, reference_tree_display(sys, tangle, t))
 
 
 def set_based_class_conforms(sys, members, displayed, parts):
@@ -262,8 +287,8 @@ def set_based_class_conforms(sys, members, displayed, parts):
 def conforms_with_tree(sys, tangle, s_family, sep, t):
     """Equivalent to a displayed separation, or an equivalent has a side
     inside a bag."""
-    return class_conforms(sys, s_family.class_of(sep), _tree_display(sys, tangle, t)[0],
-                          _nonempty_bags(t))
+    return class_conforms(sys, s_family.class_of(sep),
+                          reference_tree_display(sys, tangle, t), _nonempty_bags(t))
 
 
 def tree_mutants(t):
@@ -437,7 +462,8 @@ def assert_engine_flower_matches(system, petals, k):
     one; a flower that is neither must raise DichotomyViolation.  With at
     most two petals the class is a convention that assumes a verified
     flower, so the classified copy is compared only when that holds.
-    Returns the reference verdict."""
+    Display ignores a stored class: copies labelled with each wrong class
+    display what the reference gives too.  Returns the reference verdict."""
     want_class = reference_flower_class(system, petals, k)
     want_shown = reference_displayed(system, petals, k)
     f = Flower(petals, k)
@@ -450,6 +476,9 @@ def assert_engine_flower_matches(system, petals, k):
         assert f.klass == want_class
         if len(petals) > 2 or all(system.lam(p) <= k for p in petals):
             assert displayed_separations(system, None, f) == want_shown
+    for wrong in (ANEMONE, DAISY):
+        if wrong != want_class:
+            assert displayed_separations(system, None, Flower(petals, k, wrong)) == want_shown
     return want_class
 
 

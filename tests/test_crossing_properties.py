@@ -1,22 +1,25 @@
-"""Property tests: display questions answered by petal crossing, as the
-tree construction asks them, agree with the display sets they replace.
+"""Property tests: display questions answered by petal crossing agree
+with display sets built by the per-union scan of the tests
+(`conftest.reference_displayed`, `conftest.reference_tree_display`), which
+shares no display code with the engine.
 
-`trees._shown_class_ids` equals the class ids of `_tree_display`'s set
-(`displayed_tree_class_ids`) on every tree that the extension steps of
-`build_maximal_tree` reach, on the maximal tree at another order, and on
-every broken copy of the maximal tree (`tree_mutants`), whose flower
-vertices may fail `verify_flower` and then display nothing.
+`trees._tree_display`'s set equals the reference tree display, and
+`trees._shown_class_ids` its class ids (`displayed_tree_class_ids`), on
+every tree that the extension steps of `build_maximal_tree` reach, on the
+maximal tree at another order, and on every broken copy of the maximal
+tree (`tree_mutants`), whose flower vertices may fail `verify_flower` and
+then display nothing.
 
+`displayed_separations` equals the reference display set;
 `flowers.Uncrossed`, the container that `class_conforms` reads for a
-flower, agrees with membership in the flower's display set;
-`class_conforms`, `conforms_with_flower` and `first_nonconforming` agree
-with the answers from the built set, and `displayed_kS` with the
-(k,S)-separations in it (a copy of the flower at another order displays
-none), on every flower of `oracle_flowers(..., 4)`
-(loose ones and the oracle's "neither" class included).  The separations
-asked about are every (k,S)-separation, one strong separation outside S,
-that one and a (k,S)-separation at another order, and every proper petal
-union, k-separating or not.
+flower, agrees with membership in that set; `class_conforms`,
+`conforms_with_flower` and `first_nonconforming` agree with the answers
+from the set, and `displayed_kS` with the (k,S)-separations in it (a copy
+of the flower at another order displays none), on every flower of
+`oracle_flowers(..., 4)` (loose ones and the oracle's "neither" class
+included).  The separations asked about are every (k,S)-separation, one
+strong separation outside S, that one and a (k,S)-separation at another
+order, and every proper petal union, k-separating or not.
 
 Systems are random multigraphs on 3-6 vertices or their graphic matroids,
 at orders 2 and 3; the conformity property also always runs C6 at order 2.
@@ -33,9 +36,10 @@ from tangleforge import (ConnectivitySystem, Flower, RankFunction, build_default
 from tangleforge.closure import Separation, strong_k_separations
 from tangleforge.flowers import Uncrossed, class_conforms, first_nonconforming, petal_unions
 from tangleforge.oracle import oracle_flowers
-from tangleforge.trees import PiTree, _seed_tree, _shown_class_ids
+from tangleforge.trees import PiTree, _seed_tree, _shown_class_ids, _tree_display
 
-from conftest import C6_EDGES, displayed_tree_class_ids, set_based_class_conforms, tree_mutants
+from conftest import (C6_EDGES, displayed_tree_class_ids, reference_displayed,
+                      reference_tree_display, set_based_class_conforms, tree_mutants)
 
 
 @st.composite
@@ -72,6 +76,7 @@ def test_class_ids_by_crossing_match_the_display_set(system, k):
         assert last.edges() == build_maximal_tree(system, tangle, s_family).edges()
         other_order = PiTree(k + 1, last.bags, last.labels, last.edges(), last.cyclic)
         for t in steps + [other_order] + tree_mutants(last):
+            assert _tree_display(system, tangle, t)[0] == reference_tree_display(system, tangle, t)
             assert (_shown_class_ids(system, tangle, s_family, t)
                     == displayed_tree_class_ids(system, tangle, s_family, t))
         event(f"{len(steps)} trees built")
@@ -89,7 +94,9 @@ def test_conformity_by_crossing_matches_the_display_set(system, k):
         other = [Separation(s.side, k + 1) for s in outside + seps[:1]]
         asked = seps + outside + other
         for f in oracle_flowers(system, tangle, 4):
-            displayed = set(displayed_separations(system, tangle, f))
+            reference = reference_displayed(system, f.petals, k)
+            assert displayed_separations(system, tangle, f) == reference
+            displayed = set(reference)
             shown = Uncrossed(s_family, f)
             for u in petal_unions(f.petals)[1:-1]:  # also the unions that are not k-separating
                 sep = Separation.make(system, u, k)

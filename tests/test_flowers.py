@@ -102,8 +102,10 @@ class TestClassify:
 
 
 class TestFlagsScan:
-    """`classify` and `displayed_separations` read one `lam_flags` pass (or
-    the daisy's runs) and must give what the per-union references give."""
+    """`classify` reads one `lam_flags` pass and `displayed_separations`
+    the canonical sides no petal crosses (`lam_at_most`); both must give
+    what the per-union references give, and display must not depend on
+    a stored class."""
 
     @pytest.mark.parametrize("fixture", ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6",
                                          "ctx_pc4", "ctx_barbell", "ctx_r8m3", "ctx_mk4"])
@@ -263,8 +265,8 @@ class TestDisplayed:
     @pytest.mark.parametrize("fixture", ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6",
                                          "ctx_pc4", "ctx_barbell", "ctx_r8m3", "ctx_mk4"])
     def test_displays_match_literal_union_scan(self, fixture, request):
-        # oracle flowers carry their literal class, so anemones and daisies
-        # take the class-derived path; unclassified copies take the scan
+        # oracle flowers carry their literal class, which display does not
+        # read: they and their unclassified copies display the same
         ctx = request.getfixturevalue(fixture)
         for f in oracle_flowers(ctx.sys, ctx.tangle, 5):
             want = sorted(_displayed_unions(ctx.sys, f.k, f.petals))

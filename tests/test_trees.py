@@ -537,6 +537,27 @@ def test_failing_flower_vertex_is_checked_once(ctx_c6, monkeypatch):
     assert calls == [t.petals_at(0)]
 
 
+def test_separation_of_another_order_is_no_kS_separation(ctx_c6):
+    # both sides of ({0}, rest) are in S, but only at the tangle's order is
+    # it a (k,S)-separation; so the C10 tree copied to order 3 fails (P1) at
+    # its bag-bag edge, and its terminal bag is no S-terminal bag
+    from pathlib import Path
+
+    from tangleforge.jsonio import load_system_file
+    assert ctx_c6.S.is_kS_separation(Separation(1, 2))
+    assert not ctx_c6.S.is_kS_separation(Separation(1, 3))
+    sys = load_system_file(str(Path(__file__).resolve().parent / "golden" / "c10.json"))
+    tangle = enumerate_tangles(sys, 2)[0]
+    S = build_default_S(sys, tangle)
+    t = build_maximal_tree(sys, tangle, S)
+    copy = PiTree(3, t.bags, t.labels, t.edge_list, t.cyclic)
+    verdict = verify_partial_kS_tree(sys, tangle, S, copy)
+    assert [a for a, _ in verdict.failures] == ["P1", "P4", "P5"]
+    assert verdict.to_json()["failures"][0] == {"axiom": "P1", "witness": [0, 1]}
+    with pytest.raises(PreconditionFailed, match="terminal bag is not an S-terminal bag"):
+        split_terminal_bag(sys, tangle, S, copy, 0, t.bags[0])
+
+
 def test_lam_error_at_flower_vertex_propagates():
     # a TypeError while classifying a flower vertex is a bug, not a failed
     # (P3)/(P4) verdict; classify reads every petal union through lam_flags
