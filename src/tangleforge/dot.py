@@ -12,9 +12,11 @@ from .trees import PiTree
 
 
 def _set_label(sys: ConnectivitySystem, mask: int) -> str:
+    """The set's element names in braces, with `\\` and `"` escaped for a
+    quoted DOT string."""
     labels = sys.ground.labels
     names = [labels[e] if labels else str(e) for e in elements_of(mask)]
-    return "{" + ",".join(names) + "}"
+    return "{" + ",".join(names).replace("\\", "\\\\").replace('"', '\\"') + "}"
 
 
 def flower_to_dot(sys: ConnectivitySystem, f: Flower) -> str:

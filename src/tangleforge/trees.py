@@ -10,23 +10,23 @@ k-separations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bitset import down_closure, elements_of, maximal_family
 from .core import ConnectivitySystem
 from .closure import Separation, TreeCompatibleSet, full_closure, full_closure_sequence
 from .errors import PreconditionFailed, TangleforgeError, ViolationFound
-from .flowers import (ANEMONE, DAISY, Flower, classify, concatenate, displayed_kS,
-                      displayed_separations, first_nonconforming, loose_petals, maximal_flower,
-                      maximal_flower_from, verify_flower)
+from .flowers import (ANEMONE, DAISY, Flower, classify, displayed_kS, displayed_separations,
+                      first_nonconforming, loose_petals, maximal_flower, maximal_flower_from,
+                      verify_flower)
 from .tangles import Tangle, is_robust
 
 
 class PiTree:
     """Immutable labelled tree; surgery returns new instances.
 
-    Edge sides are indexed at construction and the petals of a flower
-    vertex are kept once computed, so display queries do no graph search.
+    Edge sides are indexed at construction, so display queries do no
+    graph search.
     """
 
     def __init__(self, k: int, bags: Dict[int, int], labels: Dict[int, str],
@@ -47,7 +47,6 @@ class PiTree:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self._petals: Dict[int, Tuple[int, ...]] = {}
         self._index_structure()
 
     def _index_structure(self):
@@ -100,12 +99,8 @@ class PiTree:
 
     def petals_at(self, v: int) -> Tuple[int, ...]:
         """Bag unions of the components at a flower vertex, in its edge order
-        (cyclic for D, sorted for A); computed once per vertex."""
-        petals = self._petals.get(v)
-        if petals is None:
-            order = self.cyclic.get(v, self.adj[v])
-            petals = self._petals[v] = tuple(self.side(w, v) for w in order)
-        return petals
+        (cyclic for D, sorted for A)."""
+        return tuple(self.side(w, v) for w in self.cyclic.get(v, self.adj[v]))
 
     def vertices(self) -> List[int]:
         return sorted(set(self.bags) | set(self.labels))
@@ -166,26 +161,6 @@ def _vertex_flowers(sys: ConnectivitySystem, tangle: Tangle, t: PiTree):
         except TangleforgeError as exc:
             f = exc
         yield v, f
-
-
-def _tree_display(sys: ConnectivitySystem, tangle: Tangle, t: PiTree
-                  ) -> Tuple[Set[Separation],
-                             Dict[int, Union[TangleforgeError, Tuple[Flower, List[Separation]]]]]:
-    """The display set of t (k-separating edge sides, and at each flower
-    vertex the k-separating sides no petal crosses, whatever its class),
-    and each flower vertex mapped to its flower and displays, or to the
-    error its petals raise (`_vertex_flowers`)."""
-    out = set()
-    for u, v in t.edges():
-        x = t.side(u, v)
-        if x != 0 and x != sys.full and sys.lam(x) <= t.k:
-            out.add(Separation.make(sys, x, t.k))
-    at = dict(_vertex_flowers(sys, tangle, t))
-    for v, f in at.items():
-        if isinstance(f, Flower):
-            at[v] = (f, displayed_separations(sys, tangle, f))
-            out.update(at[v][1])
-    return out, at
 
 
 def _shown_class_ids(sys: ConnectivitySystem, tangle: Tangle,
@@ -250,24 +225,33 @@ def _witness_json(axiom: str, witness):
 
 def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,
                            s_family: TreeCompatibleSet, t: PiTree) -> TreeVerdict:
-    """Check (P1)-(P5).  The tree's display set is built once and serves
-    (P3)/(P4), (P5) and `verdict.displayed`; (P5) tests each class of the
-    enumerated (k,S)-separations once against it."""
+    """Check (P1)-(P5) in one walk of the edges and one of the flower
+    vertices.  The edge walk reads each side once and calls lam once per
+    edge, for (P1) and for the edge's display; the vertex walk collects each
+    flower vertex's displays before checking its label, S-order and
+    looseness (P3)/(P4).  The display set so built serves (P5), which tests
+    each class of the (k,S)-separations once against it, and
+    `verdict.displayed`."""
     verdict = TreeVerdict([("P2", msg) for msg in t.validate_structure(sys)])
+    displayed = set()
     for u, v in t.edges():
         x = t.side(u, v)
         y = sys.full ^ x
-        if (sys.lam(x) > t.k or tangle.is_weak(x) or tangle.is_weak(y)
+        lam, sep = sys.lam(x), Separation.make(sys, x, t.k)
+        if x and y and lam <= t.k:
+            displayed.add(sep)
+        if (lam > t.k or tangle.is_weak(x) or tangle.is_weak(y)
                 or t.is_bag_vertex(u) and t.is_bag_vertex(v)
-                and not s_family.is_kS_separation(Separation.make(sys, x, t.k))):
+                and not s_family.is_kS_separation(sep)):
             verdict.failures.append(("P1", (u, v)))
 
-    displayed, at = _tree_display(sys, tangle, t)
-    for v, lab in t.labels.items():
+    for v, f in _vertex_flowers(sys, tangle, t):
+        lab = t.labels[v]
         try:
-            if isinstance(at[v], TangleforgeError):
-                raise at[v]  # its petals are no flower
-            f, shown = at[v]
+            if isinstance(f, TangleforgeError):
+                raise f  # its petals are no flower, so it displays nothing
+            shown = displayed_separations(sys, tangle, f)
+            displayed.update(shown)
             klass = classify(sys, f)
             want_ok = (klass == ANEMONE) if lab == "A" else (klass == DAISY or f.n <= 3)
             s_order = len({s_family.class_id(s) for s in shown} - {None})
@@ -289,12 +273,20 @@ def flower_to_tree(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> PiTree
         return PiTree(f.k, {0: f.petals[0]}, {}, [])
     if f.n == 2:
         return PiTree(f.k, {0: f.petals[0], 1: f.petals[1]}, {}, [(0, 1)])
-    klass = classify(sys, f)
-    center = 0
-    bags = {i + 1: p for i, p in enumerate(f.petals)}
-    edges = [(center, i + 1) for i in range(f.n)]
-    cyclic = {center: tuple(i + 1 for i in range(f.n))} if klass == DAISY else None
-    return PiTree(f.k, bags, {center: "A" if klass == ANEMONE else "D"}, edges, cyclic)
+    return _with_star(f.k, {}, {}, (), {}, 0, f.petals, classify(sys, f))
+
+
+def _with_star(k, bags, labels, edges, cyclic, center, petals, klass, tail=()) -> PiTree:
+    """The tree of bags, labels, edges and cyclic orders with a flower
+    vertex `center` of class klass added, and the petals hung off it as leaf
+    bags center+1, center+2, ...; the new edges follow `edges`, and a D
+    vertex gets the cyclic edge order (leaves..., *tail)."""
+    leaves = tuple(range(center + 1, center + 1 + len(petals)))
+    label = "A" if klass == ANEMONE else "D"
+    if label == "D":
+        cyclic = {**cyclic, center: leaves + tuple(tail)}
+    return PiTree(k, {**bags, **dict(zip(leaves, petals))}, {**labels, center: label},
+                  list(edges) + [(center, w) for w in leaves], cyclic)
 
 
 # -- bag surgery -----------------------------------------------------------
@@ -399,49 +391,19 @@ def _maximal_k_separating_between(sys, tangle, lower: int, upper: int,
     return lower | ((maximal & -maximal).bit_length() - 1)
 
 
-def _attach_flower_star(t, holder, flower_prefix, klass):
-    """Relabel `holder` to the empty bag and hang a flower vertex with leaf
-    bags `flower_prefix` off it; D vertices get the cyclic edge order
-    (v v_1, ..., v v_j, v holder)."""
-    v = t.fresh_vertex()
-    bags = dict(t.bags)
-    bags[holder] = 0
-    labels = dict(t.labels)
-    labels[v] = "A" if klass == ANEMONE else "D"
-    edges = list(t.edge_list) + [(holder, v)]
-    leaf_ids = []
-    nxt = v + 1
-    for p in flower_prefix:
-        bags[nxt] = p
-        edges.append((v, nxt))
-        leaf_ids.append(nxt)
-        nxt += 1
-    cyclic = dict(t.cyclic)
-    if labels[v] == "D":
-        cyclic[v] = tuple(leaf_ids) + (holder,)
-    return PiTree(t.k, bags, labels, edges, cyclic)
-
-
-def _arrange_prefix(sys, f: Flower, c: int) -> Tuple[Flower, int]:
-    """Relabel f so the displayed union C occupies a petal prefix; returns
-    the relabelled flower and the prefix length j."""
-    klass = classify(sys, f)
+def _petals_in(sys, f: Flower, c: int) -> Tuple[int, ...]:
+    """The petals of f inside C, whose union C must be: an anemone's in
+    index order, a daisy's along their cyclic run from its start."""
+    daisy = classify(sys, f) == DAISY
     in_c = [i for i, p in enumerate(f.petals) if p & ~c == 0]
     if sum(f.petals[i].bit_count() for i in in_c) != c.bit_count():
         raise ViolationFound("C is not a union of petals", (c,))
-    if klass == ANEMONE:
-        order = in_c + [i for i in range(f.n) if i not in in_c]
-        g = Flower(tuple(f.petals[i] for i in order), f.k, ANEMONE)
-        return g, len(in_c)
-    # Daisy: C's petals form a cyclic run; rotate its start to position 0.
-    start = None
-    for i in in_c:
-        if (i - 1) % f.n not in in_c:
-            start = i
-            break
-    if start is None:
-        raise ViolationFound("C's petals form no cyclic run", (c,))
-    return f.rotated(start), len(in_c)
+    if daisy:
+        start = next((i for i in in_c if (i - 1) % f.n not in in_c), None)
+        if start is None:
+            raise ViolationFound("C's petals form no cyclic run", (c,))
+        in_c = [(start + i) % f.n for i in range(len(in_c))]
+    return tuple(f.petals[i] for i in in_c)
 
 
 def _split_internal_bag(sys, tangle, s_family, t, u, side) -> PiTree:
@@ -494,11 +456,14 @@ def _extend_at_leaf(sys, tangle, s_family, t, u, side) -> PiTree:
     class_wz = set(s_family.class_of(wz))
     if not any(side & ~c == 0 for s in shown if s in class_wz for side in s.sides(sys)):
         raise ViolationFound("no displayed equivalent of (W,Z) inside C", wz)
-    arranged, j = _arrange_prefix(sys, fstar, c)
-    fpp = concatenate(arranged, list(range(1, j + 1)) + [arranged.n])
-    fpp = verify_flower(sys, tangle, fpp.petals, k)
+    prefix = _petals_in(sys, fstar, c)
+    fpp = verify_flower(sys, tangle, prefix + (sys.full ^ c,), k)
     t, holder = retarget_terminal_bag(sys, tangle, s_family, t, holder, c)
-    return _attach_flower_star(t, holder, arranged.petals[:j], classify(sys, fpp))
+    # The holder becomes the empty bag; the flower vertex of fpp hangs off
+    # it with leaf bags the petals inside C, and the holder last in a D order.
+    v = t.fresh_vertex()
+    return _with_star(k, {**t.bags, holder: 0}, t.labels, t.edge_list + ((holder, v),),
+                      t.cyclic, v, prefix, classify(sys, fpp), tail=(holder,))
 
 
 def extend_tree(sys: ConnectivitySystem, tangle: Tangle,

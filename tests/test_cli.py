@@ -75,14 +75,19 @@ def test_tree_u26_dot_and_verify(inputs, capsys):
     assert out.count("shape=box") == 7  # six singleton bags and one empty
 
 
-def test_tree_json_has_verdict(inputs, capsys):
-    code, out = invoke(capsys, ["tree", "--input", inputs["c6.json"], "--k", "2",
-                                "--verify"])
+def test_tree_json_has_verdict(inputs, capsys, monkeypatch):
+    argv = ["tree", "--input", inputs["c6.json"], "--k", "2", "--verify"]
+    code, out = invoke(capsys, argv)
     assert code == 0
     data = json.loads(out)
     assert data["verdict"]["ok"]
     assert any(v["type"] == "flower" and v["label"] == "D"
                for v in data["vertices"])
+    # an oracle that refuses the tree makes the command fail with its problems
+    from tangleforge import cli
+    monkeypatch.setattr(cli, "oracle_certify_tree", lambda *a: (False, ["edge (0, 1)"]))
+    code, out = invoke(capsys, argv)
+    assert code == 2 and json.loads(out) == {"ok": False, "problems": ["edge (0, 1)"]}
 
 
 def test_fcl_with_oracle(inputs, capsys):
@@ -94,16 +99,24 @@ def test_fcl_with_oracle(inputs, capsys):
     assert "3 tangles" in data["detail"]
 
 
-def test_fcl_with_tangle_file(inputs, tmp_path, capsys):
+def test_fcl_with_tangle_file(inputs, tmp_path, capsys, monkeypatch):
     tangle = {"k": 2, "members": [[], [4, 5, 6], [3, 4, 5, 6]]}
     tpath = tmp_path / "tangle.json"
     tpath.write_text(json.dumps(tangle))
-    code, out = invoke(capsys, ["fcl", "--input", inputs["barbell.json"], "--k", "2",
-                                "--tangle", str(tpath), "--x", "0,1", "--verify"])
+    argv = ["fcl", "--input", inputs["barbell.json"], "--k", "2",
+            "--tangle", str(tpath), "--x", "0,1", "--verify"]
+    code, out = invoke(capsys, argv)
     assert code == 0
     data = json.loads(out)
     assert data["fcl"] == [0, 1, 3, 4, 5, 6]
     assert data["oracle_agrees"]
+    # a disagreeing oracle makes the command fail with both closures shown
+    from tangleforge import cli
+    monkeypatch.setattr(cli, "oracle_full_closure", lambda *a: 0b11)
+    code, out = invoke(capsys, argv)
+    assert code == 2
+    assert json.loads(out) == {"x": [0, 1], "fcl": [0, 1, 3, 4, 5, 6],
+                               "oracle_agrees": False, "oracle": [0, 1]}
 
 
 def test_separations_r8(inputs, capsys):
@@ -140,6 +153,19 @@ def test_flower_dot(inputs, capsys):
     assert code == 0
     assert out.startswith("graph flower {")
     assert 'label="D"' in out
+
+
+@pytest.mark.parametrize("argv", [["tree", "--dot"],
+                                  ["flower", "--petals", "[[0],[1],[2],[3]]", "--dot"]])
+def test_dot_labels_are_escaped(tmp_path, capsys, argv):
+    # a quote or backslash in an element name is escaped inside the quoted label
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps({"kind": "graph", "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+                                "labels": ['a"b', "c", "d\\", "e"]}))
+    code, out = invoke(capsys, [argv[0], "--input", str(path), "--k", "2"] + argv[1:])
+    assert code == 0
+    assert 'shape=box, label="{a\\"b}"];' in out
+    assert 'shape=box, label="{d\\\\}"];' in out
 
 
 def test_oracle_subcommand(inputs, capsys):

@@ -1,6 +1,7 @@
 """The command line's stdout and exit code, byte for byte, against stored
 outputs: the README's eight commands, `tree --verify` on C10 and U_{6,7},
-and `separations` with an explicit S file.  Inputs and outputs live in
+`separations` with an explicit S file, and `tree --dot` on C10, whose tree
+has a flower vertex with a cyclic edge order.  Inputs and outputs live in
 tests/golden/: `<name>.out` holds the stdout of command `<name>` and
 `exit_codes.json` the exit codes.  After a deliberate change of output,
 rewrite them from the checkout's sources with
@@ -36,6 +37,7 @@ COMMANDS = {
     "tree-u67": ["tree", "--input", "u67.json", "--k", "2", "--verify"],
     "separations-S": ["separations", "--input", "sys.json", "--k", "2",
                       "--S", "c6_default_S.json", "--verify"],
+    "tree-dot-c10": ["tree", "--input", "c10.json", "--k", "2", "--dot", "--verify"],
 }
 
 

@@ -3,12 +3,13 @@ with display sets built by the per-union scan of the tests
 (`conftest.reference_displayed`, `conftest.reference_tree_display`), which
 shares no display code with the engine.
 
-`trees._tree_display`'s set equals the reference tree display, and
-`trees._shown_class_ids` its class ids (`displayed_tree_class_ids`), on
-every tree that the extension steps of `build_maximal_tree` reach, on the
-maximal tree at another order, and on every broken copy of the maximal
-tree (`tree_mutants`), whose flower vertices may fail `verify_flower` and
-then display nothing.
+The display set that `verify_partial_kS_tree` builds in its walk of the
+edges and flower vertices (`verdict.displayed`) equals the reference tree
+display, and `trees._shown_class_ids` equals its class ids
+(`displayed_tree_class_ids`), on every tree that the extension steps of
+`build_maximal_tree` reach, on the maximal tree at another order, and on
+every broken copy of the maximal tree (`tree_mutants`), whose flower
+vertices may fail `verify_flower` and then display nothing.
 
 `displayed_separations` equals the reference display set;
 `flowers.Uncrossed`, the container that `class_conforms` reads for a
@@ -36,7 +37,7 @@ from tangleforge import (ConnectivitySystem, Flower, RankFunction, build_default
 from tangleforge.closure import Separation, strong_k_separations
 from tangleforge.flowers import Uncrossed, class_conforms, first_nonconforming, petal_unions
 from tangleforge.oracle import oracle_flowers
-from tangleforge.trees import PiTree, _seed_tree, _shown_class_ids, _tree_display
+from tangleforge.trees import PiTree, _seed_tree, _shown_class_ids, verify_partial_kS_tree
 
 from conftest import (C6_EDGES, displayed_tree_class_ids, reference_displayed,
                       reference_tree_display, set_based_class_conforms, tree_mutants)
@@ -76,7 +77,8 @@ def test_class_ids_by_crossing_match_the_display_set(system, k):
         assert last.edges() == build_maximal_tree(system, tangle, s_family).edges()
         other_order = PiTree(k + 1, last.bags, last.labels, last.edges(), last.cyclic)
         for t in steps + [other_order] + tree_mutants(last):
-            assert _tree_display(system, tangle, t)[0] == reference_tree_display(system, tangle, t)
+            assert (set(verify_partial_kS_tree(system, tangle, s_family, t).displayed)
+                    == reference_tree_display(system, tangle, t))
             assert (_shown_class_ids(system, tangle, s_family, t)
                     == displayed_tree_class_ids(system, tangle, s_family, t))
         event(f"{len(steps)} trees built")

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from tangleforge import (classify, concatenate, conforms_with_flower, displayed_kS,
@@ -158,6 +158,7 @@ def test_flags_scan_matches_the_per_union_reference(case, k):
 
 @settings(max_examples=100, deadline=None)
 @given(case=petal_partitions(), k=st.sampled_from([2, 3, 1]))
+@example(case=([(1, 0), (4, 1), (0, 4), (0, 5), (2, 5)], (16, 1, 8, 4, 2)), k=3)  # runs all separate
 def test_dichotomy_witness_matches_the_per_union_reference(case, k):
     # the witness built from classify's flags is the one the per-union
     # lam scan gives, on every petal order that breaks the dichotomy

@@ -632,8 +632,7 @@ def test_construction_builds_no_display_set(name, monkeypatch):
     def refuse(*args):
         raise AssertionError("a display set was built")
 
-    for module, attr in ((trees, "_tree_display"), (flowers, "conforms_with_flower"),
-                         (trees, "displayed_separations"),
+    for module, attr in ((flowers, "conforms_with_flower"), (trees, "displayed_separations"),
                          (flowers, "displayed_separations")):
         monkeypatch.setattr(module, attr, refuse)
     t = build_maximal_tree(system, tangle, s_family)
