@@ -26,11 +26,11 @@ class NotAPartition(TangleforgeError):
 
 
 class WeakPetal(TangleforgeError):
-    """A flower petal is contained in a tangle member."""
+    """A flower petal is contained in a tangle member; its index is the witness."""
 
     def __init__(self, index):
         super().__init__(f"petal {index} is weak")
-        self.index = index
+        self.witness = index
 
 
 class NotKSeparating(TangleforgeError):

@@ -40,11 +40,6 @@ class Flower:
     def n(self) -> int:
         return len(self.petals)
 
-    def rotated(self, shift: int) -> "Flower":
-        n = self.n
-        shift %= n
-        return Flower(self.petals[shift:] + self.petals[:shift], self.k, self.klass)
-
     def __repr__(self):
         return f"Flower(k={self.k}, petals={[bin(p) for p in self.petals]}, klass={self.klass})"
 

@@ -277,14 +277,15 @@ def flower_to_tree(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> PiTree
 
 
 def _with_star(k, bags, labels, edges, cyclic, center, petals, klass, tail=()) -> PiTree:
-    """The tree of bags, labels, edges and cyclic orders with a flower
-    vertex `center` of class klass added, and the petals hung off it as leaf
-    bags center+1, center+2, ...; the new edges follow `edges`, and a D
-    vertex gets the cyclic edge order (leaves..., *tail)."""
-    leaves = tuple(range(center + 1, center + 1 + len(petals)))
+    """The tree of bags, labels, edges and cyclic orders with `center` made
+    a flower vertex of class klass, and the petals hung off it as leaf bags
+    numbered from one above the largest vertex; the new edges follow
+    `edges`, and a D vertex gets the cyclic edge order (leaves..., *tail)."""
+    first = max((*bags, *labels, center)) + 1
+    leaves = tuple(range(first, first + len(petals)))
     label = "A" if klass == ANEMONE else "D"
     if label == "D":
-        cyclic = {**cyclic, center: leaves + tuple(tail)}
+        cyclic = {**cyclic, center: leaves + tail}
     return PiTree(k, {**bags, **dict(zip(leaves, petals))}, {**labels, center: label},
                   list(edges) + [(center, w) for w in leaves], cyclic)
 
@@ -341,10 +342,13 @@ def retarget_terminal_bag(sys: ConnectivitySystem, tangle: Tangle,
                           leaf: int, c: int) -> Tuple[PiTree, int]:
     """Replace an S-terminal bag B by C with fcl(B) = fcl(C): grow to the
     closure along B's maximal partial k-sequence, then split back down along
-    C's reversed one.  Returns the tree and the vertex now holding C."""
+    C's reversed one.  Returns the tree and the vertex now holding C; for
+    C = B that is t and the leaf, unchanged."""
     b = _require_s_terminal(sys, s_family, t, leaf)
     if not s_family.is_kS_separation(Separation.make(sys, c, t.k)):
         raise PreconditionFailed("(C, E-C) is not a (k,S)-separation")
+    if c == b:
+        return t, leaf
     fcl_b, grow_steps = full_closure_sequence(sys, tangle, b)
     fcl_c, shrink_steps = full_closure_sequence(sys, tangle, c)
     if fcl_b != fcl_c:
@@ -420,7 +424,9 @@ def _extend_at_leaf(sys, tangle, s_family, t, u, side) -> PiTree:
     """Case I: u is a leaf whose bag B contains side properly.  Fully close
     B's complement, choose a maximal k-separating Z around side, then either
     hang Z as a new leaf (when B & W is not k-separating) or graft a maximal
-    flower grown from the 3-petal flower (Z, B & W, E - B)."""
+    flower grown from the 3-petal flower (Z, B & W, E - B).  The graft turns
+    the leaf holding the flower's side C into the flower vertex, with the
+    petals inside C as new leaf bags, so it leaves no empty bag behind."""
     k = t.k
     fcl_co, steps = full_closure_sequence(sys, tangle, sys.full ^ t.bags[u])
     holder = u
@@ -459,11 +465,10 @@ def _extend_at_leaf(sys, tangle, s_family, t, u, side) -> PiTree:
     prefix = _petals_in(sys, fstar, c)
     fpp = verify_flower(sys, tangle, prefix + (sys.full ^ c,), k)
     t, holder = retarget_terminal_bag(sys, tangle, s_family, t, holder, c)
-    # The holder becomes the empty bag; the flower vertex of fpp hangs off
-    # it with leaf bags the petals inside C, and the holder last in a D order.
-    v = t.fresh_vertex()
-    return _with_star(k, {**t.bags, holder: 0}, t.labels, t.edge_list + ((holder, v),),
-                      t.cyclic, v, prefix, classify(sys, fpp), tail=(holder,))
+    # The holder becomes fpp's flower vertex; its neighbour (side E - C) is last in a D order.
+    bags = {v: bag for v, bag in t.bags.items() if v != holder}
+    return _with_star(k, bags, t.labels, t.edge_list, t.cyclic, holder, prefix,
+                      classify(sys, fpp), tail=t.adj[holder])
 
 
 def extend_tree(sys: ConnectivitySystem, tangle: Tangle,

@@ -138,6 +138,15 @@ def test_flower_verify_petals(inputs, capsys):
     assert len(data["displayed_kS"]) == 3
 
 
+def test_flower_weak_petal_is_a_verification_failure(inputs, capsys):
+    # {0} lies in a member of R_8's order-4 tangle; the petal index is the
+    # witness, so the command exits 2 as for a union that is not k-separating
+    code, out = invoke(capsys, ["flower", "--input", inputs["r8.json"], "--k", "4",
+                                "--petals", "[[0],[1,2,3,4,5,6,7]]"])
+    assert code == 2
+    assert json.loads(out) == {"error": "WeakPetal", "detail": "petal 0 is weak"}
+
+
 def test_flower_seed_hits_obstruction(inputs, capsys):
     code, out = invoke(capsys, ["flower", "--input", inputs["r8.json"], "--k", "4",
                                 "--seed-side", "0,1,2,3"])
@@ -287,6 +296,23 @@ def test_readme_api_table_matches_the_exports():
         if not isinstance(obj, types.ModuleType):
             exported.setdefault(obj.__module__.rsplit(".", 1)[1], set()).add(name)
     assert _readme_api() == exported
+
+
+def test_readme_quick_start_builds_the_daisy_star_it_states():
+    """The README's "Library quick start" block runs, and its tree is what
+    its comment says: a daisy star, one D vertex whose six neighbours are
+    one-element leaf bags, displaying all 15 classes."""
+    block = README.read_text().split("\n## Library quick start\n", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(code, scope)
+    tree, S = scope["tree"], scope["S"]
+    [(center, label)] = tree.labels.items()
+    assert label == "D" and sorted(tree.adj[center]) == sorted(tree.bags)
+    assert sorted(tree.bags.values()) == [1 << i for i in range(6)]
+    verdict = tangleforge.verify_partial_kS_tree(scope["sys"], scope["tangle"], S, tree)
+    assert len(S.classes()) == 15
+    assert {S.class_id(s) for s in verdict.displayed} == set(range(15))
 
 
 def test_readme_ground_set_cap_matches_the_library():

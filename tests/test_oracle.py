@@ -386,8 +386,8 @@ class TestOracleCost:
 
     @pytest.mark.parametrize("build, k, want_lam", [
         (lambda: ConnectivitySystem.matroid(RankFunction.graphic(K5_EDGES)), 4, 0),
-        (lambda: ConnectivitySystem.graph([(i, (i + 1) % 10) for i in range(10)]), 2, 1156),
-        (lambda: ConnectivitySystem.matroid(RankFunction.uniform(7, 8)), 2, 544),
+        (lambda: ConnectivitySystem.graph([(i, (i + 1) % 10) for i in range(10)]), 2, 1152),
+        (lambda: ConnectivitySystem.matroid(RankFunction.uniform(7, 8)), 2, 540),
     ], ids=["MK5", "C10", "U7_8"])
     def test_certify_after_differential_reuses_classes(self, build, k, want_lam):
         """The certificate reads the classes the differential report

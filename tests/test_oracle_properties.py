@@ -4,9 +4,11 @@ Multigraphs have at most 9 edges, graphic matroids at most 10 and uniform
 matroids U_{r,n} have n <= 10, so the oracle's exhaustive walks stay cheap.
 At orders 2 and 3 every tangle's differential report must be clean, and
 the maximal tree built for every robust tangle must pass the oracle's
-literal (P1)-(P5) certificate.  The matroids enumerate flowers of at most
-three petals: on U_{9,10} at order 2 every partition into four blocks is
-an anemone, and four petals take about 1.5 s there against 0.3 s for three.
+literal (P1)-(P5) certificate, and have no empty bag of degree <= 2 and no
+two edges that display the same separation.  The matroids enumerate
+flowers of at most three petals: on U_{9,10} at order 2 every partition
+into four blocks is an anemone, and four petals take about 1.5 s there
+against 0.3 s for three.
 The oracle's flower scans are also checked against their per-bit
 references on random petal partitions of random multigraphs, and its
 fully-closed test and full closure against the exhaustive walks on every
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from tangleforge import (ConnectivitySystem, RankFunction, build_default_S,
                          build_maximal_tree, build_r8_rank, enumerate_tangles, is_robust,
                          verify_partial_kS_tree)
-from tangleforge.closure import TreeCompatibleSet
+from tangleforge.closure import Separation, TreeCompatibleSet
 from tangleforge.oracle import (_admissible_partitions, _weak, differential_report,
                                oracle_certify_tree, oracle_flowers, oracle_full_closure,
                                oracle_kS_separations)
@@ -61,6 +63,11 @@ def assert_engine_agrees(system, k, max_petals):
             tree = build_maximal_tree(system, tangle, s_family)
             ok, problems = oracle_certify_tree(system, tangle, s_family, tree)
             assert ok, problems
+            # no redundant vertex: an empty bag of degree <= 2 adds nothing,
+            # and no two edges display the same separation
+            assert all(bag or len(tree.adj[v]) >= 3 for v, bag in tree.bags.items()), tree.bags
+            sides = [Separation.make(system, tree.side(u, v), k).side for u, v in tree.edges()]
+            assert len(set(sides)) == len(sides), tree.edges()
 
 
 @settings(max_examples=50, deadline=None)

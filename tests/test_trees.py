@@ -263,6 +263,8 @@ class TestSurgery:
         sys, t, S = ctx_barbell.sys, ctx_barbell.tangle, ctx_barbell.S
         tree = self.barbell_two_bag(ctx_barbell)
         out, holder = retarget_terminal_bag(sys, t, S, tree, 0, tree.bags[0])
+        # C = B: no grow to fcl(B) and split back, so the tree comes back as it was
+        assert (out.bags, out.edges(), holder) == (tree.bags, tree.edges(), 0)
         assert out.bags[holder] == tree.bags[0]
         assert (displayed_tree_class_ids(sys, t, S, out)
                 == displayed_tree_class_ids(sys, t, S, tree))
@@ -539,23 +541,30 @@ def test_failing_flower_vertex_is_checked_once(ctx_c6, monkeypatch):
 
 def test_separation_of_another_order_is_no_kS_separation(ctx_c6):
     # both sides of ({0}, rest) are in S, but only at the tangle's order is
-    # it a (k,S)-separation; so the C10 tree copied to order 3 fails (P1) at
-    # its bag-bag edge, and its terminal bag is no S-terminal bag
+    # it a (k,S)-separation; so C6's two-bag tree on it, copied to order 3,
+    # fails (P1) at its bag-bag edge, and its terminal bag is no S-terminal
+    # bag; the C10 tree copied to order 3 has no bag-bag edge, and fails at
+    # its daisy vertex instead
     from pathlib import Path
 
     from tangleforge.jsonio import load_system_file
-    assert ctx_c6.S.is_kS_separation(Separation(1, 2))
-    assert not ctx_c6.S.is_kS_separation(Separation(1, 3))
+    sys, tangle, S = ctx_c6.sys, ctx_c6.tangle, ctx_c6.S
+    assert S.is_kS_separation(Separation(1, 2))
+    assert not S.is_kS_separation(Separation(1, 3))
+    two_bag = PiTree(2, {0: 1, 1: sys.full ^ 1}, {}, [(0, 1)])
+    assert verify_partial_kS_tree(sys, tangle, S, two_bag).ok
+    copy = PiTree(3, two_bag.bags, {}, two_bag.edge_list)
+    verdict = verify_partial_kS_tree(sys, tangle, S, copy)
+    assert verdict.to_json()["failures"] == [{"axiom": "P1", "witness": [0, 1]}]
+    with pytest.raises(PreconditionFailed, match="terminal bag is not an S-terminal bag"):
+        split_terminal_bag(sys, tangle, S, copy, 0, 1)
     sys = load_system_file(str(Path(__file__).resolve().parent / "golden" / "c10.json"))
     tangle = enumerate_tangles(sys, 2)[0]
     S = build_default_S(sys, tangle)
     t = build_maximal_tree(sys, tangle, S)
     copy = PiTree(3, t.bags, t.labels, t.edge_list, t.cyclic)
     verdict = verify_partial_kS_tree(sys, tangle, S, copy)
-    assert [a for a, _ in verdict.failures] == ["P1", "P4", "P5"]
-    assert verdict.to_json()["failures"][0] == {"axiom": "P1", "witness": [0, 1]}
-    with pytest.raises(PreconditionFailed, match="terminal bag is not an S-terminal bag"):
-        split_terminal_bag(sys, tangle, S, copy, 0, t.bags[0])
+    assert [a for a, _ in verdict.failures] == ["P4", "P5"]
 
 
 def test_lam_error_at_flower_vertex_propagates():
