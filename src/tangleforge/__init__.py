@@ -1,8 +1,8 @@
 """Tangles, closures, flowers, and partial k-trees for connectivity systems."""
 
 from .bitset import elements_of, full_mask, mask_of
-from .core import (ConnectivitySystem, GroundSet, RankFunction, Violation,
-                   build_r8_rank, is_vertically_k_connected, verify_connectivity_axioms)
+from .core import (ConnectivitySystem, RankFunction, Violation, build_r8_rank,
+                   is_vertically_k_connected, verify_connectivity_axioms)
 from .closure import (Separation, TreeCompatibleSet, build_default_S,
                       enumerate_kS_separations, equivalent_separations, full_closure,
                       is_fully_closed, is_sequential, verify_tree_compatible)

@@ -126,6 +126,14 @@ def equivalent_separations(sys: ConnectivitySystem, tangle: Tangle,
     return closure_pair(sys, tangle, s1) == closure_pair(sys, tangle, s2)
 
 
+def _in_default_S(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
+    """X is a member of the default S: k-separating and not sequential, with
+    a T-strong complement (whose full closure is then not E)."""
+    co = sys.full ^ x
+    return (sys.lam(x) <= tangle.k and tangle.is_strong(co)
+            and full_closure(sys, tangle, co) != sys.full)
+
+
 class TreeCompatibleSet:
     """A tree-compatible family S of k-separating sets.
 
@@ -157,11 +165,7 @@ class TreeCompatibleSet:
             return x in self._explicit
         v = self._member_cache.get(x)
         if v is None:
-            sys, tangle = self.sys, self.tangle
-            co = sys.full ^ x
-            v = (sys.lam(x) <= tangle.k and tangle.is_strong(co)
-                 and full_closure(sys, tangle, co) != sys.full)
-            self._member_cache[x] = v
+            v = self._member_cache[x] = _in_default_S(self.sys, self.tangle, x)
         return v
 
     def is_kS_separation(self, sep: Separation) -> bool:
@@ -240,8 +244,7 @@ def verify_tree_compatible(sys: ConnectivitySystem, tangle: Tangle,
     members = sorted(y for x in _canonical_sides(sys) for y in (x, sys.full ^ x)
                      if s_family.contains(y))
     out = [Violation("S-definition", (x,)) for x in members
-           if (sys.lam(x) > tangle.k or tangle.is_weak(sys.full ^ x)
-               or is_sequential(sys, tangle, x))]
+           if not _in_default_S(sys, tangle, x)]
     strong = strong_k_separations(sys, tangle)
     ks_seps = [s for s in strong if s_family.is_kS_separation(s)]
     if ks_seps:  # closures are needed only to check some (k,S)-separation's class

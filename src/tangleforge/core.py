@@ -38,27 +38,17 @@ def check_ground_size(n: int):
         raise SearchSpaceTooLarge(f"ground set size {n} exceeds {MAX_N}")
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """Elements 0..n-1, optionally carrying distinct display labels."""
-
-    n: int
-    labels: Optional[Tuple[str, ...]] = None
-
-    def __post_init__(self):
-        check_ground_size(self.n)
-        if self.labels is not None:
-            if len(self.labels) != self.n:
-                raise ValueError("labels length must equal n")
-            if len(set(self.labels)) != self.n:
-                raise ValueError("labels must be distinct")
-
-    @property
-    def full(self) -> int:
-        return full_mask(self.n)
-
-    def mask(self, elements: Iterable[int]) -> int:
-        return mask_of(elements, self.n)
+def _checked_labels(n: int, labels) -> Optional[Tuple[str, ...]]:
+    """Refuse n as `check_ground_size` does, then labels that are not n
+    distinct names; the labels as a tuple, or None."""
+    check_ground_size(n)
+    if labels is None:
+        return None
+    if len(labels) != n:
+        raise ValueError("labels length must equal n")
+    if len(set(labels)) != n:
+        raise ValueError("labels must be distinct")
+    return tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -372,19 +362,23 @@ def build_r8_rank() -> RankFunction:
 
 
 class ConnectivitySystem:
-    """A ground set plus a symmetric submodular lambda, held as its full table.
+    """A ground set 0..n-1, optionally with distinct display labels, plus a
+    symmetric submodular lambda, held as its full table.
 
     Immutable after construction apart from the per-k flags and k-separating
     families, whose inserts are idempotent, so concurrent reads are safe.
     """
 
-    def __init__(self, ground: GroundSet, kind: str, table: Sequence[int],
+    def __init__(self, n: int, kind: str, table: Sequence[int],
+                 labels: Optional[Tuple[str, ...]] = None,
                  rank: Optional[RankFunction] = None, verify: Optional[bool] = None):
-        """`table` holds lambda at every mask of the ground set.  The axioms
-        are checked unless `verify` is False."""
-        self.ground = ground
-        self.n = ground.n
-        self.full = ground.full
+        """`table` holds lambda at every mask of the ground set, and `labels`
+        comes from `_checked_labels`, which every constructor calls before
+        it builds the table.  The axioms are checked unless `verify` is
+        False."""
+        self.n = n
+        self.full = full_mask(n)
+        self.labels = labels
         self.kind = kind
         self.rank = rank
         self._outside = ~self.full  # bits of masks that leave the ground set
@@ -436,21 +430,21 @@ class ConnectivitySystem:
         return family
 
     def mask(self, elements: Iterable[int]) -> int:
-        return self.ground.mask(elements)
+        return mask_of(elements, self.n)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def matroid(cls, rank: RankFunction, labels=None, verify: Optional[bool] = None) -> "ConnectivitySystem":
-        ground = GroundSet(rank.n, labels)
-        return cls(ground, "matroid", rank.lam_table(), rank=rank, verify=verify)
+        labels = _checked_labels(rank.n, labels)
+        return cls(rank.n, "matroid", rank.lam_table(), labels, rank, verify)
 
     @classmethod
     def graph(cls, edges: Sequence[Tuple[object, object]], labels=None,
               verify: Optional[bool] = None) -> "ConnectivitySystem":
         """lambda_G(X) = vertices meeting a non-loop edge of X and one of E-X."""
         n = len(edges)
-        ground = GroundSet(n, labels)
+        labels = _checked_labels(n, labels)
         verts = sorted({v for e in edges for v in e}, key=repr)
         inc = []
         for v in verts:
@@ -463,12 +457,12 @@ class ConnectivitySystem:
             if m:
                 inc.append(m)
         # vertex v counts at X iff X meets inc(v) but does not contain it
-        full = ground.full
+        full = full_mask(n)
         every = (1 << (1 << n)) - 1
         total = 0
         for m in inc:
             total += byte_lanes(every ^ down_closure(full ^ m) ^ up_closure(1 << m, n), n)
-        return cls(ground, "graph", total.to_bytes(1 << n, "little"), verify=verify)
+        return cls(n, "graph", total.to_bytes(1 << n, "little"), labels, verify=verify)
 
     @classmethod
     def r8_polymatroid(cls, ell: int, verify: Optional[bool] = None) -> "ConnectivitySystem":
@@ -480,16 +474,16 @@ class ConnectivitySystem:
         full = full_mask(8)
         table = [1 if m in (0, full) else r(m) + r(full ^ m) + ell - 3 for m in range(1 << 8)]
         labels = tuple(str(i) for i in range(1, 9))
-        return cls(GroundSet(8, labels), "r8_polymatroid", table, rank=rank, verify=verify)
+        return cls(8, "r8_polymatroid", table, labels, rank, verify)
 
     @classmethod
     def from_table(cls, n: int, values: Sequence[int], labels=None,
                    verify: Optional[bool] = None) -> "ConnectivitySystem":
-        ground = GroundSet(n, labels)
+        labels = _checked_labels(n, labels)
         vals = list(values)
         if len(vals) != 1 << n:
             raise ValueError("lambda table must have 2^n entries")
-        return cls(ground, "table", vals, verify=verify)
+        return cls(n, "table", vals, labels, verify=verify)
 
 
 def verify_connectivity_axioms(sys: ConnectivitySystem) -> List[Violation]:

@@ -14,7 +14,7 @@ from .trees import PiTree
 def _set_label(sys: ConnectivitySystem, mask: int) -> str:
     """The set's element names in braces, with `\\` and `"` escaped for a
     quoted DOT string."""
-    labels = sys.ground.labels
+    labels = sys.labels
     names = [labels[e] if labels else str(e) for e in elements_of(mask)]
     return "{" + ",".join(names).replace("\\", "\\\\").replace('"', '\\"') + "}"
 

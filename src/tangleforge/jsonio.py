@@ -105,7 +105,7 @@ def _labels(obj):
     if labels is not None and (type(labels) is not list
                                or any(type(x) is not str for x in labels)):
         raise ValueError("labels must be a list of strings")
-    return tuple(labels) if labels else None
+    return labels
 
 
 def load_system_file(path: str, verify: Optional[bool] = None) -> ConnectivitySystem:

@@ -27,8 +27,11 @@ never by the S object, which holds the tangle (`_oracle_classes`).  A flower
 scan may read its petal unions from a list that each petal doubles, and
 its one-run index masks from a table kept per petal count: both depend
 only on petal indices, never on the system.  One scan of a flower's
-proper unions, one lam call each, may serve both its class and the
-separations it displays.  Derived structure is not allowed: no
+proper unions, one lam call each, may serve its class and the separations
+it displays; with three or more petals every petal and every consecutive
+pair of petals is a proper union, so the same scan may also serve the
+flower test.  A tree certificate reads each edge side's lam once, for its
+display and for (P1).  Derived structure is not allowed: no
 antichains of maximal members, no greedy sequences, no bit families, and
 nothing taken from the engine but `lam`.
 Memo tables live in oracle-private attributes of the tangle (`_oracle_*`),
@@ -37,7 +40,7 @@ so two tangles never share one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -380,10 +383,6 @@ class _Sides(dict):
         return mask
 
 
-def _vertex_petals(t: PiTree, v: int, sides: _Sides) -> Tuple[int, ...]:
-    return tuple(sides[w, v] for w in t.cyclic.get(v, t.adj[v]))
-
-
 def _shown(sys: ConnectivitySystem, k: int, union: List[int],
            sep: Set[int]) -> Set[Separation]:
     return {Separation.make(sys, union[bits], k) for bits in sep}
@@ -416,67 +415,56 @@ def oracle_displayed_kS(sys: ConnectivitySystem, tangle: Tangle,
     return _kS_only(sys, tangle, s_family, _displayed_unions(sys, f.k, f.petals))
 
 
-def _tree_displayed(sys: ConnectivitySystem, t: PiTree, sides: _Sides
-                    ) -> Tuple[Set[Separation], Dict[int, Tuple[str, Set[Separation]]]]:
-    """Separations displayed by t: k-separating edge sides and the
-    k-separating petal unions of every flower vertex.  Returns the whole set
-    and, at each flower vertex, its class (meaningful for three or more
-    petals) and the set shown there, both from one scan of its unions.
-    Edge sides come from the certificate's `sides`."""
-    out = set()
-    for u, v in t.edges():
-        x = sides[u, v]
-        if 0 != x != sys.full and sys.lam(x) <= t.k:
-            out.add(Separation.make(sys, x, t.k))
-    at = {}
-    for v in t.labels:
-        petals = _vertex_petals(t, v, sides)
-        union, sep = _separating_masks(sys, t.k, petals)
-        shown = _shown(sys, t.k, union, sep)
-        at[v] = (_class_of_masks(len(petals), sep), shown)
-        out |= shown
-    return out, at
-
-
-def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
-                        s_family: Optional[TreeCompatibleSet], t: PiTree,
-                        require_maximal: bool = True) -> Tuple[bool, List[str]]:
-    """Literal (P1)-(P5) check; with require_maximal also demand that every
-    (k,S)-separation is equivalent to a displayed one.
-    """
+def _certify_walk(sys: ConnectivitySystem, tangle: Tangle,
+                  s_family: Optional[TreeCompatibleSet], t: PiTree
+                  ) -> Tuple[Set[Separation], List[str]]:
+    """One walk of t: the separations it displays (k-separating edge sides
+    and the k-separating petal unions of every flower vertex) and its
+    problems short of (P5): bags that do not partition E, then (P1)-(P4).
+    Each edge side's lam is read once, for its display and for (P1).
+    Each flower vertex's proper unions are scanned once, one lam call
+    each; with three or more petals every petal and every consecutive pair
+    of petals is such a union, so the scan gives the flower test as well
+    as the vertex's class and displays."""
+    full, k = sys.full, t.k
     problems: List[str] = []
-    k = t.k
-    union = overlap = 0
+    covered = overlap = 0
     for b in t.bags.values():
-        overlap |= union & b
-        union |= b
+        overlap |= covered & b
+        covered |= b
     if overlap:
         problems.append("bags overlap")
-    if union != sys.full:
+    if covered != full:
         problems.append("bags do not cover the ground set")
 
     sides = _Sides(t)
-    displayed, shown_at = _tree_displayed(sys, t, sides)
+    displayed: Set[Separation] = set()
     for u, v in t.edges():
         x = sides[u, v]
-        y = sys.full ^ x
-        if sys.lam(x) > k or _weak(tangle, x) or _weak(tangle, y):
+        y = full ^ x
+        separating = sys.lam(x) <= k
+        if separating and 0 != x != full:
+            displayed.add(Separation.make(sys, x, k))
+        if not separating or _weak(tangle, x) or _weak(tangle, y):
             problems.append(f"P1 fails at edge ({u},{v})")
         elif u in t.bags and v in t.bags:
             if not (_in_S(sys, tangle, s_family, x) and _in_S(sys, tangle, s_family, y)):
                 problems.append(f"P1 (k,S) clause fails at edge ({u},{v})")
 
     for v, lab in t.labels.items():
-        petals = _vertex_petals(t, v, sides)
+        petals = tuple(sides[w, v] for w in t.cyclic.get(v, t.adj[v]))
         n = len(petals)
-        ok = (n >= 3 and all(p for p in petals)
+        union, sep = _separating_masks(sys, k, petals)
+        shown = _shown(sys, k, union, sep)
+        displayed |= shown
+        ok = (n >= 3 and all(petals)
               and not any(_weak(tangle, p) for p in petals)
-              and all(sys.lam(p) <= k for p in petals)
-              and all(sys.lam(petals[i] | petals[(i + 1) % n]) <= k for i in range(n)))
+              and all(1 << i in sep and (1 << i | 1 << (i + 1) % n) in sep
+                      for i in range(n)))
         if not ok:
             problems.append(f"flower vertex {v} does not display a flower")
             continue
-        klass, shown = shown_at[v]
+        klass = _class_of_masks(n, sep)
         if lab == "A" and klass != "anemone":
             problems.append(f"P3 fails at vertex {v}: {klass}")
         if lab == "D" and klass != "daisy" and n > 3:
@@ -490,7 +478,16 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
                 fcl_j = oracle_full_closure(sys, tangle, petals[j])
                 if petals[i] & ~fcl_j == 0:
                     problems.append(f"petal {i} at vertex {v} is loose")
+    return displayed, problems
 
+
+def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
+                        s_family: Optional[TreeCompatibleSet], t: PiTree,
+                        require_maximal: bool = True) -> Tuple[bool, List[str]]:
+    """Literal (P1)-(P5) check; with require_maximal also demand that every
+    (k,S)-separation is equivalent to a displayed one.
+    """
+    displayed, problems = _certify_walk(sys, tangle, s_family, t)
     bags = [b for b in t.bags.values() if b]
     verdicts: Dict[Separation, Tuple[bool, bool]] = {}
     for cls in oracle_classes(sys, tangle, s_family):
@@ -528,16 +525,7 @@ class OracleReport:
         return not self.disagreements
 
     def to_json(self):
-        return {
-            "system_kind": self.system_kind,
-            "n": self.n,
-            "k": self.k,
-            "closure_checks": self.closure_checks,
-            "class_count": self.class_count,
-            "flower_count": self.flower_count,
-            "ok": self.ok,
-            "disagreements": self.disagreements,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def differential_report(sys: ConnectivitySystem, tangle: Tangle,

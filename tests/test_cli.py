@@ -90,6 +90,16 @@ def test_tree_json_has_verdict(inputs, capsys, monkeypatch):
     assert code == 2 and json.loads(out) == {"ok": False, "problems": ["edge (0, 1)"]}
 
 
+@pytest.mark.parametrize("labels", [[], ["a"]], ids=["empty", "short"])
+def test_check_refuses_labels_of_another_length(tmp_path, capsys, labels):
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps({"kind": "graph", "edges": [[0, 1], [1, 2], [2, 0]],
+                                "labels": labels}))
+    code, out = invoke(capsys, ["check", "--input", str(path)])
+    assert code == 1
+    assert json.loads(out) == {"error": "usage", "detail": "labels length must equal n"}
+
+
 def test_fcl_with_oracle(inputs, capsys):
     code, out = invoke(capsys, ["fcl", "--input", inputs["barbell.json"], "--k", "2",
                                 "--tangle", "canonical", "--x", "0,1", "--verify"])

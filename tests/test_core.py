@@ -3,9 +3,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from tangleforge import (ConnectivitySystem, GroundSet, RankFunction, Violation,
-                         build_r8_rank, core, is_vertically_k_connected,
-                         verify_connectivity_axioms)
+from tangleforge import (ConnectivitySystem, RankFunction, Violation, build_r8_rank,
+                         core, is_vertically_k_connected, verify_connectivity_axioms)
 from tangleforge.core import MAX_N, verify_rank_axioms
 from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 from tangleforge.jsonio import load_system
@@ -14,17 +13,21 @@ from conftest import lab
 
 
 def test_ground_set_bounds_and_labels():
-    with pytest.raises(ValueError):
-        GroundSet(0)
+    with pytest.raises(ValueError, match="ground set size 0 outside 1..16"):
+        ConnectivitySystem.from_table(0, [0])
     with pytest.raises(SearchSpaceTooLarge):
-        GroundSet(17)
+        ConnectivitySystem.from_table(17, [0])
     with pytest.raises(SearchSpaceTooLarge):
-        GroundSet(65)
-    assert GroundSet(MAX_N).full == (1 << 16) - 1
-    with pytest.raises(ValueError):
-        GroundSet(3, labels=("a", "a", "b"))
-    g = GroundSet(3, labels=("x", "y", "z"))
-    assert g.full == 0b111
+        ConnectivitySystem.from_table(65, [0])
+    assert ConnectivitySystem.from_table(MAX_N, bytes(1 << MAX_N)).full == (1 << 16) - 1
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        ConnectivitySystem.graph([(0, 1), (1, 2), (2, 0)], labels=("a", "a", "b"))
+    # labels are checked before the table, whose length is wrong here too
+    with pytest.raises(ValueError, match="labels length must equal n"):
+        ConnectivitySystem.from_table(3, [0], labels=["x", "y"])
+    g = ConnectivitySystem.from_table(3, [0] * 8, labels=["x", "y", "z"])
+    assert g.full == 0b111 and g.labels == ("x", "y", "z")
+    assert ConnectivitySystem.r8_polymatroid(1).labels == tuple("12345678")
 
 
 def _path(n):
@@ -35,12 +38,14 @@ def _path(n):
 # ones marked True run with `byte_lanes` patched to raise, so reaching any
 # table construction would fail differently.
 OVERSIZED = [
-    ("GroundSet", False, lambda n: GroundSet(n)),
     ("RankFunction", False, lambda n: RankFunction(n, [0])),
     ("RankFunction.uniform", False, lambda n: RankFunction.uniform(3, n)),
     ("RankFunction.graphic", True, lambda n: RankFunction.graphic(_path(n))),
     ("RankFunction.from_bases", True, lambda n: RankFunction.from_bases(n, [0b111])),
     ("ConnectivitySystem.graph", True, lambda n: ConnectivitySystem.graph(_path(n))),
+    # the size is refused before the labels, which are too short here
+    ("labelled-graph", True,
+     lambda n: ConnectivitySystem.graph(_path(n), labels=("a",))),
     ("ConnectivitySystem.from_table", False,
      lambda n: ConnectivitySystem.from_table(n, [1])),
     # a stand-in rank with nothing but n: reading anything else would fail

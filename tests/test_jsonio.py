@@ -60,8 +60,16 @@ def test_load_matroid_from_rank_table():
 def test_load_graph_and_labels():
     sys = load_system({"kind": "graph", "edges": [[0, 1], [1, 2], [2, 0]],
                        "labels": ["a", "b", "c"]})
-    assert sys.ground.labels == ("a", "b", "c")
+    assert sys.labels == ("a", "b", "c")
     assert sys.lam(0b001) == 2
+
+
+@pytest.mark.parametrize("labels", [[], ["a"]], ids=["empty", "short"])
+def test_load_refuses_labels_of_another_length(labels):
+    # an empty list is a list of 0 labels, not "no labels"
+    with pytest.raises(ValueError, match="labels length must equal n"):
+        load_system({"kind": "graph", "edges": [[0, 1], [1, 2], [2, 0]],
+                     "labels": labels})
 
 
 def test_load_table_and_r8():

@@ -30,7 +30,7 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_default_S,
                          build_maximal_tree, build_r8_rank, enumerate_tangles, is_robust,
                          verify_partial_kS_tree)
 from tangleforge.closure import Separation, TreeCompatibleSet
-from tangleforge.oracle import (_admissible_partitions, _weak, differential_report,
+from tangleforge.oracle import (_admissible_partitions, _weak, _weak_set, differential_report,
                                oracle_certify_tree, oracle_flowers, oracle_full_closure,
                                oracle_kS_separations)
 from tangleforge.tangles import Tangle
@@ -127,6 +127,46 @@ def test_verifiers_agree_on_broken_trees(edges, matroid, k, data):
             accepted += ok
     assert rejected
     event("a mutant accepted by both" if accepted else "every mutant rejected")
+
+
+@settings(max_examples=40, deadline=None)
+@given(edges=multigraphs(), matroid=st.booleans(), k=st.sampled_from([2, 3]),
+       data=st.data())
+def test_relabelling_maps_tangles_and_classes(edges, matroid, k, data):
+    """Shuffling the edges renames the elements: the tangles map onto each
+    other, each by its weak sets, and so do their class partitions.  The
+    maximal tree built on the shuffled copy verifies and certifies; its
+    shape is not compared, because the construction is not invariant
+    under relabelling."""
+    order = data.draw(st.permutations(range(len(edges))))
+    rename = {old: new for new, old in enumerate(order)}
+
+    def build(edge_list):
+        return (ConnectivitySystem.matroid(RankFunction.graphic(edge_list), verify=False)
+                if matroid else ConnectivitySystem.graph(edge_list, verify=False))
+
+    def renamed(x):
+        return sum(1 << rename[e] for e in range(len(edges)) if x >> e & 1)
+
+    system, shuffled = build(edges), build([edges[old] for old in order])
+    images = {}
+    for tangle in enumerate_tangles(system, k):
+        classes = build_default_S(system, tangle).classes()
+        images[frozenset(map(renamed, _weak_set(tangle)))] = {
+            frozenset(Separation.make(shuffled, renamed(s.side), k).side for s in cls)
+            for cls in classes}
+    tangles = enumerate_tangles(shuffled, k)
+    assert len(tangles) == len(images)
+    for tangle in tangles:
+        s_family = build_default_S(shuffled, tangle)
+        got = {frozenset(s.side for s in cls) for cls in s_family.classes()}
+        assert images[frozenset(_weak_set(tangle))] == got
+        if is_robust(tangle):
+            tree = build_maximal_tree(shuffled, tangle, s_family)
+            assert verify_partial_kS_tree(shuffled, tangle, s_family, tree).ok
+            ok, problems = oracle_certify_tree(shuffled, tangle, s_family, tree)
+            assert ok, problems
+    event(f"{len(tangles)} tangles" if len(tangles) < 2 else "2+ tangles")
 
 
 @settings(max_examples=100, deadline=None)

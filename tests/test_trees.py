@@ -2,12 +2,13 @@ import pytest
 
 from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
                          displayed_separations, enumerate_tangles, extend_tree,
-                         flower_to_tree, grow_terminal_bag, retarget_terminal_bag,
-                         split_terminal_bag, verify_flower, verify_partial_kS_tree)
+                         flower_to_tree, grow_terminal_bag, is_robust,
+                         retarget_terminal_bag, split_terminal_bag, verify_flower,
+                         verify_partial_kS_tree)
 from tangleforge.bitset import elements_of
 from tangleforge.closure import Separation, build_default_S, full_closure
 from tangleforge.errors import PreconditionFailed, ViolationFound
-from tangleforge.oracle import oracle_certify_tree
+from tangleforge.oracle import differential_report, oracle_certify_tree
 from tangleforge.trees import PiTree, single_bag_tree
 
 from conftest import (Ctx, conforms_with_tree, displayed_tree_class_ids, lab,
@@ -418,7 +419,7 @@ class TestTriangleChain:
     tree combines path bags with a flower vertex."""
 
     def test_middle_tangle_verifies_and_is_robust(self, chain_ctx):
-        from tangleforge import is_robust, verify_tangle
+        from tangleforge import verify_tangle
         assert verify_tangle(chain_ctx.sys, chain_ctx.tangle) == []
         assert is_robust(chain_ctx.tangle)
 
@@ -486,37 +487,52 @@ def _built_trees(ctx, chain):
 
 def test_tree_displays_match_oracle(ctx_r8p1, ctx_c6, ctx_u56, ctx_u26, ctx_pc4,
                                     ctx_barbell, chain_ctx):
-    from tangleforge.oracle import _Sides, _tree_displayed
+    from tangleforge.oracle import _certify_walk
     ctx = {"r8p1": ctx_r8p1, "c6": ctx_c6, "u56": ctx_u56, "u26": ctx_u26,
            "pc4": ctx_pc4, "barbell": ctx_barbell}
     trees = _built_trees(ctx, chain_ctx)
     assert len(trees) > 25
     for c, t in trees:
         got = verify_partial_kS_tree(c.sys, c.tangle, c.S, t).displayed
-        assert got == sorted(_tree_displayed(c.sys, t, _Sides(t))[0]), t.edges()
+        assert got == sorted(_certify_walk(c.sys, c.tangle, c.S, t)[0]), t.edges()
 
 
 def test_one_oracle_scan_per_flower_vertex(ctx_r8p1, ctx_c6, ctx_u56, ctx_u26, ctx_pc4,
                                            ctx_barbell, chain_ctx):
-    # the class and displays that _tree_displayed takes from one scan are
-    # what the separate literal class and display scans give
+    # the displays, flower test and class that the certificate's walk takes
+    # from one scan of each flower vertex are what the separate literal
+    # scans give; an A label makes the walk name any class but anemone
     from tangleforge.flowers import Flower
-    from tangleforge.oracle import (_Sides, _displayed_unions, _flower_class_literal,
-                                    _tree_displayed, _vertex_petals)
+    from tangleforge.oracle import (_Sides, _certify_walk, _displayed_unions,
+                                    _flower_class_literal, _weak)
     ctx = {"r8p1": ctx_r8p1, "c6": ctx_c6, "u56": ctx_u56, "u26": ctx_u26,
            "pc4": ctx_pc4, "barbell": ctx_barbell}
     checked = set()
     for c, t in _built_trees(ctx, chain_ctx):
+        sys, k = c.sys, t.k
         sides = _Sides(t)
-        at = _tree_displayed(c.sys, t, sides)[1]
-        assert set(at) == set(t.labels)
+        want = {Separation.make(sys, sides[e], k) for e in t.edges()
+                if 0 != sides[e] != sys.full and sys.lam(sides[e]) <= k}
+        problems = _certify_walk(sys, c.tangle, c.S, t)[1]
         for v in t.labels:
-            petals = _vertex_petals(t, v, sides)
-            klass, shown = at[v]
-            assert shown == _displayed_unions(c.sys, t.k, petals)
-            if len(petals) >= 3:
-                assert klass == _flower_class_literal(c.sys, Flower(petals, t.k))
+            petals = tuple(sides[w, v] for w in t.cyclic.get(v, t.adj[v]))
+            n = len(petals)
+            want |= _displayed_unions(sys, k, petals)
+            is_flower = (n >= 3 and all(petals)
+                         and not any(_weak(c.tangle, p) for p in petals)
+                         and all(sys.lam(p) <= k for p in petals)
+                         and all(sys.lam(petals[i] | petals[(i + 1) % n]) <= k
+                                 for i in range(n)))
+            assert (f"flower vertex {v} does not display a flower" not in problems) == is_flower
+            if is_flower:
+                klass = _flower_class_literal(sys, Flower(petals, k))
+                as_a = t.replaced(labels={**t.labels, v: "A"})
+                named = [p for p in _certify_walk(sys, c.tangle, c.S, as_a)[1]
+                         if p.startswith(f"P3 fails at vertex {v}:")]
+                want_named = [] if klass == "anemone" else [f"P3 fails at vertex {v}: {klass}"]
+                assert named == want_named
                 checked.add(klass)
+        assert _certify_walk(sys, c.tangle, c.S, t)[0] == want
     assert checked == {"anemone", "daisy"}
 
 
@@ -649,3 +665,36 @@ def test_construction_builds_no_display_set(name, monkeypatch):
     want = json.loads((golden / f"tree-{name}.out").read_text())
     del want["verdict"]
     assert json.loads(dumps(tree_to_json(system, t))) == want
+
+
+def test_order_three_tree_with_three_flower_vertices():
+    # Elements are the hyperedges below, and lam(X) counts the vertices
+    # that meet a hyperedge in X and one in E - X.  This input lies off
+    # the paper's ground: every singleton has lam 3, so at order 3 the
+    # singletons are strong (ROADMAP item 12).
+    hyperedges = [(0, 2, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2), (1, 2, 3)]
+    n = len(hyperedges)
+
+    def lam(x):
+        ends = [set(), set()]
+        for i, edge in enumerate(hyperedges):
+            ends[x >> i & 1].update(edge)
+        return len(ends[0] & ends[1])
+
+    system = ConnectivitySystem.from_table(n, [lam(x) for x in range(1 << n)])
+    tangles = enumerate_tangles(system, 3)
+    assert [t.members for t in tangles] == [frozenset({0})]
+    tangle, = tangles
+    assert is_robust(tangle)
+    s_family = build_default_S(system, tangle)
+    assert len(s_family.classes()) == 7
+    tree = build_maximal_tree(system, tangle, s_family)
+    assert len(tree.vertices()) == 8
+    assert sorted(tree.labels.values()) == ["A", "A", "A"]
+    assert any(u in tree.labels and v in tree.labels for u, v in tree.edges())
+    verdict = verify_partial_kS_tree(system, tangle, s_family, tree)
+    assert verdict.ok, verdict.to_json()
+    ok, problems = oracle_certify_tree(system, tangle, s_family, tree)
+    assert ok, problems
+    report = differential_report(system, tangle, s_family, max_petals=4)
+    assert report.ok, report.disagreements
