@@ -1,6 +1,8 @@
 """Batch command-line front end.
 
-Subcommands: check, tangles, fcl, separations, flower, tree, oracle.
+Subcommands: check, tangles, fcl, separations, flower, tree, oracle, each
+one handler that returns its output and whether it passed; `run` prints
+that output, or the error, once.
 Output is deterministic JSON (or DOT with --dot).  Exit codes: 0 success,
 1 usage/IO error, 2 verification failure (with a witness report), 3 search
 space too large.
@@ -19,7 +21,7 @@ from .closure import (Separation, TreeCompatibleSet, build_default_S, full_closu
 from .dot import flower_to_dot, tree_to_dot
 from .errors import (NonRobustObstruction, PreconditionFailed, SearchSpaceTooLarge,
                      TangleforgeError)
-from .flowers import (Flower, classify, displayed_kS, loose_petals, maximal_flower,
+from .flowers import (classify, displayed_kS, loose_petals, maximal_flower,
                       verify_flower)
 from .jsonio import (dumps, explicit_s_from_json, flower_to_json, load_system_file,
                      masks_from_json, separation_to_json, tangle_from_json,
@@ -59,10 +61,14 @@ def _parser() -> argparse.ArgumentParser:
                 description="tangles, closures, flowers, and partial k-trees")
     sub = p.add_subparsers(dest="command", required=True)
 
-    # Each subcommand registers only the flags it reads.
-    def common(sp, tangle=True, s_family=True, verify=True, dot=False):
+    # Each subcommand registers its handler and only the flags it reads.
+    def add(name, handler, help, k=True, tangle=True, s_family=True, verify=True,
+            dot=False):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--input", required=True, help="system JSON file")
-        sp.add_argument("--k", type=int, required=True, help="order of the tangle")
+        if k:
+            sp.add_argument("--k", type=int, required=True, help="order of the tangle")
         if tangle:
             sp.add_argument("--tangle", default="canonical",
                             help="'canonical' or a tangle JSON file")
@@ -75,32 +81,21 @@ def _parser() -> argparse.ArgumentParser:
                                  "(tangles: re-verify each tangle's axioms)")
         if dot:
             sp.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
+        return sp
 
-    sp = sub.add_parser("check", help="verify the connectivity axioms")
-    sp.add_argument("--input", required=True)
-
-    sp = sub.add_parser("tangles", help="enumerate all tangles of order k")
-    common(sp, tangle=False, s_family=False)
-
-    sp = sub.add_parser("fcl", help="full closure of a set")
-    common(sp, s_family=False)
+    add("check", _check, "verify the connectivity axioms",
+        k=False, tangle=False, s_family=False, verify=False)
+    add("tangles", _tangles, "enumerate all tangles of order k", tangle=False, s_family=False)
+    sp = add("fcl", _fcl, "full closure of a set", s_family=False)
     sp.add_argument("--x", required=True, help="comma-separated element indices")
-
-    sp = sub.add_parser("separations", help="(k,S)-separations and equivalence classes")
-    common(sp)
-
-    sp = sub.add_parser("flower", help="verify a flower or build a maximal one")
-    common(sp, dot=True)
-    given = sp.add_mutually_exclusive_group()
+    add("separations", _separations, "(k,S)-separations and equivalence classes")
+    given = add("flower", _flower, "verify a flower or build a maximal one",
+                dot=True).add_mutually_exclusive_group()
     given.add_argument("--petals", help="JSON list of element lists to verify")
     given.add_argument("--seed-side", help="comma-separated side of the seed separation")
-
-    sp = sub.add_parser("tree", help="build the maximal partial (k,S)-tree")
-    common(sp, dot=True)
-
+    add("tree", _tree, "build the maximal partial (k,S)-tree", dot=True)
     # The report is the oracle's own, so there is nothing to --verify it against.
-    sp = sub.add_parser("oracle", help="differential engine-vs-oracle report")
-    common(sp, verify=False)
+    sp = add("oracle", _oracle, "differential engine-vs-oracle report", verify=False)
     sp.add_argument("--max-petals", type=int, default=4)
     return p
 
@@ -150,140 +145,142 @@ def _parse_elements(system, text: str) -> int:
     return system.mask(int(tok) for tok in text.split(","))
 
 
-def _emit(text: str):
-    _sys.stdout.write(text if text.endswith("\n") else text + "\n")
+# -- handlers ----------------------------------------------------------------
+#
+# One per subcommand: (system, tangle, s_family, args) -> (payload, ok), the
+# payload JSON-able or DOT text, ok False for a verification failure.  The
+# tangle and S family are None unless the subcommand's parser registers
+# --tangle and --S.
+
+
+def _seps_json(system, seps) -> list:
+    return [separation_to_json(system, s) for s in seps]
+
+
+def _refereed(out: dict, got, want, to_json):
+    """out with the oracle's verdict on got: `oracle_agrees`, and the
+    oracle's answer under `oracle` when it differs; and that verdict."""
+    out["oracle_agrees"] = want == got
+    if want != got:
+        out["oracle"] = to_json(want)
+    return out, want == got
+
+
+def _check(system, tangle, s_family, args):
+    report = verify_connectivity_axioms(system)
+    return {"ok": not report, "violations": [v.to_json() for v in report]}, not report
+
+
+def _tangles(system, tangle, s_family, args):
+    found = enumerate_tangles(system, args.k)
+    out = [tangle_to_json(t) for t in found]
+    if args.verify:
+        for entry, t in zip(out, found):
+            report = verify_tangle(system, t)
+            entry["verified"] = not report
+            if report:
+                entry["violations"] = [v.to_json() for v in report]
+    return out, all(entry.get("verified", True) for entry in out)
+
+
+def _fcl(system, tangle, s_family, args):
+    x = _parse_elements(system, args.x)
+    got = full_closure(system, tangle, x)
+    out = {"x": sorted(elements_of(x)), "fcl": sorted(elements_of(got))}
+    if not args.verify:
+        return out, True
+    return _refereed(out, got, oracle_full_closure(system, tangle, x),
+                     lambda m: sorted(elements_of(m)))
+
+
+def _separations(system, tangle, s_family, args):
+    classes = s_family.classes()
+    out = {"separations": _seps_json(system, s_family.separations()),
+           "classes": [_seps_json(system, cls) for cls in classes]}
+    if not args.verify:
+        return out, True
+    return _refereed(out, classes, oracle_classes(system, tangle, s_family),
+                     lambda want: [_seps_json(system, cls) for cls in want])
+
+
+def _flower(system, tangle, s_family, args):
+    if args.petals:
+        petals = masks_from_json(system, json.loads(args.petals), "--petals")
+        f = verify_flower(system, tangle, petals)
+    elif args.seed_side:
+        seed = Separation.make(system, _parse_elements(system, args.seed_side), tangle.k)
+        f = maximal_flower(system, tangle, s_family, seed)
+    else:
+        raise PreconditionFailed("flower needs --petals or --seed-side")
+    klass = classify(system, f)
+    shown = displayed_kS(system, tangle, s_family, f)
+    if args.verify:
+        want_class = _flower_class_literal(system, f)
+        want_shown = oracle_displayed_kS(system, tangle, s_family, f)
+        if (want_class, want_shown) != (klass, shown):
+            return {"oracle_agrees": False, "class": klass, "oracle_class": want_class,
+                    "displayed_kS": _seps_json(system, shown),
+                    "oracle_displayed_kS": _seps_json(system, want_shown)}, False
+    if args.dot:
+        return flower_to_dot(system, f), True
+    out = flower_to_json(system, f)
+    out["loose_petals"] = loose_petals(system, tangle, f)
+    out["displayed_kS"] = _seps_json(system, shown)
+    if args.verify:
+        out["oracle_agrees"] = True
+    return out, True
+
+
+def _tree(system, tangle, s_family, args):
+    t = build_maximal_tree(system, tangle, s_family)
+    verdict = verify_partial_kS_tree(system, tangle, s_family, t)
+    if args.verify:
+        ok, problems = oracle_certify_tree(system, tangle, s_family, t)
+        if not ok:
+            return {"ok": False, "problems": problems}, False
+    if args.dot:
+        return tree_to_dot(system, t), verdict.ok
+    return {**tree_to_json(system, t), "verdict": verdict.to_json()}, verdict.ok
+
+
+def _oracle(system, tangle, s_family, args):
+    report = differential_report(system, tangle, s_family, max_petals=args.max_petals)
+    return report.to_json(), report.ok
+
+
+def _emit(payload):
+    """DOT text as it is (it ends in a newline), anything else as JSON."""
+    _sys.stdout.write(payload if isinstance(payload, str) else dumps(payload) + "\n")
 
 
 def run(argv) -> int:
+    """Parse, load the system, resolve --tangle and --S where the
+    subcommand's parser registers them, call its handler, and print the
+    payload or the error once."""
     try:
         args = _parser().parse_args(argv)
         system = load_system_file(args.input, verify=False)
-        if args.command == "check":
-            report = verify_connectivity_axioms(system)
-            _emit(dumps({"ok": not report, "violations": [v.to_json() for v in report]}))
-            return EXIT_OK if not report else EXIT_VERIFY
-
-        if args.command == "tangles":
-            found = enumerate_tangles(system, args.k)
-            out = [tangle_to_json(t) for t in found]
-            ok = True
-            if args.verify:
-                for entry, tangle in zip(out, found):
-                    report = verify_tangle(system, tangle)
-                    entry["verified"] = not report
-                    if report:
-                        entry["violations"] = [v.to_json() for v in report]
-                        ok = False
-            _emit(dumps(out))
-            return EXIT_OK if ok else EXIT_VERIFY
-
-        tangle = _resolve_tangle(system, args)
-        if args.command == "fcl":
-            x = _parse_elements(system, args.x)
-            got = full_closure(system, tangle, x)
-            out = {"x": sorted(elements_of(x)), "fcl": sorted(elements_of(got))}
-            if args.verify:
-                want = oracle_full_closure(system, tangle, x)
-                out["oracle_agrees"] = want == got
-                if want != got:
-                    out["oracle"] = sorted(elements_of(want))
-                    _emit(dumps(out))
-                    return EXIT_VERIFY
-            _emit(dumps(out))
-            return EXIT_OK
-
-        s_family = _resolve_S(system, tangle, args)
-        if args.command == "separations":
-            seps = s_family.separations()
-            classes = s_family.classes()
-            out = {"separations": [separation_to_json(system, s) for s in seps],
-                   "classes": [[separation_to_json(system, s) for s in cls]
-                               for cls in classes]}
-            if args.verify:
-                want = oracle_classes(system, tangle, s_family)
-                out["oracle_agrees"] = want == classes
-                if want != classes:
-                    out["oracle"] = [[separation_to_json(system, s) for s in cls]
-                                     for cls in want]
-                    _emit(dumps(out))
-                    return EXIT_VERIFY
-            _emit(dumps(out))
-            return EXIT_OK
-
-        if args.command == "flower":
-            if args.petals:
-                petals = masks_from_json(system, json.loads(args.petals), "--petals")
-                f = verify_flower(system, tangle, petals)
-            elif args.seed_side:
-                seed = Separation.make(system, _parse_elements(system, args.seed_side),
-                                       tangle.k)
-                f = maximal_flower(system, tangle, s_family, seed)
-            else:
-                raise PreconditionFailed("flower needs --petals or --seed-side")
-            klass = classify(system, f)
-            shown = displayed_kS(system, tangle, s_family, f)
-            if args.verify:
-                want_class = _flower_class_literal(system, Flower(f.petals, f.k))
-                want_shown = oracle_displayed_kS(system, tangle, s_family, f)
-                if (want_class, want_shown) != (klass, shown):
-                    _emit(dumps({"oracle_agrees": False, "class": klass,
-                                 "oracle_class": want_class,
-                                 "displayed_kS": [separation_to_json(system, s)
-                                                  for s in shown],
-                                 "oracle_displayed_kS": [separation_to_json(system, s)
-                                                         for s in want_shown]}))
-                    return EXIT_VERIFY
-            if args.dot:
-                _emit(flower_to_dot(system, f))
-            else:
-                out = flower_to_json(system, f)
-                out["loose_petals"] = loose_petals(system, tangle, f)
-                out["displayed_kS"] = [separation_to_json(system, s) for s in shown]
-                if args.verify:
-                    out["oracle_agrees"] = True
-                _emit(dumps(out))
-            return EXIT_OK
-
-        if args.command == "tree":
-            t = build_maximal_tree(system, tangle, s_family)
-            verdict = verify_partial_kS_tree(system, tangle, s_family, t)
-            if args.verify:
-                ok, problems = oracle_certify_tree(system, tangle, s_family, t)
-                if not ok:
-                    _emit(dumps({"ok": False, "problems": problems}))
-                    return EXIT_VERIFY
-            if args.dot:
-                _emit(tree_to_dot(system, t))
-            else:
-                out = tree_to_json(system, t)
-                out["verdict"] = verdict.to_json()
-                _emit(dumps(out))
-            return EXIT_OK if verdict.ok else EXIT_VERIFY
-
-        if args.command == "oracle":
-            report = differential_report(system, tangle, s_family,
-                                         max_petals=args.max_petals)
-            _emit(dumps(report.to_json()))
-            return EXIT_OK if report.ok else EXIT_VERIFY
-
-        raise PreconditionFailed(f"unknown command {args.command}")
+        tangle = _resolve_tangle(system, args) if hasattr(args, "tangle") else None
+        s_family = _resolve_S(system, tangle, args) if hasattr(args, "s_mode") else None
+        payload, ok = args.handler(system, tangle, s_family, args)
+        code = EXIT_OK if ok else EXIT_VERIFY
     except SearchSpaceTooLarge as exc:
-        _emit(dumps({"error": "search_space_too_large", "detail": str(exc)}))
-        return EXIT_TOO_LARGE
+        payload = {"error": "search_space_too_large", "detail": str(exc)}
+        code = EXIT_TOO_LARGE
     except InputReportError as exc:
-        _emit(dumps({"error": exc.error,
-                     "report": [v.to_json() for v in exc.report]}))
-        return EXIT_VERIFY
+        payload = {"error": exc.error, "report": [v.to_json() for v in exc.report]}
+        code = EXIT_VERIFY
     except NonRobustObstruction as exc:
-        _emit(dumps({"error": "non_robust_obstruction",
-                     "witness": sorted(elements_of(exc.separation.side))}))
-        return EXIT_VERIFY
+        payload = {"error": "non_robust_obstruction",
+                   "witness": sorted(elements_of(exc.separation.side))}
+        code = EXIT_VERIFY
     except TangleforgeError as exc:
-        _emit(dumps({"error": type(exc).__name__, "detail": str(exc)}))
-        return EXIT_VERIFY if hasattr(exc, "witness") else EXIT_USAGE
+        payload = {"error": type(exc).__name__, "detail": str(exc)}
+        code = EXIT_VERIFY if hasattr(exc, "witness") else EXIT_USAGE
     except (_UsageError, OSError, ValueError, json.JSONDecodeError) as exc:
-        _emit(dumps({"error": "usage", "detail": str(exc)}))
-        return EXIT_USAGE
+        payload, code = {"error": "usage", "detail": str(exc)}, EXIT_USAGE
+    _emit(payload)
+    return code
 
 
 def main():

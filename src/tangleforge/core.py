@@ -40,7 +40,8 @@ def check_ground_size(n: int):
 
 def _checked_labels(n: int, labels) -> Optional[Tuple[str, ...]]:
     """Refuse n as `check_ground_size` does, then labels that are not n
-    distinct names; the labels as a tuple, or None."""
+    distinct strings (one string is not a list of them); the labels as a
+    tuple, or None."""
     check_ground_size(n)
     if labels is None:
         return None
@@ -48,6 +49,8 @@ def _checked_labels(n: int, labels) -> Optional[Tuple[str, ...]]:
         raise ValueError("labels length must equal n")
     if len(set(labels)) != n:
         raise ValueError("labels must be distinct")
+    if isinstance(labels, str) or any(type(x) is not str for x in labels):
+        raise ValueError("labels must be a list of strings")
     return tuple(labels)
 
 

@@ -7,7 +7,7 @@ from typing import List
 
 from .bitset import elements_of
 from .core import ConnectivitySystem
-from .flowers import ANEMONE, Flower
+from .flowers import ANEMONE, Flower, classify
 from .trees import PiTree
 
 
@@ -21,14 +21,13 @@ def _set_label(sys: ConnectivitySystem, mask: int) -> str:
 
 def flower_to_dot(sys: ConnectivitySystem, f: Flower) -> str:
     lines: List[str] = ["graph flower {"]
-    klass = f.klass or "unclassified"
-    center = "A" if klass == ANEMONE else ("D" if klass == "daisy" else "?")
-    lines.append(f'  c [shape=circle, label="{center}"];')
+    daisy = classify(sys, f) != ANEMONE
+    lines.append(f'  c [shape=circle, label="{"D" if daisy else "A"}"];')
     for i, p in enumerate(f.petals):
         lines.append(f'  p{i} [shape=box, label="{_set_label(sys, p)}"];')
     for i in range(f.n):
         lines.append(f'  c -- p{i} [label="{i + 1}"];')
-    if klass == "daisy":
+    if daisy:
         for i in range(f.n):
             lines.append(f"  p{i} -- p{(i + 1) % f.n} [style=dashed];")
     lines.append("}")

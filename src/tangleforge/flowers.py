@@ -29,19 +29,20 @@ MIXED = "mixed"
 
 
 class Flower:
-    """Cyclic petal list of a verified k-flower; immutable value object."""
+    """Cyclic petal list of a verified k-flower; immutable value object.
+    Its class is `classify`'s, kept in `_klass` by `classify` alone."""
 
-    def __init__(self, petals: Sequence[int], k: int, klass: Optional[str] = None):
+    def __init__(self, petals: Sequence[int], k: int):
         self.petals = tuple(petals)
         self.k = k
-        self.klass = klass
+        self._klass: Optional[str] = None
 
     @property
     def n(self) -> int:
         return len(self.petals)
 
     def __repr__(self):
-        return f"Flower(k={self.k}, petals={[bin(p) for p in self.petals]}, klass={self.klass})"
+        return f"Flower(k={self.k}, petals={[bin(p) for p in self.petals]})"
 
     def __eq__(self, other):
         return (isinstance(other, Flower) and self.k == other.k
@@ -110,21 +111,18 @@ def classify(sys: ConnectivitySystem, f: Flower) -> str:
     anemones by convention.  Anything else raises DichotomyViolation.
 
     One `lam_flags` pass over the proper petal unions decides: an anemone
-    has no 0 flag, and a daisy's flags equal the cyclic-run flags of n."""
-    if f.klass is not None:
-        return f.klass
-    n = f.n
-    if n <= 2:
-        f.klass = ANEMONE
-        return ANEMONE
-    flags = sys.lam_flags(f.k, petal_unions(f.petals)[1:-1])
+    has no 0 flag, and a daisy's flags equal the cyclic-run flags of n.
+    The verdict is kept on the flower for the next call."""
+    if f._klass is not None:
+        return f._klass
+    flags = sys.lam_flags(f.k, petal_unions(f.petals)[1:-1]) if f.n > 2 else b""
     if 0 not in flags:
         klass = ANEMONE
-    elif flags == _run_flags(n):
+    elif flags == _run_flags(f.n):
         klass = DAISY
     else:
-        raise DichotomyViolation(_dichotomy_witness(n, flags, _run_flags(n)))
-    f.klass = klass
+        raise DichotomyViolation(_dichotomy_witness(f.n, flags, _run_flags(f.n)))
+    f._klass = klass
     return klass
 
 
@@ -173,7 +171,7 @@ def displayed_separations(sys: ConnectivitySystem, tangle: Tangle,
     """k-separations displayed by f, by canonical side: the sides with
     lam <= k that no petal crosses (meets on both sides).  Precondition:
     the petals partition E, so these are exactly the canonical sides of
-    the k-separating proper petal unions.  A stored class is not read."""
+    the k-separating proper petal unions.  The class is not read."""
     petals = f.petals
     return [Separation(x, f.k) for x in sys.lam_at_most(f.k, range(1, sys.full, 2))
             if not any(p & x and p & ~x for p in petals)]

@@ -15,7 +15,7 @@ from .bitset import elements_of
 from .core import ConnectivitySystem, RankFunction
 from .closure import Separation
 from .errors import PreconditionFailed
-from .flowers import Flower
+from .flowers import Flower, classify
 from .tangles import Tangle
 from .trees import PiTree
 
@@ -133,10 +133,8 @@ def separation_to_json(sys: ConnectivitySystem, sep: Separation) -> dict:
 
 
 def flower_to_json(sys: ConnectivitySystem, f: Flower) -> dict:
-    out = {"petals": [elements_of(p) for p in f.petals], "k": f.k}
-    if f.klass:
-        out["class"] = f.klass
-    return out
+    return {"petals": [elements_of(p) for p in f.petals], "k": f.k,
+            "class": classify(sys, f)}
 
 
 def tree_to_json(sys: ConnectivitySystem, t: PiTree) -> dict:

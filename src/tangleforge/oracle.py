@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .bitset import elements_of
 from .core import NODE_CAP, ORACLE_MAX_PETALS, ConnectivitySystem
@@ -299,8 +299,22 @@ def _flower_class_literal(sys: ConnectivitySystem, f: Flower) -> str:
     return _class_of_masks(f.n, _separating_masks(sys, f.k, f.petals)[1])
 
 
+class OracleFlower(NamedTuple):
+    """A flower as the oracle's walk finds it, with its literal class
+    (`_flower_class_literal`); the engine's `Flower` keeps no class given
+    from outside."""
+
+    petals: Tuple[int, ...]
+    k: int
+    klass: str
+
+    @property
+    def n(self) -> int:
+        return len(self.petals)
+
+
 def oracle_flowers(sys: ConnectivitySystem, tangle: Tangle,
-                   max_petals: int) -> List[Flower]:
+                   max_petals: int) -> List[OracleFlower]:
     """Every verified flower with at most max_petals petals, each once up to
     labels (any permutation for anemones, n-gon symmetry for daisies): the
     walk of `_enumerate_flowers` meets each such flower once by construction.
@@ -319,7 +333,7 @@ def oracle_flowers(sys: ConnectivitySystem, tangle: Tangle,
 
 
 def _enumerate_flowers(sys: ConnectivitySystem, tangle: Tangle,
-                       max_petals: int) -> List[Flower]:
+                       max_petals: int) -> List[OracleFlower]:
     """The flowers of `oracle_flowers`, over the partitions of E into
     admissible petals: the k-separating masks that are not weak.  A
     partition into at most two blocks, and each cyclic order of a larger
@@ -333,7 +347,7 @@ def _enumerate_flowers(sys: ConnectivitySystem, tangle: Tangle,
     every order of an anemone is one."""
     k = tangle.k
     admissible = set(_all_separating(sys, tangle)) - _weak_set(tangle)
-    out: List[Flower] = []
+    out: List[OracleFlower] = []
     candidates = 0
     for blocks in _admissible_partitions(sys.full, admissible, max_petals):
         m = len(blocks)
@@ -347,10 +361,9 @@ def _enumerate_flowers(sys: ConnectivitySystem, tangle: Tangle,
             petals = (first,) + perm
             if m > 2 and any(sys.lam(petals[i] | petals[(i + 1) % m]) > k for i in range(m)):
                 continue
-            f = Flower(petals, k)
-            f.klass = _flower_class_literal(sys, f)
-            out.append(f)
-            if f.klass == "anemone":
+            klass = _flower_class_literal(sys, Flower(petals, k))
+            out.append(OracleFlower(petals, k, klass))
+            if klass == "anemone":
                 break  # every other order is the same anemone
     out.sort(key=lambda f: (f.n, f.petals))
     return out
@@ -420,7 +433,9 @@ def _certify_walk(sys: ConnectivitySystem, tangle: Tangle,
                   ) -> Tuple[Set[Separation], List[str]]:
     """One walk of t: the separations it displays (k-separating edge sides
     and the k-separating petal unions of every flower vertex) and its
-    problems short of (P5): bags that do not partition E, then (P1)-(P4).
+    problems short of (P5): bags that do not partition E, then (P1)-(P4),
+    where a flower vertex is labelled A or D and a D vertex's cyclic order
+    lists exactly its neighbours.
     Each edge side's lam is read once, for its display and for (P1).
     Each flower vertex's proper unions are scanned once, one lam call
     each; with three or more petals every petal and every consecutive pair
@@ -452,6 +467,10 @@ def _certify_walk(sys: ConnectivitySystem, tangle: Tangle,
                 problems.append(f"P1 (k,S) clause fails at edge ({u},{v})")
 
     for v, lab in t.labels.items():
+        if lab not in ("A", "D"):
+            problems.append(f"flower vertex {v} is labelled {lab!r}, not A or D")
+        if lab == "D" and sorted(t.cyclic.get(v, ())) != sorted(t.adj[v]):
+            problems.append(f"cyclic order at D vertex {v} does not list its neighbours")
         petals = tuple(sides[w, v] for w in t.cyclic.get(v, t.adj[v]))
         n = len(petals)
         union, sep = _separating_masks(sys, k, petals)

@@ -516,3 +516,12 @@ def test_flags_a_subcommand_does_not_read_are_rejected(inputs, capsys, command, 
     assert code == 1
     data = json.loads(out)
     assert data["error"] == "usage" and extra[0] in data["detail"]
+
+
+@pytest.mark.parametrize("x", ["", " "], ids=["empty", "blank"])
+def test_fcl_of_no_element_is_refused(inputs, capsys, x):
+    # an empty --x names the empty set, which is weak in every tangle
+    code, out = invoke(capsys, ["fcl", "--input", inputs["c6.json"], "--k", "2", "--x", x])
+    assert code == 1
+    assert json.loads(out) == {"error": "PreconditionFailed",
+                               "detail": "set is weak in the tangle"}

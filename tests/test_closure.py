@@ -459,3 +459,16 @@ def test_class_of_outside_the_index_matches_a_closure_pair_scan(
             assert family.class_of(sep) == want
             outcomes.add(want == [sep])
     assert outcomes == {True, False}  # both a matching class and none occur
+
+
+@pytest.mark.parametrize("call, message", [
+    # three points of a face of the cube: lambda 3 + 4 + 1 - 3 = 5 > 4
+    pytest.param(lambda ctx: is_sequential(ctx.sys, ctx.tangle, lab(1, 2, 3)),
+                 "set is not 4-separating", id="sequential-not-k-separating"),
+    pytest.param(lambda ctx: Separation.make(ctx.sys, 1 << ctx.sys.n, 4),
+                 "side outside ground set", id="side-outside-E"),
+])
+def test_closure_refusals(ctx_r8p1, call, message):
+    with pytest.raises(PreconditionFailed) as err:
+        call(ctx_r8p1)
+    assert type(err.value) is PreconditionFailed and str(err.value) == message

@@ -25,6 +25,10 @@ def test_ground_set_bounds_and_labels():
     # labels are checked before the table, whose length is wrong here too
     with pytest.raises(ValueError, match="labels length must equal n"):
         ConnectivitySystem.from_table(3, [0], labels=["x", "y"])
+    # labels reach display, so the API refuses what the JSON reader refuses
+    for labels in ([1, 2, 3], "abc"):
+        with pytest.raises(ValueError, match="labels must be a list of strings"):
+            ConnectivitySystem.graph([(0, 1), (1, 2), (2, 0)], labels=labels)
     g = ConnectivitySystem.from_table(3, [0] * 8, labels=["x", "y", "z"])
     assert g.full == 0b111 and g.labels == ("x", "y", "z")
     assert ConnectivitySystem.r8_polymatroid(1).labels == tuple("12345678")
@@ -336,3 +340,25 @@ def test_sampled_verification_large_n_path():
     for _ in range(500):
         x = rng.getrandbits(15)
         assert sys.lam(x) == sys.lam(sys.full ^ x)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: RankFunction(2, [0, 1, 1]), ValueError,
+                 "rank table must have 2^n entries", id="rank-table-length"),
+    pytest.param(lambda: RankFunction.uniform(5, 4), ValueError,
+                 "uniform matroid needs 0 <= r <= n", id="uniform-rank-above-n"),
+    pytest.param(lambda: RankFunction.uniform(-1, 4), ValueError,
+                 "uniform matroid needs 0 <= r <= n", id="uniform-rank-below-0"),
+    pytest.param(lambda: RankFunction.graphic([]), ValueError,
+                 "graphic matroid needs at least one edge", id="graphic-no-edge"),
+    pytest.param(lambda: RankFunction.from_bases(3, []), ValueError,
+                 "need at least one basis", id="no-basis"),
+    pytest.param(lambda: ConnectivitySystem.r8_polymatroid(0), ValueError,
+                 "ell must be a positive integer", id="r8-ell-0"),
+    pytest.param(lambda: ConnectivitySystem.from_table(2, [0, 1, 0]), ValueError,
+                 "lambda table must have 2^n entries", id="lambda-table-length"),
+])
+def test_core_refusals(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message

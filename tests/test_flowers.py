@@ -98,14 +98,12 @@ class TestClassify:
             classify(c6g, f)
         assert str(err.value) == "union of petals [2, 3, 4] breaks the dichotomy"
         assert err.value.witness_indices == frozenset({2, 3, 4})
-        assert f.klass is None
 
 
 class TestFlagsScan:
     """`classify` reads one `lam_flags` pass and `displayed_separations`
     the canonical sides no petal crosses (`lam_at_most`); both must give
-    what the per-union references give, and display must not depend on
-    a stored class."""
+    what the per-union references give."""
 
     @pytest.mark.parametrize("fixture", ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6",
                                          "ctx_pc4", "ctx_barbell", "ctx_r8m3", "ctx_mk4"])
@@ -518,3 +516,20 @@ class TestFlowerEquivalenceLaws:
 @given(petals=st.lists(st.integers(0, (1 << 16) - 1), max_size=9))
 def test_petal_unions_match_the_lowbit_dp(petals):
     assert petal_unions(petals) == literal_petal_unions(petals)
+
+
+@pytest.mark.parametrize("call, message", [
+    # {1,2,3} has lambda 5, so it is not even 4-separating
+    pytest.param(lambda ctx: phi_minimum_representative(
+        ctx.sys, ctx.tangle, ctx.S, Separation.make(ctx.sys, lab(1, 2, 3), 4), phi_r8(ctx)),
+        "not a (k,S)-separation", id="phi-not-kS"),
+    # the petal {1,2} lies in the closure of the other petal
+    pytest.param(lambda ctx: refine_with(
+        ctx.sys, ctx.tangle, ctx.S, Flower((lab(1, 2), ctx.sys.full ^ lab(1, 2)), 4),
+        ctx.S.separations()[0]),
+        "flower has loose petals", id="refine-loose-flower"),
+])
+def test_flower_refusals(ctx_r8p1, call, message):
+    with pytest.raises(PreconditionFailed) as err:
+        call(ctx_r8p1)
+    assert type(err.value) is PreconditionFailed and str(err.value) == message

@@ -111,3 +111,21 @@ def test_explicit_S_matches_default_on_r8(ctx_r8p1):
     want = [[s.side for s in cls] for cls in ctx_r8p1.S.classes()]
     assert got == want
 
+
+TRIANGLE = [[0, 1], [1, 2], [2, 0]]
+
+
+@pytest.mark.parametrize("obj, message", [
+    pytest.param({"kind": "matroid", "source": {"graphic": TRIANGLE}},
+                 "matroid source must be uniform, bases, or rank_table",
+                 id="unknown-matroid-source"),
+    pytest.param({"kind": "graph", "edges": [[0, 1], [1, 2, 0]]},
+                 "each edge must be a list of two vertices, integers or strings",
+                 id="edge-not-a-pair"),
+    pytest.param({"kind": "graph", "edges": TRIANGLE, "labels": ["a", 2, "c"]},
+                 "labels must be a list of strings", id="label-not-a-string"),
+])
+def test_load_system_refusals(obj, message):
+    with pytest.raises(ValueError) as err:
+        load_system(obj)
+    assert type(err.value) is ValueError and str(err.value) == message

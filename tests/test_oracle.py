@@ -13,10 +13,10 @@ from tangleforge.oracle import (_class_keys, _displayed_unions, _fully_closed, _
                                 _weak, _weak_set, differential_report, oracle_certify_tree,
                                 oracle_classes, oracle_flowers, oracle_full_closure)
 from tangleforge.tangles import Tangle
-from tangleforge.trees import PiTree, flower_to_tree
+from tangleforge.trees import PiTree, flower_to_tree, verify_partial_kS_tree
 
 from conftest import (K5_EDGES, assert_flower_scans_match, assert_walks_are_literal,
-                      displayed_class_ids, lab)
+                      displayed_class_ids, lab, tree_mutants)
 
 CTX_NAMES = ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6", "ctx_pc4",
              "ctx_barbell", "ctx_r8m3", "ctx_mk4"]
@@ -98,7 +98,7 @@ class TestOracleFlowers:
         with pytest.raises(SearchSpaceTooLarge, match="flower search exceeded 10 candidates"):
             oracle_flowers(c6g, tangle, 4)
         assert 4 not in tangle.__dict__["_oracle_flowers"]
-        assert oracle_flowers(c6g, tangle, 1) == [Flower((c6g.full,), 2)]
+        assert oracle_flowers(c6g, tangle, 1) == [((c6g.full,), 2, "anemone")]
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_petal_cap_below_one_is_refused(self, ctx_u26, cap):
@@ -198,6 +198,28 @@ class TestOracleCertify:
         t = PiTree(4, {0: lab(1, 2), 1: sys.full ^ lab(1, 2)}, {}, [(0, 1)])
         ok, problems = oracle_certify_tree(sys, ctx_r8p1.tangle, ctx_r8p1.S, t)
         assert not ok and any("P1" in p for p in problems)
+
+    def test_flower_vertex_label_and_cyclic_order_are_checked(self):
+        """On the C10 daisy star at order 2 a vertex labelled X and a D
+        vertex without its cyclic order fail the engine's (P2); the oracle
+        refuses them too, and agrees with the engine on every mutant."""
+        system = ConnectivitySystem.graph([(i, (i + 1) % 10) for i in range(10)])
+        tangle, = enumerate_tangles(system, 2)
+        s_family = build_default_S(system, tangle)
+        t = build_maximal_tree(system, tangle, s_family)
+        (v, _), = t.labels.items()
+        for broken, problem in [
+                (t.replaced(labels={v: "X"}), f"flower vertex {v} is labelled 'X', not A or D"),
+                (t.replaced(cyclic={}),
+                 f"cyclic order at D vertex {v} does not list its neighbours")]:
+            assert not verify_partial_kS_tree(system, tangle, s_family, broken).passed["P2"]
+            ok, problems = oracle_certify_tree(system, tangle, s_family, broken,
+                                               require_maximal=False)
+            assert not ok and problem in problems
+        for broken in tree_mutants(t):
+            assert (verify_partial_kS_tree(system, tangle, s_family, broken).ok
+                    == oracle_certify_tree(system, tangle, s_family, broken,
+                                           require_maximal=False)[0])
 
 
 class TestDifferential:

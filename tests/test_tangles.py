@@ -262,3 +262,15 @@ class TestCost:
         monkeypatch.setattr(tangles, "join", lambda *a: calls.append(a) or join(*a))
         assert not is_robust(Tangle(u3_12_tangle.sys, 4, u3_12_tangle.members))
         assert len(calls) == 330  # C_2 to C_6, 66 joins each; E is first in C_6
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda sys: Tangle(sys, 2, [0, 1 << sys.n]),
+                 "member outside ground set", id="member-outside-E"),
+    pytest.param(lambda sys: canonical_vertical_tangle(sys, 1),
+                 "canonical tangle needs k >= 2", id="canonical-k-1"),
+])
+def test_tangle_refusals(u24, build, message):
+    with pytest.raises(PreconditionFailed) as err:
+        build(u24)
+    assert type(err.value) is PreconditionFailed and str(err.value) == message

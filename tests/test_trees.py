@@ -1,7 +1,7 @@
 import pytest
 
 from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
-                         displayed_separations, enumerate_tangles, extend_tree,
+                         displayed_kS, displayed_separations, enumerate_tangles, extend_tree,
                          flower_to_tree, grow_terminal_bag, is_robust,
                          retarget_terminal_bag, split_terminal_bag, verify_flower,
                          verify_partial_kS_tree)
@@ -698,3 +698,50 @@ def test_order_three_tree_with_three_flower_vertices():
     assert ok, problems
     report = differential_report(system, tangle, s_family, max_petals=4)
     assert report.ok, report.disagreements
+
+
+def test_star_of_a_flower_showing_one_class_has_s_order_below_three():
+    """A 3-petal anemone whose displays all lie in one (k,S)-class: on the
+    multigraph below at order 2 the flower ({e0}, {e1,e3}, {e2,e4}) shows
+    {e0} and {e0,e2,e4}, one class of three.  Its star fails the engine's
+    (P3) and the oracle's S-order test."""
+    system = ConnectivitySystem.graph([(2, 4), (2, 4), (1, 2), (2, 4), (0, 4)])
+    tangle, = enumerate_tangles(system, 2)
+    assert sorted(tangle.members) == [0, 1 << 2, 1 << 4] and is_robust(tangle)
+    s_family = build_default_S(system, tangle)
+    assert len(s_family.classes()) == 3
+    f = verify_flower(system, tangle, [0b00001, 0b01010, 0b10100])
+    shown = displayed_kS(system, tangle, s_family, f)
+    assert [s.side for s in shown] == [0b00001, 0b10101]
+    assert len({s_family.class_id(s) for s in shown}) == 1
+    t = flower_to_tree(system, tangle, f)
+    verdict = verify_partial_kS_tree(system, tangle, s_family, t)
+    assert [a for a, _ in verdict.failures] == ["P3"]
+    ok, problems = oracle_certify_tree(system, tangle, s_family, t, require_maximal=False)
+    assert not ok and "flower vertex 0 has S-order < 3" in problems
+
+
+def _barbell_leaf(ctx):
+    """The maximal tree of the barbell's left tangle, and its leaf bag
+    {2,...,6}: an S-terminal bag whose element 3, the bridge, is weak."""
+    t = build_maximal_tree(ctx.sys, ctx.tangle, ctx.S)
+    return t, next(v for v, bag in t.bags.items() if bag == 0b1111100)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda ctx, t, leaf: grow_terminal_bag(
+        ctx.sys, ctx.tangle, ctx.S, t, t.adj[leaf][0], 1 << 3),
+        "vertex is not a leaf bag vertex", id="not-a-leaf-bag"),
+    # {2,4,5,6} has three boundary vertices
+    pytest.param(lambda ctx, t, leaf: split_terminal_bag(
+        ctx.sys, ctx.tangle, ctx.S, t, leaf, 1 << 3),
+        "B - x is not k-separating", id="split-leaves-no-k-separation"),
+    pytest.param(lambda ctx, t, leaf: retarget_terminal_bag(
+        ctx.sys, ctx.tangle, ctx.S, t, leaf, 1 << 3),
+        "(C, E-C) is not a (k,S)-separation", id="retarget-to-a-weak-set"),
+])
+def test_surgery_refusals(ctx_barbell, call, message):
+    t, leaf = _barbell_leaf(ctx_barbell)
+    with pytest.raises(PreconditionFailed) as err:
+        call(ctx_barbell, t, leaf)
+    assert type(err.value) is PreconditionFailed and str(err.value) == message
