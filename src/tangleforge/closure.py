@@ -4,21 +4,66 @@ The full closure fcl(X) of a strong k-separating set X is the minimal fully
 closed k-separating superset; it is computed greedily by absorbing weak sets
 (a maximal partial k-sequence), which is order-independent.
 
-Both questions are family arithmetic on two 2^n-bit ints built once: the
-k-separating family K_k of the system and the weak family W of the tangle.
-For Y inside E-X, bit Y of K_k >> X is set iff lam(X | Y) <= k, so the weak
-sets that X can absorb are (K_k >> X) & W', where W' keeps the non-empty
-members of W inside E-X: one shift per greedy step.
+Both questions are family arithmetic on 2^n-bit ints: the k-separating
+family K_k of the system and the weak family W of the tangle.  For Y inside
+E-X, bit Y of K_k >> X is set iff lam(X | Y) <= k, so the weak sets that X
+can absorb are (K_k >> X) & W', where W' keeps the non-empty members of W
+inside E-X: one shift per greedy step.
+
+Two more families are built once per tangle, each kept as one byte per
+mask (`_closure_tables`).  FC holds every k-separating X that no non-empty
+weak Y inside E-X extends: a set is fully closed iff its byte is set, and
+the greedy runs only from a set that is not.  The default S holds every
+k-separating X whose complement is strong with fcl(E-X) != E; as fcl(E-X)
+is the least member of FC above E-X, that is K_k less complements(W),
+within the up-closure of the complements of FC - {E}.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
-from .bitset import disjoint_from, popcount_layers
+from .bitset import (complements, disjoint_from, element_absent, elements_of, flags,
+                     popcount_layers, up_closure)
 from .core import ConnectivitySystem, Violation
 from .errors import PreconditionFailed
 from .tangles import Tangle
+
+
+class _ClosureTables(NamedTuple):
+    closed: bytes  # one byte per mask: 1 on FC
+    in_default_S: bytes  # one byte per mask: 1 on the default S
+
+
+def _closure_tables(sys: ConnectivitySystem, tangle: Tangle) -> _ClosureTables:
+    """FC and the default S of the tangle, built on first use.
+
+    X in K_k is not fully closed iff X | Y is in K_k for some non-empty Y
+    inside a maximal member m and outside X.  Removing any elements of m
+    but its last from the members of K_k, one element at a time, gives
+    every X | Y' with Y' a part of m less its last element, outside X;
+    removing one more element e of m from such a set gives X with
+    Y = Y' + e.  Every such Y is reached, with e the last element of m
+    when Y holds it."""
+    tables = tangle._closure_tables
+    if tables is None:
+        n, full = sys.n, sys.full
+        separating = sys.k_separating(tangle.k)
+        absent = element_absent(n)
+        extendable = 0
+        for m in tangle.maximal_members:
+            bits = elements_of(m)
+            reach = separating
+            for i in bits[:-1]:
+                reach |= (reach >> (1 << i)) & absent[i]
+            for i in bits:
+                extendable |= (reach >> (1 << i)) & absent[i]
+        closed = separating & ~extendable
+        below_proper = up_closure(complements(closed & ~(1 << full), n), n)
+        default = separating & ~complements(tangle.weak_family, n) & below_proper
+        tables = tangle._closure_tables = _ClosureTables(
+            flags(closed, n), flags(default, n))
+    return tables
 
 
 def _require_strong_k_separating(sys: ConnectivitySystem, tangle: Tangle, x: int):
@@ -28,29 +73,28 @@ def _require_strong_k_separating(sys: ConnectivitySystem, tangle: Tangle, x: int
         raise PreconditionFailed("set is weak in the tangle")
 
 
-def _tables(sys: ConnectivitySystem, tangle: Tangle, x: int) -> Tuple[int, int]:
-    """K_k and the non-empty weak subsets of E-X, for a strong k-separating
-    X."""
-    _require_strong_k_separating(sys, tangle, x)
-    return sys.k_separating(tangle.k), disjoint_from(tangle.weak_family & ~1, x, sys.n)
-
-
 def is_fully_closed(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
     """No non-empty weak Y inside E-X keeps X | Y k-separating."""
-    separating, free = _tables(sys, tangle, x)
-    return not (separating >> x) & free
+    _require_strong_k_separating(sys, tangle, x)
+    return _closure_tables(sys, tangle).closed[x] == 1
 
 
 def full_closure_sequence(sys: ConnectivitySystem, tangle: Tangle,
                           x: int) -> Tuple[int, List[int]]:
     """fcl(X) together with the greedy maximal partial k-sequence reaching it.
 
-    Greedy order: smallest weak extension first, least mask within a size,
-    read off the popcount layers of (K_k >> cur) & free; the endpoint is
-    order-independent, the recorded steps are not.
+    A fully closed X is its own closure, with no steps.  Otherwise the
+    greedy order is smallest weak extension first, least mask within a
+    size, read off the popcount layers of (K_k >> cur) & free; the endpoint
+    is order-independent, the recorded steps are not.
     """
-    separating, free = _tables(sys, tangle, x)
+    _require_strong_k_separating(sys, tangle, x)
+    if _closure_tables(sys, tangle).closed[x]:
+        tangle._fcl_cache[x] = x
+        return x, []
     n = sys.n
+    separating = sys.k_separating(tangle.k)
+    free = disjoint_from(tangle.weak_family & ~1, x, n)
     layers = popcount_layers(n)
     cur = x
     steps: List[int] = []
@@ -129,9 +173,7 @@ def equivalent_separations(sys: ConnectivitySystem, tangle: Tangle,
 def _in_default_S(sys: ConnectivitySystem, tangle: Tangle, x: int) -> bool:
     """X is a member of the default S: k-separating and not sequential, with
     a T-strong complement (whose full closure is then not E)."""
-    co = sys.full ^ x
-    return (sys.lam(x) <= tangle.k and tangle.is_strong(co)
-            and full_closure(sys, tangle, co) != sys.full)
+    return _closure_tables(sys, tangle).in_default_S[sys.checked(x)] == 1
 
 
 class TreeCompatibleSet:
@@ -139,8 +181,9 @@ class TreeCompatibleSet:
 
     Without `explicit`: all non-sequential k-separating sets with T-strong
     complements.  With `explicit` (even an empty one): that fixed family,
-    verified against (S1)/(S2) on demand.  Membership and the
-    (k,S)-separation index are cached; the classes are indexed both by
+    verified against (S1)/(S2) on demand; a member outside the ground set
+    is refused.  Default membership is one read of the tangle's table; the
+    (k,S)-separation index is cached; the classes are indexed both by
     member and by closure pair, and every class question is answered from
     those two maps.
     """
@@ -150,7 +193,8 @@ class TreeCompatibleSet:
         self.sys = sys
         self.tangle = tangle
         self._explicit = frozenset(explicit) if explicit is not None else None
-        self._member_cache: Dict[int, bool] = {}
+        if self._explicit and any(x & ~sys.full for x in self._explicit):
+            raise PreconditionFailed("member outside ground set")
         self._separations: Optional[List[Separation]] = None
         self._classes: Optional[List[List[Separation]]] = None
         self._class_index: Dict[Separation, int] = {}
@@ -163,10 +207,7 @@ class TreeCompatibleSet:
     def contains(self, x: int) -> bool:
         if self._explicit is not None:
             return x in self._explicit
-        v = self._member_cache.get(x)
-        if v is None:
-            v = self._member_cache[x] = _in_default_S(self.sys, self.tangle, x)
-        return v
+        return _in_default_S(self.sys, self.tangle, x)
 
     def is_kS_separation(self, sep: Separation) -> bool:
         """sep has the tangle's order and both sides in S."""

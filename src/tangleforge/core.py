@@ -393,6 +393,13 @@ class ConnectivitySystem:
             if bad:
                 raise ViolationFound(f"not a connectivity function: {bad[0].axiom}", bad[0])
 
+    def checked(self, mask: int) -> int:
+        """mask itself; a mask outside the ground set raises
+        PreconditionFailed, as `lam` does."""
+        if mask & self._outside:
+            raise PreconditionFailed(f"mask {mask:#x} outside ground set")
+        return mask
+
     def lam(self, mask: int) -> int:
         if mask & self._outside:
             raise PreconditionFailed(f"mask {mask:#x} outside ground set")

@@ -31,9 +31,12 @@ proper unions, one lam call each, may serve its class and the separations
 it displays; with three or more petals every petal and every consecutive
 pair of petals is a proper union, so the same scan may also serve the
 flower test.  A tree certificate reads each edge side's lam once, for its
-display and for (P1).  Derived structure is not allowed: no
-antichains of maximal members, no greedy sequences, no bit families, and
-nothing taken from the engine but `lam`.
+display and for (P1), and reads each flower vertex's S-order from the
+index of the oracle's own memoized classes (`oracle_classes`): the classes
+its displays meet, with no membership test or closure pair per display.
+Derived structure is not allowed: no antichains of maximal members, no
+greedy sequences, no bit families, and nothing taken from the engine but
+`lam`.
 Memo tables live in oracle-private attributes of the tangle (`_oracle_*`),
 so two tangles never share one.
 """
@@ -191,7 +194,7 @@ def oracle_kS_separations(sys: ConnectivitySystem, tangle: Tangle,
     explicit = _family_key(s_family)
     if explicit is not None:
         return [Separation(x, k) for x in sorted(explicit)
-                if x & 1 and 0 < x <= full and full ^ x in explicit]
+                if x & 1 and full ^ x in explicit]
     return [Separation(x, k) for x in _sep_table(sys, tangle, 1)
             if _co_qualifies(sys, tangle, x) and _in_S(sys, tangle, None, full ^ x)]
 
@@ -414,18 +417,17 @@ def _kS_only(sys: ConnectivitySystem, tangle: Tangle,
                   and _in_S(sys, tangle, s_family, sys.full ^ s.side))
 
 
-def _class_keys(sys: ConnectivitySystem, tangle: Tangle,
-                s_family: Optional[TreeCompatibleSet], seps) -> Set[FrozenSet[int]]:
-    """The classes of the (k,S)-separations among seps, each as its oracle
-    closure pair."""
-    return {_oracle_key(sys, tangle, s) for s in _kS_only(sys, tangle, s_family, seps)}
-
-
 def oracle_displayed_kS(sys: ConnectivitySystem, tangle: Tangle,
                         s_family: Optional[TreeCompatibleSet],
                         f: Flower) -> List[Separation]:
     """The (k,S)-separations displayed by f, by the literal union scan."""
     return _kS_only(sys, tangle, s_family, _displayed_unions(sys, f.k, f.petals))
+
+
+def _class_index(sys: ConnectivitySystem, tangle: Tangle,
+                 s_family: Optional[TreeCompatibleSet]) -> Dict[Separation, int]:
+    """Each (k,S)-separation's position in the memoized `oracle_classes`."""
+    return {m: i for i, cls in enumerate(oracle_classes(sys, tangle, s_family)) for m in cls}
 
 
 def _certify_walk(sys: ConnectivitySystem, tangle: Tangle,
@@ -440,8 +442,10 @@ def _certify_walk(sys: ConnectivitySystem, tangle: Tangle,
     Each flower vertex's proper unions are scanned once, one lam call
     each; with three or more petals every petal and every consecutive pair
     of petals is such a union, so the scan gives the flower test as well
-    as the vertex's class and displays."""
+    as the vertex's class and displays.  A flower vertex's S-order is the
+    number of classes its displays meet, read from `_class_index`."""
     full, k = sys.full, t.k
+    index = _class_index(sys, tangle, s_family)
     problems: List[str] = []
     covered = overlap = 0
     for b in t.bags.values():
@@ -488,7 +492,7 @@ def _certify_walk(sys: ConnectivitySystem, tangle: Tangle,
             problems.append(f"P3 fails at vertex {v}: {klass}")
         if lab == "D" and klass != "daisy" and n > 3:
             problems.append(f"P4 fails at vertex {v}: {klass}")
-        if len(_class_keys(sys, tangle, s_family, shown)) < 2:
+        if len({index[s] for s in shown if s in index}) < 2:
             problems.append(f"flower vertex {v} has S-order < 3")
         for i in range(n):
             for j in (range(n) if klass == "anemone" else [(i - 1) % n, (i + 1) % n]):
@@ -511,9 +515,10 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
     verdicts: Dict[Separation, Tuple[bool, bool]] = {}
     for cls in oracle_classes(sys, tangle, s_family):
         shown = any(m in displayed for m in cls)
-        in_bag = any(side & ~bag == 0 for m in cls for side in m.sides(sys) for bag in bags)
+        conforms = shown or any(side & ~bag == 0 for m in cls
+                                for side in m.sides(sys) for bag in bags)
         for m in cls:
-            verdicts[m] = (shown or in_bag, shown)
+            verdicts[m] = (conforms, shown)
     for sep in sorted(verdicts):
         conforms, shown = verdicts[sep]
         if not conforms:

@@ -22,11 +22,12 @@ class Tangle:
 
     Immutable after construction apart from caches.  The weak family, every
     subset of a member as a 2^n-bit int, is built on first use together with
-    a copy of one byte per mask, so the weak test is one index.  The pair
-    family (every subset of a union of two members), the full-closure cache
-    and the robustness verdict live here because all are functions of
-    (sys, T): (T3) verification and the robustness test share the pair
-    family.
+    a copy of one byte per mask, so the weak test is one index after the
+    ground-set check.  The pair family (every subset of a union of two
+    members), the full-closure cache, the closure module's tables of fully
+    closed sets and default-S members, and the robustness verdict live here
+    because all are functions of (sys, T): (T3) verification and the
+    robustness test share the pair family.
     """
 
     def __init__(self, sys: ConnectivitySystem, k: int, members: Iterable[int]):
@@ -42,6 +43,7 @@ class Tangle:
         self._weak_family: Optional[int] = None
         self._weak_flags: Optional[bytes] = None
         self._pair_family: Optional[int] = None
+        self._closure_tables = None  # closure._closure_tables
 
     @property
     def weak_family(self) -> int:
@@ -69,7 +71,7 @@ class Tangle:
         table = self._weak_flags
         if table is None:
             table = self._weak_flags = flags(self.weak_family, self.sys.n)
-        return table[x] == 1
+        return table[self.sys.checked(x)] == 1
 
     def is_strong(self, x: int) -> bool:
         return not self.is_weak(x)

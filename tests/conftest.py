@@ -98,6 +98,20 @@ def mk4():
     return ConnectivitySystem.matroid(RankFunction.graphic(K4_EDGES))
 
 
+def count_lam(system):
+    """Replace system.lam by a counting wrapper; the returned one-item list
+    holds the number of calls made since."""
+    calls = [0]
+    inner = system.lam
+
+    def counted(mask):
+        calls[0] += 1
+        return inner(mask)
+
+    system.lam = counted
+    return calls
+
+
 def submasks(mask):
     """All submasks of mask, including 0 and mask itself.
 

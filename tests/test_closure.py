@@ -1,7 +1,8 @@
 import pytest
 
-from tangleforge import (equivalent_separations, full_closure, is_fully_closed,
-                         is_sequential, verify_tree_compatible)
+from tangleforge import (ConnectivitySystem, RankFunction, build_default_S,
+                         enumerate_tangles, equivalent_separations, full_closure,
+                         is_fully_closed, is_sequential, verify_tree_compatible)
 from tangleforge.bitset import elements_of
 from tangleforge.closure import (Separation, TreeCompatibleSet, closure_pair,
                                  full_closure_sequence, strong_k_separations)
@@ -9,8 +10,8 @@ from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge
 from tangleforge.oracle import oracle_classes
 from tangleforge.tangles import Tangle
 
-from conftest import (equivalent_one_sided, lab, validate_partial_k_sequence,
-                      weak_extension_candidates)
+from conftest import (K5_EDGES, count_lam, equivalent_one_sided, lab,
+                      validate_partial_k_sequence, weak_extension_candidates)
 
 
 def strong_k_separating_sets(ctx):
@@ -392,6 +393,25 @@ class TestEnumerationAndClasses:
             assert not is_sequential(sys, t, b)
 
 
+class TestClosureCost:
+    @pytest.mark.parametrize("build, k, want_lam", [
+        (lambda: ConnectivitySystem.graph([(i, (i + 1) % 10) for i in range(10)]), 2, 90),
+        (lambda: ConnectivitySystem.matroid(RankFunction.uniform(7, 8)), 2, 254),
+        (lambda: ConnectivitySystem.matroid(RankFunction.graphic(K5_EDGES)), 4, 0),
+    ], ids=["C10", "U7_8", "MK5"])
+    def test_default_S_classes_lam_calls(self, build, k, want_lam):
+        """The default S is read from the tangle's tables, built without a
+        lam call, so the classes cost the closure pairs of their 45, 127 and
+        0 members: one call per side, the precondition of its closure.
+        Deciding each member by a greedy closure of its complement took 181,
+        509 and 539."""
+        system = build()
+        tangle = enumerate_tangles(system, k)[0]
+        calls = count_lam(system)
+        build_default_S(system, tangle).classes()
+        assert calls[0] == want_lam
+
+
 def explicit_family(ctx, drop=(), add=()):
     """The default family's members minus `drop` plus `add`, as an explicit S."""
     sys = ctx.sys
@@ -467,6 +487,10 @@ def test_class_of_outside_the_index_matches_a_closure_pair_scan(
                  "set is not 4-separating", id="sequential-not-k-separating"),
     pytest.param(lambda ctx: Separation.make(ctx.sys, 1 << ctx.sys.n, 4),
                  "side outside ground set", id="side-outside-E"),
+    pytest.param(lambda ctx: TreeCompatibleSet(ctx.sys, ctx.tangle, explicit=[-1]),
+                 "member outside ground set", id="explicit-S-member-outside-E"),
+    pytest.param(lambda ctx: ctx.S.contains(1 << ctx.sys.n),
+                 "mask 0x100 outside ground set", id="default-S-mask-outside-E"),
 ])
 def test_closure_refusals(ctx_r8p1, call, message):
     with pytest.raises(PreconditionFailed) as err:

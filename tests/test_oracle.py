@@ -9,14 +9,14 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
 from tangleforge.closure import build_default_S
 from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 from tangleforge.flowers import Flower, classify
-from tangleforge.oracle import (_class_keys, _displayed_unions, _fully_closed, _sep_table,
+from tangleforge.oracle import (_class_index, _displayed_unions, _fully_closed, _sep_table,
                                 _weak, _weak_set, differential_report, oracle_certify_tree,
                                 oracle_classes, oracle_flowers, oracle_full_closure)
 from tangleforge.tangles import Tangle
 from tangleforge.trees import PiTree, flower_to_tree, verify_partial_kS_tree
 
 from conftest import (K5_EDGES, assert_flower_scans_match, assert_walks_are_literal,
-                      displayed_class_ids, lab, tree_mutants)
+                      count_lam, displayed_class_ids, lab, tree_mutants)
 
 CTX_NAMES = ["ctx_r8p1", "ctx_u26", "ctx_u56", "ctx_c6", "ctx_pc4",
              "ctx_barbell", "ctx_r8m3", "ctx_mk4"]
@@ -147,17 +147,18 @@ class TestOracleClasses:
 
 class TestSOrder:
     """The S-order clause of (P3)/(P4), "at least two classes shown", reads
-    the classes of a flower's displays; the oracle keys them by closure
-    pairs, the engine by class ids."""
+    the classes of a flower's displays; the oracle reads their positions in
+    its class memo, the engine its class ids."""
 
     @pytest.mark.parametrize("name", CTX_NAMES)
     def test_matches_engine_class_ids(self, name, request):
-        # the oracle compares closure pairs; the engine's class ids must agree
+        # the oracle's class positions and the engine's class ids must agree
         ctx = request.getfixturevalue(name)
         sys, tangle, S = ctx.sys, ctx.tangle, ctx.S
         flowers = oracle_flowers(sys, tangle, 4)
         ids = [displayed_class_ids(sys, tangle, S, f) for f in flowers]
-        keys = [_class_keys(sys, tangle, S, _displayed_unions(sys, f.k, f.petals))
+        index = _class_index(sys, tangle, S)
+        keys = [{index[s] for s in _displayed_unions(sys, f.k, f.petals) if s in index}
                 for f in flowers]
         for own_ids, own_keys in zip(ids, keys):
             assert len(own_keys) == len(own_ids)
@@ -364,18 +365,6 @@ class TestOracleCost:
     every walk over the masks reading the tangle's two parity tables of
     lam <= k, it takes 2755."""
 
-    @staticmethod
-    def count_lam(system):
-        calls = [0]
-        inner = system.lam
-
-        def counted(mask):
-            calls[0] += 1
-            return inner(mask)
-
-        system.lam = counted
-        return calls
-
     @pytest.mark.parametrize("build, max_lam, max_probes", [
         (lambda: ConnectivitySystem.graph([(i, (i + 1) % 10) for i in range(10)]),
          1850, 340),
@@ -387,7 +376,7 @@ class TestOracleCost:
         s_family = build_default_S(system, tangle)
         tree = build_maximal_tree(system, tangle, s_family)
         weak = tangle._oracle_weak = ProbedSet(_weak_set(tangle))
-        calls = self.count_lam(system)
+        calls = count_lam(system)
         ok, problems = oracle_certify_tree(system, tangle, s_family, tree)
         assert ok, problems
         assert calls[0] <= max_lam
@@ -399,7 +388,7 @@ class TestOracleCost:
         tangle, = enumerate_tangles(system, 4)
         s_family = build_default_S(system, tangle)
         s_family.classes()
-        calls = self.count_lam(system)
+        calls = count_lam(system)
         report = differential_report(system, tangle, s_family)
         assert report.ok, report.disagreements
         assert calls[0] <= 4400
@@ -408,8 +397,8 @@ class TestOracleCost:
 
     @pytest.mark.parametrize("build, k, want_lam", [
         (lambda: ConnectivitySystem.matroid(RankFunction.graphic(K5_EDGES)), 4, 0),
-        (lambda: ConnectivitySystem.graph([(i, (i + 1) % 10) for i in range(10)]), 2, 1122),
-        (lambda: ConnectivitySystem.matroid(RankFunction.uniform(7, 8)), 2, 516),
+        (lambda: ConnectivitySystem.graph([(i, (i + 1) % 10) for i in range(10)]), 2, 1032),
+        (lambda: ConnectivitySystem.matroid(RankFunction.uniform(7, 8)), 2, 262),
     ], ids=["MK5", "C10", "U7_8"])
     def test_certify_after_differential_reuses_classes(self, build, k, want_lam):
         """The certificate reads the classes the differential report
@@ -417,14 +406,16 @@ class TestOracleCost:
         made the certificates 512, 1713 and 799 lam calls.  Reading each
         edge side's lam once, and taking the flower test from the union
         scan, saves one call per edge and two per petal: C10 and U_{7,8}
-        took 1152 and 540 before."""
+        took 1152 and 540 before.  Reading each flower vertex's S-order
+        from the class memo, not from S membership and closure pairs of
+        its displays, took them from 1122 and 516."""
         system = build()
         tangle = enumerate_tangles(system, k)[0]
         s_family = build_default_S(system, tangle)
         tree = build_maximal_tree(system, tangle, s_family)
         report = differential_report(system, tangle, s_family)
         assert report.ok, report.disagreements
-        calls = self.count_lam(system)
+        calls = count_lam(system)
         ok, problems = oracle_certify_tree(system, tangle, s_family, tree)
         assert ok, problems
         assert calls[0] == want_lam

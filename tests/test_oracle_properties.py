@@ -23,6 +23,7 @@ the same verdict.
 
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_default_S,
                          build_maximal_tree, build_r8_rank, enumerate_tangles, is_robust,
                          verify_partial_kS_tree)
 from tangleforge.closure import Separation, TreeCompatibleSet
+from tangleforge.errors import PreconditionFailed
 from tangleforge.oracle import (_admissible_partitions, _weak, _weak_set, differential_report,
                                oracle_certify_tree, oracle_flowers, oracle_full_closure,
                                oracle_kS_separations)
@@ -204,8 +206,8 @@ def test_closures_match_the_literal_walks(edges, k):
 def test_kS_separations_match_the_odd_mask_walk(edges, k, data):
     """Default S on fresh memos, then an explicit family per tangle: random
     masks of the ground set, some with their complements, so that members
-    need not be k-separating and some complements are missing, and odd
-    masks past the ground set paired with their complements."""
+    need not be k-separating and some complements are missing.  Odd masks
+    past the ground set, paired with their complements, are refused."""
     system = ConnectivitySystem.graph(edges, verify=False)
     n, full = system.n, system.full
     for tangle in enumerate_tangles(system, k):
@@ -217,7 +219,10 @@ def test_kS_separations_match_the_odd_mask_walk(edges, k, data):
         outside = data.draw(st.lists(st.integers(1 << n, 1 << (n + 1)), max_size=3))
         family = set(masks)
         family |= {full ^ x for x, both in zip(masks, paired) if both}
-        family |= {x | 1 for x in outside} | {full ^ (x | 1) for x in outside}
+        if outside:
+            beyond = {x | 1 for x in outside} | {full ^ (x | 1) for x in outside}
+            with pytest.raises(PreconditionFailed, match="^member outside ground set$"):
+                TreeCompatibleSet(system, fresh, explicit=family | beyond)
         explicit = TreeCompatibleSet(system, fresh, explicit=family)
         got = oracle_kS_separations(system, fresh, explicit)
         assert got == reference_kS_separations(system, fresh, explicit)

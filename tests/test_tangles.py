@@ -269,6 +269,10 @@ class TestCost:
                  "member outside ground set", id="member-outside-E"),
     pytest.param(lambda sys: canonical_vertical_tangle(sys, 1),
                  "canonical tangle needs k >= 2", id="canonical-k-1"),
+    pytest.param(lambda sys: Tangle(sys, 2, [0]).is_weak(-1),
+                 "mask -0x1 outside ground set", id="is-weak-negative"),
+    pytest.param(lambda sys: Tangle(sys, 2, [0]).is_strong(1 << sys.n),
+                 "mask 0x10 outside ground set", id="is-strong-past-E"),
 ])
 def test_tangle_refusals(u24, build, message):
     with pytest.raises(PreconditionFailed) as err:
