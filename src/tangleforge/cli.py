@@ -186,11 +186,11 @@ def _tangles(system, tangle, s_family, args):
 def _fcl(system, tangle, s_family, args):
     x = _parse_elements(system, args.x)
     got = full_closure(system, tangle, x)
-    out = {"x": sorted(elements_of(x)), "fcl": sorted(elements_of(got))}
+    out = {"x": elements_of(x), "fcl": elements_of(got)}
     if not args.verify:
         return out, True
     return _refereed(out, got, oracle_full_closure(system, tangle, x),
-                     lambda m: sorted(elements_of(m)))
+                     elements_of)
 
 
 def _separations(system, tangle, s_family, args):
@@ -272,7 +272,7 @@ def run(argv) -> int:
         code = EXIT_VERIFY
     except NonRobustObstruction as exc:
         payload = {"error": "non_robust_obstruction",
-                   "witness": sorted(elements_of(exc.separation.side))}
+                   "witness": elements_of(exc.separation.side)}
         code = EXIT_VERIFY
     except TangleforgeError as exc:
         payload = {"error": type(exc).__name__, "detail": str(exc)}

@@ -181,11 +181,11 @@ class TreeCompatibleSet:
 
     Without `explicit`: all non-sequential k-separating sets with T-strong
     complements.  With `explicit` (even an empty one): that fixed family,
-    verified against (S1)/(S2) on demand; a member outside the ground set
-    is refused.  Default membership is one read of the tangle's table; the
-    (k,S)-separation index is cached; the classes are indexed both by
-    member and by closure pair, and every class question is answered from
-    those two maps.
+    verified against (S1)/(S2) on demand.  A member, or a mask asked
+    about, outside the ground set is refused.  Default membership is one
+    read of the tangle's table; the (k,S)-separation index is cached; the
+    classes are indexed both by member and by closure pair, and every class
+    question is answered from those two maps.
     """
 
     def __init__(self, sys: ConnectivitySystem, tangle: Tangle,
@@ -206,7 +206,7 @@ class TreeCompatibleSet:
 
     def contains(self, x: int) -> bool:
         if self._explicit is not None:
-            return x in self._explicit
+            return self.sys.checked(x) in self._explicit
         return _in_default_S(self.sys, self.tangle, x)
 
     def is_kS_separation(self, sep: Separation) -> bool:

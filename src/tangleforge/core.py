@@ -8,11 +8,10 @@ the R_8 polymatroid family, or explicit tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitset import (byte_lanes, down_closure, element_absent, elements_of, family_of,
                      full_mask, mask_of, popcount_layers, up_closure)
@@ -54,8 +53,7 @@ def _checked_labels(n: int, labels) -> Optional[Tuple[str, ...]]:
     return tuple(labels)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One axiom failure with a machine-checkable witness."""
 
     axiom: str

@@ -43,7 +43,6 @@ so two tangles never share one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -531,25 +530,25 @@ def oracle_certify_tree(sys: ConnectivitySystem, tangle: Tangle,
 # -- differential report ---------------------------------------------------
 
 
-@dataclass
-class OracleReport:
+class OracleReport(NamedTuple):
     """Engine-vs-oracle agreement record; every disagreement carries a
-    minimal reproducing witness."""
+    minimal reproducing witness.  flower_count is None when no flowers were
+    compared."""
 
     system_kind: str
     n: int
     k: int
-    closure_checks: int = 0
-    class_count: int = 0
-    flower_count: Optional[int] = None
-    disagreements: List[dict] = field(default_factory=list)
+    closure_checks: int
+    class_count: int
+    flower_count: Optional[int]
+    disagreements: List[dict]
 
     @property
     def ok(self) -> bool:
         return not self.disagreements
 
     def to_json(self):
-        return {**asdict(self), "ok": self.ok}
+        return {**self._asdict(), "ok": self.ok}
 
 
 def differential_report(sys: ConnectivitySystem, tangle: Tangle,
@@ -560,30 +559,29 @@ def differential_report(sys: ConnectivitySystem, tangle: Tangle,
     from .closure import full_closure
     from .flowers import classify
 
-    report = OracleReport(sys.kind, sys.n, tangle.k)
+    closure_checks, flower_count, disagreements = 0, None, []
     for x in _all_separating(sys, tangle):
         if not _weak(tangle, x):
             got = full_closure(sys, tangle, x)
             want = oracle_full_closure(sys, tangle, x)
-            report.closure_checks += 1
+            closure_checks += 1
             if got != want:
-                report.disagreements.append(
+                disagreements.append(
                     {"op": "full_closure", "x": elements_of(x),
                      "engine": elements_of(got), "oracle": elements_of(want)})
     engine_classes = [[s.side for s in cls] for cls in s_family.classes()]
     oracle_cls = [[s.side for s in cls] for cls in oracle_classes(sys, tangle, s_family)]
-    report.class_count = len(oracle_cls)
     if engine_classes != oracle_cls:
-        report.disagreements.append(
-            {"op": "classes", "engine": engine_classes, "oracle": oracle_cls})
+        disagreements.append({"op": "classes", "engine": engine_classes, "oracle": oracle_cls})
     if max_petals is not None:
         flowers = oracle_flowers(sys, tangle, max_petals)
-        report.flower_count = len(flowers)
+        flower_count = len(flowers)
         for f in flowers:
             lit = f.klass
             eng = classify(sys, Flower(f.petals, f.k))
             if lit != eng and not (f.n <= 2 and lit == "anemone"):
-                report.disagreements.append(
+                disagreements.append(
                     {"op": "classify", "petals": [elements_of(p) for p in f.petals],
                      "engine": eng, "oracle": lit})
-    return report
+    return OracleReport(sys.kind, sys.n, tangle.k, closure_checks, len(oracle_cls),
+                        flower_count, disagreements)

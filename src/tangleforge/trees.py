@@ -9,8 +9,7 @@ k-separations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bitset import down_closure, elements_of, maximal_family
 from .core import ConnectivitySystem
@@ -183,13 +182,13 @@ def _nonempty_bags(t: PiTree) -> List[int]:
 AXIOMS = ("P2", "P1", "P3", "P4", "P5")  # in the key order of TreeVerdict.passed
 
 
-@dataclass
-class TreeVerdict:
-    """The failures of partial (k,S)-tree verification; an axiom passes iff
-    no failure names it."""
+class TreeVerdict(NamedTuple):
+    """The failures of partial (k,S)-tree verification, and the separations
+    the tree displays in ascending order; an axiom passes iff no failure
+    names it."""
 
-    failures: List[Tuple[str, object]] = field(default_factory=list)
-    displayed: List[Separation] = field(default_factory=list)
+    failures: List[Tuple[str, object]]
+    displayed: List[Separation]
 
     @property
     def passed(self) -> Dict[str, bool]:
@@ -206,7 +205,7 @@ class TreeVerdict:
             "passed": self.passed,
             "failures": [{"axiom": a, "witness": _witness_json(a, w)}
                          for a, w in self.failures],
-            "displayed": [sorted(elements_of(s.side)) for s in self.displayed],
+            "displayed": [elements_of(s.side) for s in self.displayed],
         }
 
 
@@ -230,9 +229,9 @@ def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,
     edge, for (P1) and for the edge's display; the vertex walk collects each
     flower vertex's displays before checking its label, S-order and
     looseness (P3)/(P4).  The display set so built serves (P5), which tests
-    each class of the (k,S)-separations once against it, and
-    `verdict.displayed`."""
-    verdict = TreeVerdict([("P2", msg) for msg in t.validate_structure(sys)])
+    each class of the (k,S)-separations once against it, and the verdict's
+    `displayed`."""
+    failures = [("P2", msg) for msg in t.validate_structure(sys)]
     displayed = set()
     for u, v in t.edges():
         x = t.side(u, v)
@@ -243,7 +242,7 @@ def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,
         if (lam > t.k or tangle.is_weak(x) or tangle.is_weak(y)
                 or t.is_bag_vertex(u) and t.is_bag_vertex(v)
                 and not s_family.is_kS_separation(sep)):
-            verdict.failures.append(("P1", (u, v)))
+            failures.append(("P1", (u, v)))
 
     for v, f in _vertex_flowers(sys, tangle, t):
         lab = t.labels[v]
@@ -258,13 +257,12 @@ def verify_partial_kS_tree(sys: ConnectivitySystem, tangle: Tangle,
             if not want_ok or s_order < 2 or loose_petals(sys, tangle, f):
                 raise ViolationFound("flower vertex fails label/order/looseness", v)
         except TangleforgeError as exc:
-            verdict.failures.append(("P3" if lab == "A" else "P4", (v, str(exc))))
+            failures.append(("P3" if lab == "A" else "P4", (v, str(exc))))
 
     failing = first_nonconforming(sys, s_family, displayed, _nonempty_bags(t))
     if failing is not None:
-        verdict.failures.append(("P5", failing))
-    verdict.displayed = sorted(displayed)
-    return verdict
+        failures.append(("P5", failing))
+    return TreeVerdict(failures, sorted(displayed))
 
 
 def flower_to_tree(sys: ConnectivitySystem, tangle: Tangle, f: Flower) -> PiTree:
@@ -512,14 +510,19 @@ def _extend(sys, tangle, s_family, t, base_ids):
 
 def _seed_tree(sys: ConnectivitySystem, tangle: Tangle,
                s_family: TreeCompatibleSet, seed: Separation) -> PiTree:
-    """The tree of a maximal flower displaying seed's class, concatenated to
-    two petals when it displays only one class (its flower vertex would
-    otherwise have S-order < 3)."""
+    """The tree of a maximal flower displaying seed's class.
+
+    A flower vertex needs S-order at least 3, and for a tree-compatible S a
+    flower of three or more petals displays two classes.  The 2-petal seed
+    (X, E-X) displays seed's class and is loose-free: both sides are in S,
+    so neither full closure is E.  `tighten` keeps the displayed classes.
+    Only `_refine` adds petals, by splitting them (which crosses nothing
+    new) until no petal crosses a member of a non-conforming class, so that
+    class, not the seed's, is displayed too.  A flower of three or more
+    petals that displays one class raises ViolationFound with it as witness."""
     f = maximal_flower(sys, tangle, s_family, seed)
-    shown = displayed_kS(sys, tangle, s_family, f)
-    if len({s_family.class_id(s) for s in shown}) == 1 and f.n > 2:
-        x = shown[0].side
-        f = verify_flower(sys, tangle, (x, sys.full ^ x), tangle.k)
+    if f.n > 2 and len({s_family.class_id(s) for s in displayed_kS(sys, tangle, s_family, f)}) < 2:
+        raise ViolationFound("maximal flower of three or more petals displays one class", f)
     return flower_to_tree(sys, tangle, f)
 
 

@@ -491,6 +491,10 @@ def test_class_of_outside_the_index_matches_a_closure_pair_scan(
                  "member outside ground set", id="explicit-S-member-outside-E"),
     pytest.param(lambda ctx: ctx.S.contains(1 << ctx.sys.n),
                  "mask 0x100 outside ground set", id="default-S-mask-outside-E"),
+    pytest.param(lambda ctx: TreeCompatibleSet(ctx.sys, ctx.tangle, explicit=[1]).contains(-1),
+                 "mask -0x1 outside ground set", id="explicit-S-negative-mask"),
+    pytest.param(lambda ctx: TreeCompatibleSet(ctx.sys, ctx.tangle, explicit=[1]).contains(
+        1 << ctx.sys.n), "mask 0x100 outside ground set", id="explicit-S-mask-outside-E"),
 ])
 def test_closure_refusals(ctx_r8p1, call, message):
     with pytest.raises(PreconditionFailed) as err:

@@ -6,7 +6,7 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
                          retarget_terminal_bag, split_terminal_bag, verify_flower,
                          verify_partial_kS_tree)
 from tangleforge.bitset import elements_of
-from tangleforge.closure import Separation, build_default_S, full_closure
+from tangleforge.closure import Separation, TreeCompatibleSet, build_default_S, full_closure
 from tangleforge.errors import PreconditionFailed, ViolationFound
 from tangleforge.oracle import differential_report, oracle_certify_tree
 from tangleforge.trees import PiTree, single_bag_tree
@@ -361,6 +361,20 @@ class TestExtendAndBuild:
         with pytest.raises(ViolationFound, match="not above its input") as info:
             build_maximal_tree(sys, tangle, S)
         assert info.value.witness in S.separations()
+
+    def test_seed_flower_displaying_one_class_raises(self, ctx_c6, monkeypatch):
+        # a maximal flower of three or more petals displays two classes; a
+        # six-petal daisy under an S of one separation shows one, so the
+        # seed refuses it with the flower as witness
+        from tangleforge import trees
+        sys, tangle = ctx_c6.sys, ctx_c6.tangle
+        x = ctx_c6.S.separations()[0].side
+        S = TreeCompatibleSet(sys, tangle, explicit=[x, sys.full ^ x])
+        daisy = verify_flower(sys, tangle, [1 << i for i in range(6)])
+        monkeypatch.setattr(trees, "maximal_flower", lambda *args: daisy)
+        with pytest.raises(ViolationFound, match="displays one class") as info:
+            build_maximal_tree(sys, tangle, S)
+        assert info.value.witness is daisy
 
     def test_zero_separation_instance_gives_single_bag(self, u49):
         tangle = [t for t in enumerate_tangles(u49, 3)][0]
