@@ -383,17 +383,22 @@ def _refine(sys: ConnectivitySystem, tangle: Tangle, s_family: TreeCompatibleSet
 
 def maximal_flower_from(sys: ConnectivitySystem, tangle: Tangle,
                         s_family: TreeCompatibleSet, f: Flower) -> Flower:
-    """Tighten-and-refine loop: stop when every (k,S)-separation conforms.
+    """Refine a loose-free flower until every (k,S)-separation conforms;
+    raises NonRobustObstruction when refinement is impossible.
 
-    Each refinement displays a previously non-conforming class, so the loop
-    terminates; raises NonRobustObstruction when refinement is impossible.
-    """
+    `_refine` only splits petals, so each petal of the result lies in a
+    petal of f, f's displays stay displayed, and each step displays one
+    more class, so the loop ends.  A split keeps the old petals loose-free:
+    fcl is monotone, the pieces take their petal's place, and a split
+    anemone came from one.  That no piece is loose is checked: a loose
+    petal raises ViolationFound with the flower as witness."""
     while True:
-        f = tighten(sys, tangle, f)
+        if loose_petals(sys, tangle, f):
+            raise ViolationFound("loose petal in the maximal-flower loop", f)
         target = first_nonconforming(sys, s_family, Uncrossed(s_family, f), f.petals)
         if target is None:
             return f
-        refined = _refine(sys, tangle, s_family, f, target)  # f is tight, target fails
+        refined = _refine(sys, tangle, s_family, f, target)  # f is loose-free, target fails
         if refined is None:
             raise NonRobustObstruction(target, flower=f)
         f = refined
@@ -401,10 +406,13 @@ def maximal_flower_from(sys: ConnectivitySystem, tangle: Tangle,
 
 def maximal_flower(sys: ConnectivitySystem, tangle: Tangle,
                    s_family: TreeCompatibleSet, seed: Separation) -> Flower:
-    """Grow a loose-free flower displaying (an equivalent of) `seed` until
-    every (k,S)-separation conforms with it."""
+    """Grow the seed's 2-petal flower until every (k,S)-separation conforms.
+    A petal of a 2-petal flower is loose iff it is sequential, so the seed is
+    loose-free by the definition of S; a seed with a sequential side, which
+    only an S that is not tree-compatible has, is refused."""
     if not s_family.is_kS_separation(seed):
         raise PreconditionFailed("seed must be a (k,S)-separation")
     f = verify_flower(sys, tangle, seed.sides(sys), tangle.k)
+    if loose_petals(sys, tangle, f):
+        raise PreconditionFailed("seed has a sequential side")
     return maximal_flower_from(sys, tangle, s_family, f)
-

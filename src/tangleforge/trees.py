@@ -394,16 +394,11 @@ def _maximal_k_separating_between(sys, tangle, lower: int, upper: int,
 
 
 def _petals_in(sys, f: Flower, c: int) -> Tuple[int, ...]:
-    """The petals of f inside C, whose union C must be: an anemone's in
-    index order, a daisy's along their cyclic run from its start."""
-    daisy = classify(sys, f) == DAISY
+    """The petals of f inside a proper side C that f displays: an anemone's
+    in index order, a daisy's along their cyclic run from its start."""
     in_c = [i for i, p in enumerate(f.petals) if p & ~c == 0]
-    if sum(f.petals[i].bit_count() for i in in_c) != c.bit_count():
-        raise ViolationFound("C is not a union of petals", (c,))
-    if daisy:
-        start = next((i for i in in_c if (i - 1) % f.n not in in_c), None)
-        if start is None:
-            raise ViolationFound("C's petals form no cyclic run", (c,))
+    if classify(sys, f) == DAISY:  # a daisy displays only cyclic runs
+        start = next(i for i in in_c if (i - 1) % f.n not in in_c)
         in_c = [(start + i) % f.n for i in range(len(in_c))]
     return tuple(f.petals[i] for i in in_c)
 
@@ -420,11 +415,15 @@ def _split_internal_bag(sys, tangle, s_family, t, u, side) -> PiTree:
 
 def _extend_at_leaf(sys, tangle, s_family, t, u, side) -> PiTree:
     """Case I: u is a leaf whose bag B contains side properly.  Fully close
-    B's complement, choose a maximal k-separating Z around side, then either
-    hang Z as a new leaf (when B & W is not k-separating) or graft a maximal
-    flower grown from the 3-petal flower (Z, B & W, E - B).  The graft turns
-    the leaf holding the flower's side C into the flower vertex, with the
-    petals inside C as new leaf bags, so it leaves no empty bag behind."""
+    B's complement, leaving B1 at a leaf; choose a maximal k-separating Z
+    between R1 and B1; then either hang Z as a new leaf (when B1 & W is not
+    k-separating) or grow a maximal flower f* from f0 = (Z, B1 & W, E - B1).
+    In f0 the fully closed petal E - B1 = fcl(E - B) absorbs neither other
+    petal; the flower loop checks the other absorptions.  f0 displays
+    (B1, E - B1) and (W, Z), and the loop only splits petals, so f* displays
+    both (checked: a miss raises ViolationFound with the separation).  So
+    the graft is made at B1 itself: its leaf becomes the flower vertex, with
+    the petals inside B1 as new leaf bags, and no empty bag is left."""
     k = t.k
     fcl_co, steps = full_closure_sequence(sys, tangle, sys.full ^ t.bags[u])
     holder = u
@@ -442,28 +441,19 @@ def _extend_at_leaf(sys, tangle, s_family, t, u, side) -> PiTree:
         raise ViolationFound("(W, Z) is not a (k,S)-separation", wz)
     bw = b1 & w
     if sys.lam(bw) > k:
-        # New leaf Z; the old terminal vertex, whose bag is B1, keeps B & W.
+        # New leaf Z; the old terminal vertex, whose bag is B1, keeps B1 & W.
         return _split_bag(t, holder, z)
     if not tangle.is_strong(bw):
         raise ViolationFound("B & W is weak on the flower route", (bw,))
     f0 = verify_flower(sys, tangle, (z, bw, sys.full ^ b1), k)
     fstar = maximal_flower_from(sys, tangle, s_family, f0)
-    class_b = set(s_family.class_of(Separation.make(sys, b1, k)))
-    fcl_of_b1 = full_closure(sys, tangle, b1)
     shown = displayed_kS(sys, tangle, s_family, fstar)
-    c = next((cand for s in shown if s in class_b for cand in s.sides(sys)
-              if full_closure(sys, tangle, cand) == fcl_of_b1 and b1 & ~cand == 0),
-             None)
-    if c is None:
-        raise ViolationFound("maximal flower lost the terminal-bag class",
-                             Separation.make(sys, b1, k))
-    class_wz = set(s_family.class_of(wz))
-    if not any(side & ~c == 0 for s in shown if s in class_wz for side in s.sides(sys)):
-        raise ViolationFound("no displayed equivalent of (W,Z) inside C", wz)
-    prefix = _petals_in(sys, fstar, c)
-    fpp = verify_flower(sys, tangle, prefix + (sys.full ^ c,), k)
-    t, holder = retarget_terminal_bag(sys, tangle, s_family, t, holder, c)
-    # The holder becomes fpp's flower vertex; its neighbour (side E - C) is last in a D order.
+    for sep in (Separation.make(sys, b1, k), wz):
+        if sep not in shown:
+            raise ViolationFound("maximal flower does not display a (k,S)-separation of f0", sep)
+    prefix = _petals_in(sys, fstar, b1)
+    fpp = verify_flower(sys, tangle, prefix + (sys.full ^ b1,), k)
+    # The holder becomes fpp's flower vertex; its neighbour (side E - B1) is last in a D order.
     bags = {v: bag for v, bag in t.bags.items() if v != holder}
     return _with_star(k, bags, t.labels, t.edge_list, t.cyclic, holder, prefix,
                       classify(sys, fpp), tail=t.adj[holder])
@@ -514,10 +504,9 @@ def _seed_tree(sys: ConnectivitySystem, tangle: Tangle,
 
     A flower vertex needs S-order at least 3, and for a tree-compatible S a
     flower of three or more petals displays two classes.  The 2-petal seed
-    (X, E-X) displays seed's class and is loose-free: both sides are in S,
-    so neither full closure is E.  `tighten` keeps the displayed classes.
-    Only `_refine` adds petals, by splitting them (which crosses nothing
-    new) until no petal crosses a member of a non-conforming class, so that
+    (X, E-X) displays seed's class and is loose-free by the definition of S
+    (`maximal_flower`).  The loop only splits petals, keeping every display,
+    until no petal crosses a member of a non-conforming class, so that
     class, not the seed's, is displayed too.  A flower of three or more
     petals that displays one class raises ViolationFound with it as witness."""
     f = maximal_flower(sys, tangle, s_family, seed)

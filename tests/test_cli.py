@@ -109,6 +109,21 @@ def test_fcl_with_oracle(inputs, capsys):
     assert "3 tangles" in data["detail"]
 
 
+def test_fcl_without_verify_prints_the_closure_only(inputs, capsys, monkeypatch):
+    # C6 at order 2 has no non-empty weak set, so fcl({0,1}) = {0,1}; no
+    # oracle runs and no referee key is printed
+    from tangleforge import cli
+
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran without --verify")
+
+    monkeypatch.setattr(cli, "oracle_full_closure", no_oracle)
+    code, out = invoke(capsys, ["fcl", "--input", inputs["c6.json"], "--k", "2",
+                                "--x", "0,1"])
+    assert code == 0
+    assert json.loads(out) == {"x": [0, 1], "fcl": [0, 1]}
+
+
 def test_fcl_with_tangle_file(inputs, tmp_path, capsys, monkeypatch):
     tangle = {"k": 2, "members": [[], [4, 5, 6], [3, 4, 5, 6]]}
     tpath = tmp_path / "tangle.json"

@@ -12,7 +12,7 @@ from tangleforge.closure import Separation
 from tangleforge.core import ConnectivitySystem
 from tangleforge.errors import (DichotomyViolation, InvalidBreakpoints, NonRobustObstruction,
                                 NotAPartition, NotKSeparating, PreconditionFailed,
-                                WeakPetal)
+                                ViolationFound, WeakPetal)
 from tangleforge.flowers import (ANEMONE, DAISY, MIXED, STRONG, UNCROSSED, WEAK,
                                  Flower, petal_cross_kind,
                                  petal_unions, phi_minimum_representative)
@@ -384,6 +384,23 @@ class TestRefine:
         with pytest.raises(PreconditionFailed):
             refine_with(sys, t, S, phi_r8(ctx_r8p1), sep)
 
+    def test_second_crossed_petal_is_split_too(self):
+        # on C5 at order 2 the side {0,1,4} crosses {1,2} and {3,4}: the
+        # first split meets the next petal crossed as well, which takes
+        # `_split_crossed_petal`'s second-crossed-petal branch; the result
+        # is the 5-petal daisy, loose-free, with every class conforming
+        from tangleforge import build_default_S, enumerate_tangles
+        from tangleforge.flowers import Uncrossed, first_nonconforming
+        sys = ConnectivitySystem.graph([(i, (i + 1) % 5) for i in range(5)])
+        t, = enumerate_tangles(sys, 2)
+        S = build_default_S(sys, t)
+        f = verify_flower(sys, t, [sys.mask([0]), sys.mask([1, 2]), sys.mask([3, 4])])
+        refined = refine_with(sys, t, S, f, Separation.make(sys, sys.mask([0, 1, 4]), 2))
+        assert [elements_of(p) for p in refined.petals] == [[3], [4], [0], [1], [2]]
+        assert classify(sys, refined) == DAISY
+        assert loose_petals(sys, t, refined) == []
+        assert first_nonconforming(sys, S, Uncrossed(S, refined), refined.petals) is None
+
 
 class TestMaximalFlower:
     def test_u26_everything_conforms(self, ctx_u26):
@@ -425,6 +442,35 @@ class TestMaximalFlower:
         with pytest.raises(PreconditionFailed):
             maximal_flower(ctx_r8p1.sys, ctx_r8p1.tangle, ctx_r8p1.S,
                            Separation.make(ctx_r8p1.sys, lab(1, 2), 4))
+
+    def test_seed_with_a_sequential_side_is_refused(self):
+        # S = {X, E-X} with X = {0,7} is not tree-compatible: X is
+        # sequential, so the seed's petal X is loose (merging it left a
+        # one-petal "flower" before)
+        from tangleforge import enumerate_tangles
+        from tangleforge.closure import TreeCompatibleSet, verify_tree_compatible
+        sys = ConnectivitySystem.graph([(1, 2), (0, 5), (0, 3), (0, 3), (3, 5), (2, 4),
+                                        (0, 1), (1, 2)])
+        t = enumerate_tangles(sys, 2)[0]
+        x = sys.mask([0, 7])
+        S = TreeCompatibleSet(sys, t, explicit=[x, sys.full ^ x])
+        assert verify_tree_compatible(sys, t, S)
+        with pytest.raises(PreconditionFailed) as err:
+            maximal_flower(sys, t, S, Separation.make(sys, x, 2))
+        assert type(err.value) is PreconditionFailed
+        assert str(err.value) == "seed has a sequential side"
+
+    def test_loose_petal_in_the_loop_raises(self, ctx_r8p1, monkeypatch):
+        # a refinement that came back loose stops the loop, with the flower
+        # as witness
+        import tangleforge.flowers as flowers
+        sys, t, S = ctx_r8p1.sys, ctx_r8p1.tangle, ctx_r8p1.S
+        loose = verify_flower(sys, t, [lab(1, 2), sys.full ^ lab(1, 2)])
+        assert loose_petals(sys, t, loose)
+        monkeypatch.setattr(flowers, "_refine", lambda *args: loose)
+        with pytest.raises(ViolationFound, match="loose petal") as err:
+            flowers.maximal_flower_from(sys, t, S, phi_r8(ctx_r8p1))
+        assert err.value.witness is loose
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_obstruction_replicates_for_every_ell(self, ell):

@@ -6,6 +6,7 @@ import pytest
 from tangleforge import oracle
 from tangleforge import (ConnectivitySystem, RankFunction, build_maximal_tree,
                          enumerate_tangles, full_closure, verify_flower)
+from tangleforge.bitset import elements_of
 from tangleforge.closure import build_default_S
 from tangleforge.errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 from tangleforge.flowers import Flower, classify
@@ -231,6 +232,39 @@ class TestDifferential:
             assert report.closure_checks > 0
             data = report.to_json()
             assert data["ok"] and data["class_count"] == len(ctx.S.classes())
+
+    @pytest.mark.parametrize("target, keys", [
+        ("full_closure", {"op", "x", "engine", "oracle"}),
+        ("classes", {"op", "engine", "oracle"}),
+        ("classify", {"op", "petals", "engine", "oracle"}),
+    ])
+    def test_a_wrong_engine_answer_is_recorded(self, ctx_c6, monkeypatch, target, keys):
+        # one engine answer made wrong at a time on C6: the report fails,
+        # and every disagreement it records names that operation
+        import tangleforge.closure as closure
+        import tangleforge.flowers as flowers
+        sys, tangle, S = ctx_c6.sys, ctx_c6.tangle, ctx_c6.S
+        classes = S.classes()
+        if target == "full_closure":
+            monkeypatch.setattr(closure, "full_closure", lambda sys_, t, x: sys.full)
+        elif target == "classes":
+            monkeypatch.setattr(type(S), "classes", lambda self: classes[1:])
+        else:
+            flip = {"anemone": "daisy", "daisy": "anemone"}
+            monkeypatch.setattr(flowers, "classify", lambda sys_, f: flip[classify(sys_, f)])
+        report = differential_report(sys, tangle, S, max_petals=3)
+        assert report.ok is False
+        assert report.disagreements
+        for record in report.disagreements:
+            assert record["op"] == target and set(record) == keys
+        first = report.disagreements[0]
+        if target == "full_closure":
+            assert first["engine"] == elements_of(sys.full)
+            assert first["oracle"] == first["x"]  # C6 has no weak set but the empty one
+        elif target == "classes":
+            assert first["oracle"][1:] == first["engine"]
+        else:
+            assert flip[first["engine"]] == first["oracle"]
 
 
 class TestOracleMemos:

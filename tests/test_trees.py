@@ -376,6 +376,37 @@ class TestExtendAndBuild:
             build_maximal_tree(sys, tangle, S)
         assert info.value.witness is daisy
 
+    @pytest.mark.parametrize("merge, shown", [
+        # ({2,3,4,5}, {0,1}) crosses B1 = {1,...,5}
+        ((1, 2), "b1"),
+        # ({0}, {1,...,5}) displays B1 but crosses Z = {2,3,4,5}
+        ((0, 1), "wz"),
+    ], ids=["crosses-B1", "misses-WZ"])
+    def test_case_one_flower_must_display_what_f0_displays(self, ctx_c6, monkeypatch,
+                                                           merge, shown):
+        # C6's one extension step grafts at B1 = {1,...,5} a maximal flower
+        # grown from f0 = (Z, B1 & W, E - B1) = ({2,3,4,5}, {1}, {0}); a
+        # flower that does not display (B1, E - B1), or (W, Z), raises
+        # with that separation as witness
+        from tangleforge import trees
+        sys, tangle = ctx_c6.sys, ctx_c6.tangle
+        seen = []
+
+        def not_split_only(sys_, tangle_, s_family, f0):
+            seen.append(f0)
+            kept = [p for i, p in enumerate(f0.petals) if i not in merge]
+            merged = sys.full ^ sum(kept)
+            return verify_flower(sys, tangle, kept + [merged])
+
+        monkeypatch.setattr(trees, "maximal_flower_from", not_split_only)
+        with pytest.raises(ViolationFound, match="does not display") as err:
+            build_maximal_tree(sys, tangle, ctx_c6.S)
+        f0, = seen
+        z, bw, _ = f0.petals
+        assert [elements_of(p) for p in f0.petals] == [[2, 3, 4, 5], [1], [0]]
+        side = z | bw if shown == "b1" else z
+        assert err.value.witness == Separation.make(sys, side, 2)
+
     def test_zero_separation_instance_gives_single_bag(self, u49):
         tangle = [t for t in enumerate_tangles(u49, 3)][0]
         S = build_default_S(u49, tangle)
@@ -759,3 +790,40 @@ def test_surgery_refusals(ctx_barbell, call, message):
     with pytest.raises(PreconditionFailed) as err:
         call(ctx_barbell, t, leaf)
     assert type(err.value) is PreconditionFailed and str(err.value) == message
+
+
+def _ring4_edges():
+    """A rim cycle 0-1-2-3, a centre 4, and per rim edge i (i+1) a vertex
+    5+i joined to the centre and to both ends: four petals of four edges."""
+    edges = []
+    for i in range(4):
+        edges += [(5 + i, 4), (5 + i, i), (5 + i, (i + 1) % 4), (i, (i + 1) % 4)]
+    return edges
+
+
+@pytest.mark.parametrize("edges, classes, label, blob", [
+    # K_{3,4}: hubs 0-2, blobs 3-6; each blob's three edges are a petal
+    ([(h, b) for b in range(3, 7) for h in range(3)], 3, "A", 3),
+    (_ring4_edges(), 2, "D", 4),
+], ids=["K34", "ring4"])
+@pytest.mark.parametrize("kind", ["graph", "graphic-matroid"])
+def test_order_three_tree_from_a_graph(edges, classes, label, blob, kind):
+    # in the paper's setting at order 3: one flower vertex of degree 4 whose
+    # leaves are the blobs, as a graph and as its graphic matroid
+    system = (ConnectivitySystem.graph(edges) if kind == "graph"
+              else ConnectivitySystem.matroid(RankFunction.graphic(edges)))
+    tangle, = enumerate_tangles(system, 3)
+    assert is_robust(tangle)
+    s_family = build_default_S(system, tangle)
+    assert len(s_family.classes()) == classes
+    tree = build_maximal_tree(system, tangle, s_family)
+    assert len(tree.vertices()) == 5
+    (v, lab_v), = tree.labels.items()
+    assert lab_v == label and len(tree.adj[v]) == 4
+    assert sorted(tree.bags.values()) == [((1 << blob) - 1) << (blob * i) for i in range(4)]
+    verdict = verify_partial_kS_tree(system, tangle, s_family, tree)
+    assert verdict.ok, verdict.to_json()
+    ok, problems = oracle_certify_tree(system, tangle, s_family, tree)
+    assert ok, problems
+    report = differential_report(system, tangle, s_family, max_petals=3)
+    assert report.ok, report.disagreements
