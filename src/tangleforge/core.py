@@ -115,6 +115,21 @@ def _select(flags: bytes, masks: Sequence[int]) -> bytes:
     return bytes(flags[x] for x in masks)
 
 
+def _flagged(masks: Sequence[int], sel: bytes) -> List[int]:
+    """The masks whose byte of `sel` (one 0/1 byte per mask, in order) is 1.
+    A sparse selection is walked with `bytes.find`, which skips the clear
+    bytes in C; a dense one goes through `compress`, which costs less per
+    mask than a `find` call per flagged one."""
+    if sel.count(1) * 8 >= len(sel):
+        return list(compress(masks, sel))
+    out = []
+    i = sel.find(1)
+    while i >= 0:
+        out.append(masks[i])
+        i = sel.find(1, i + 1)
+    return out
+
+
 class RankFunction:
     """Matroid rank function over masks, held as a full table.
 
@@ -139,8 +154,7 @@ class RankFunction:
 
     def rank_at_most(self, k: int, masks: range) -> List[int]:
         """The masks of `masks` of rank at most k, ascending."""
-        flags = _at_most_flags(self._table, k)
-        return list(compress(masks, _select(flags, masks)))
+        return _flagged(masks, _select(_at_most_flags(self._table, k), masks))
 
     @property
     def full_rank(self) -> int:
@@ -412,7 +426,7 @@ class ConnectivitySystem:
 
     def lam_at_most(self, k: int, masks: range) -> List[int]:
         """The masks of `masks` with lam <= k, ascending, without a lam call."""
-        return list(compress(masks, _select(self._flags(k), masks)))
+        return _flagged(masks, _select(self._flags(k), masks))
 
     def lam_flags(self, k: int, masks: Sequence[int]) -> bytes:
         """One byte per mask of `masks` (in order, repeats allowed), 1 where
@@ -450,27 +464,33 @@ class ConnectivitySystem:
     @classmethod
     def graph(cls, edges: Sequence[Tuple[object, object]], labels=None,
               verify: Optional[bool] = None) -> "ConnectivitySystem":
-        """lambda_G(X) = vertices meeting a non-loop edge of X and one of E-X."""
+        """lambda_G(X) = vertices meeting a non-loop edge of X and one of E-X.
+
+        With t(X) the number of vertices that X meets through a non-loop
+        edge, that is t(X) + t(E-X) - V for the V vertices with a non-loop
+        edge, since E-X meets every such vertex that X misses.  Each vertex
+        adds its 0/1 table "X meets inc(v)" to t on byte lanes; the table
+        doubles once per element, its new half all ones when the element is
+        in inc(v).  The table of t(E-X) is that of t reversed, and no lane
+        of the sum lies below V, so subtracting V borrows from none."""
         n = len(edges)
         labels = _checked_labels(n, labels)
-        verts = sorted({v for e in edges for v in e}, key=repr)
-        inc = []
-        for v in verts:
-            m = 0
-            for i, (a, b) in enumerate(edges):
-                if a == b:
-                    continue  # loops never make their vertex a boundary vertex
-                if v == a or v == b:
-                    m |= 1 << i
-            if m:
-                inc.append(m)
-        # vertex v counts at X iff X meets inc(v) but does not contain it
-        full = full_mask(n)
-        every = (1 << (1 << n)) - 1
+        inc: Dict[object, int] = {}
+        for i, (a, b) in enumerate(edges):
+            if a != b:  # loops never make their vertex a boundary vertex
+                inc[a] = inc.get(a, 0) | 1 << i
+                inc[b] = inc.get(b, 0) | 1 << i
         total = 0
-        for m in inc:
-            total += byte_lanes(every ^ down_closure(full ^ m) ^ up_closure(1 << m, n), n)
-        return cls(n, "graph", total.to_bytes(1 << n, "little"), labels, verify=verify)
+        for m in inc.values():
+            meets = b"\0"
+            for i in range(n):
+                meets += b"\1" * len(meets) if m >> i & 1 else meets
+            total += int.from_bytes(meets, "little")
+        met = total.to_bytes(1 << n, "little")
+        both = (total + int.from_bytes(met[::-1], "little")).to_bytes(1 << n, "little")
+        drop = len(inc)
+        table = both.translate(bytes((v - drop) & 0xFF for v in range(256)))
+        return cls(n, "graph", table, labels, verify=verify)
 
     @classmethod
     def r8_polymatroid(cls, ell: int, verify: Optional[bool] = None) -> "ConnectivitySystem":
@@ -528,4 +548,4 @@ def is_vertically_k_connected(rank: RankFunction, k: int) -> bool:
     r = rank.rank
     flags = _at_most_flags(rank.lam_table(), k - 1)
     return all(r(x) <= k - 2 or r(full ^ x) <= k - 2
-               for x in compress(range(1 << rank.n), flags))
+               for x in _flagged(range(1 << rank.n), flags))

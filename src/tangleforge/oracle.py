@@ -44,7 +44,7 @@ so two tangles never share one.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .bitset import elements_of
@@ -346,9 +346,16 @@ def _enumerate_flowers(sys: ConnectivitySystem, tangle: Tangle,
     partition comes once, its orders fix the block that holds element 0
     (rotations) and keep one of each order and its reverse (reflections),
     and a partition stops after its first order that is an anemone, since
-    every order of an anemone is one."""
+    every order of an anemone is one.
+
+    Each partition is at least one candidate (an order or its reverse is
+    kept), so the partitions are counted first: more than NODE_CAP of them
+    are refused before any flower is built."""
     k = tangle.k
     admissible = set(_all_separating(sys, tangle)) - _weak_set(tangle)
+    partitions = _admissible_partitions(sys.full, admissible, max_petals)
+    if sum(1 for _ in islice(partitions, NODE_CAP + 1)) > NODE_CAP:
+        raise SearchSpaceTooLarge(f"flower search exceeded {NODE_CAP} candidates")
     out: List[OracleFlower] = []
     candidates = 0
     for blocks in _admissible_partitions(sys.full, admissible, max_petals):

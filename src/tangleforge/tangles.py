@@ -9,7 +9,7 @@ A tangle of order k in (E, lam) is a collection T of subsets with
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, compress
+from itertools import combinations_with_replacement
 from typing import Iterable, List, Optional, Tuple
 
 from .bitset import complements, down_closure, elements_of, flags, join, maximal_masks
@@ -97,8 +97,8 @@ def verify_tangle(sys: ConnectivitySystem, tangle: Tangle) -> List[Violation]:
     Violations come axiom by axiom, each list ascending, without a lam call
     or a walk over all masks:
     (T1) the members whose lam <= k-1 flag is clear;
-    (T2) the (k-1)-separating masks without element n-1, less the members
-    and their complements, as one 2^n-bit family;
+    (T2) the (k-1)-separating masks without element n-1 of which neither
+    the mask nor its complement is a member;
     (T3) any covering triple of members is dominated by maximal members,
     and maximal a, b, c cover E iff E - c is in the pair family, so one
     test per maximal member decides it; only then are the triples of
@@ -109,14 +109,8 @@ def verify_tangle(sys: ConnectivitySystem, tangle: Tangle) -> List[Violation]:
     members = sorted(tangle.members)
     out = [Violation("T1", (a,))
            for a, below in zip(members, sys.lam_flags(k - 1, members)) if not below]
-    family = 0
-    for m in members:
-        family |= 1 << m
-    half = 1 << (n - 1)  # one side of each pair: the one without n-1
-    unoriented = (sys.k_separating(k - 1) & ((1 << half) - 1)
-                  & ~(family | complements(family, n)))
-    if unoriented:
-        out += [Violation("T2", (x,)) for x in compress(range(half), flags(unoriented, n))]
+    out += [Violation("T2", (x,)) for x in sys.lam_at_most(k - 1, range(1 << (n - 1)))
+            if x not in tangle.members and full ^ x not in tangle.members]
     maximal = sorted(tangle.maximal_members)
     two = tangle.pair_family
     if any(two >> (full ^ c) & 1 for c in maximal):
@@ -142,24 +136,25 @@ def is_robust(tangle: Tangle) -> bool:
 
 
 def _no_eight_members_cover(tangle: Tangle) -> bool:
-    """Every member lies in a maximal one, so E is a union of eight members
-    iff it lies in the down-closed family C_8, where C_1 is the weak family,
-    C_2 the pair family and C_{j+1} joins C_j with each maximal member.
-    The rounds stop at the first family that holds E.
+    """Every member lies in a maximal one, so with C_1 the weak family, C_2
+    the pair family and C_{j+1} the join of C_j with each maximal member,
+    C_j is the down-closed family of subsets of unions of j members.  E is a
+    union of eight members iff some X in C_4 has E - X in C_4.  The rounds
+    stop at the first family that holds E, and at the first that adds
+    nothing, since every later one is the same.
     """
     n, full = tangle.sys.n, tangle.sys.full
-    maximal = tangle.maximal_members
     covered = tangle.pair_family
-    for _ in range(6):
+    for _ in range(2):
         if covered >> full & 1:
-            break
+            return False
         grown = 0
-        for m in maximal:
+        for m in tangle.maximal_members:
             grown |= join(covered, m, n)
         if grown == covered:
-            break  # closed under further unions
+            return True
         covered = grown
-    return not covered >> full & 1
+    return not covered & complements(covered, n)
 
 
 def canonical_vertical_tangle(sys: ConnectivitySystem, k: int) -> Tangle:

@@ -3,21 +3,28 @@ against literal definitions written out here.
 
 Tables: the graph boundary count, a union-find cycle-matroid rank, the
 uniform rank and the matroid formula r(X) + r(E-X) - r(E) + 1, on
-multigraphs with loops and vertices that only carry loops.  Checks: the
-first witness of the lane submodularity and unit-increment checks against
-per-triple loops, on perturbed tables and on scaled and shifted copies
-whose lanes are wider than a byte.  Scans: `lam_at_most` against a filter,
-with and without a byte table, and `lam_flags` against one lam call per
-mask on shuffled lists with repeats; neither calls lam.
+multigraphs with loops and vertices that only carry loops, and at the
+domain edge (the Petersen graph and a 16-edge multigraph) on sampled
+masks.  Checks: the first witness of the lane submodularity and
+unit-increment checks against per-triple loops, on perturbed tables and
+on scaled and shifted copies whose lanes are wider than a byte.  Scans:
+`lam_at_most` against a filter, with and without a byte table, and
+`lam_flags` against one lam call per mask on shuffled lists with
+repeats; neither calls lam.  Listing: the flagged masks of a range,
+walked with `bytes.find` when few are flagged and through `compress`
+when many are, against the plain filter.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangleforge import ConnectivitySystem, RankFunction
-from tangleforge.core import (_lane_submodularity_failure, _lane_unit_increment_failure,
-                              _lanes, verify_connectivity_axioms, verify_rank_axioms)
+from tangleforge import ConnectivitySystem, RankFunction, core
+from tangleforge.core import (_flagged, _lane_submodularity_failure,
+                              _lane_unit_increment_failure, _lanes,
+                              verify_connectivity_axioms, verify_rank_axioms)
 from tangleforge.errors import PreconditionFailed
 
 MAX_EDGES = 12
@@ -91,6 +98,26 @@ def test_graph_tables_match_definitions(edges):
     want = [union_find_rank(edges, x) for x in range(1 << n)]
     assert list(rank._table) == want
     assert list(ConnectivitySystem.matroid(rank, verify=False)._table) == matroid_formula(want, n)
+
+
+PETERSEN = ([(i, (i + 1) % 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+            + [(i, i + 5) for i in range(5)])
+# 16 edges, past MAX_EDGES: parallel pairs 0-1 and 2-5, a loop at 3 and a
+# vertex 7 that only carries a loop
+MULTIGRAPH_16 = [(0, 1), (0, 1), (1, 2), (2, 3), (3, 3), (3, 4), (4, 5), (5, 0),
+                 (1, 4), (2, 5), (2, 5), (7, 7), (0, 3), (4, 6), (5, 6), (1, 6)]
+
+
+@pytest.mark.parametrize("edges", [PETERSEN, MULTIGRAPH_16], ids=["petersen", "multigraph-16"])
+def test_graph_tables_at_the_domain_edge(edges):
+    n = len(edges)
+    table = ConnectivitySystem.graph(edges, verify=False)._table
+    assert isinstance(table, bytes) and len(table) == 1 << n
+    assert table == table[::-1]  # lam(X) == lam(E - X)
+    rnd = random.Random(n)
+    for x in [0, (1 << n) - 1] + [rnd.randrange(1 << n) for _ in range(400)]:
+        assert table[x] == boundary_count(edges, x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,3 +304,60 @@ def test_flags_refuse_masks_outside_the_ground_set(build):
     for masks in (range(system.full, -1, -1), range(1, system.full + 1, 3), [system.full, 0]):
         assert system.lam_flags(1, masks) == bytes(system.lam(x) <= 1 for x in masks)
 
+
+# -- listing the flagged masks of a range -------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 600), st.integers(0, 40), st.integers(1, 2), st.sampled_from([1, 3, 50]),
+       st.randoms())
+def test_listing_matches_the_filter(start, length, step, one_in, rnd):
+    masks = range(start, start + length * step, step)
+    sel = bytes(rnd.randrange(one_in) == 0 for _ in masks)
+    assert _flagged(masks, sel) == [x for x, f in zip(masks, sel) if f]
+
+
+@pytest.mark.parametrize("masks", [range(0), range(7, 7), range(9, 3, 2)])
+def test_listing_of_an_empty_range_is_empty(masks):
+    assert _flagged(masks, b"") == []
+
+
+@pytest.mark.parametrize("one_in", [1, 2, 9, 1000])
+@pytest.mark.parametrize("step", [1, 2])
+def test_listing_of_long_ranges_matches_the_filter(one_in, step):
+    masks = range(step - 1, 1 << 13, step)
+    sel = bytes(x % one_in == 0 for x in masks)
+    assert _flagged(masks, sel) == [x for x, f in zip(masks, sel) if f]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(-3, 300), min_size=1 << n, max_size=1 << n)),
+    st.integers(-4, 300), st.integers(1, 2))
+def test_listing_matches_the_filter_on_a_list_table(table, k, step):
+    n = len(table).bit_length() - 1
+    system = ConnectivitySystem.from_table(n, table, verify=False)
+    masks = range(step - 1, 1 << n, step)
+    assert system.lam_at_most(k, masks) == [x for x in masks if table[x] <= k]
+
+
+def counting_compress(monkeypatch):
+    calls = []
+    compress = core.compress
+    monkeypatch.setattr(core, "compress", lambda *a: calls.append(a) or compress(*a))
+    return calls
+
+
+def test_petersen_order_5_listing_is_sparse(monkeypatch):
+    petersen = ConnectivitySystem.graph(PETERSEN, verify=False)
+    masks = range(1 << 14)
+    calls = counting_compress(monkeypatch)
+    got = petersen.lam_at_most(4, masks)
+    assert len(got) == 266 and not calls  # 266 of 16,384 masks: walked with find
+    assert got == [x for x in masks if petersen.lam(x) <= 4]
+
+
+def test_dense_listing_goes_through_compress(monkeypatch):
+    u89 = ConnectivitySystem.matroid(RankFunction.uniform(8, 9), verify=False)
+    calls = counting_compress(monkeypatch)
+    assert u89.lam_at_most(2, range(1, 1 << 9, 2)) == list(range(1, 1 << 9, 2))
+    assert len(calls) == 1  # every odd mask is flagged

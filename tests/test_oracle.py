@@ -83,15 +83,22 @@ class TestOracleFlowers:
     def test_partitions_follow_the_flowers(self, monkeypatch):
         """C12 at order 2 has 782 flowers of at most four petals, one per
         partition into admissible petals.  Walking every partition of E into
-        at most four blocks and filtering afterwards generated 700,075."""
+        at most four blocks and filtering afterwards generated 700,075.  The
+        partitions are walked twice: counted against NODE_CAP, then turned
+        into flowers."""
         system = ConnectivitySystem.graph([(i, (i + 1) % 12) for i in range(12)])
         tangle = enumerate_tangles(system, 2)[0]
-        yielded = []
+        walks = []
         real = oracle._admissible_partitions
-        monkeypatch.setattr(oracle, "_admissible_partitions",
-                            lambda *args: (yielded.append(p) or p for p in real(*args)))
+
+        def walk(*args):
+            yielded = []
+            walks.append(yielded)
+            return (yielded.append(p) or p for p in real(*args))
+
+        monkeypatch.setattr(oracle, "_admissible_partitions", walk)
         assert len(oracle_flowers(system, tangle, 4)) == 782
-        assert len(yielded) <= 1000
+        assert [len(yielded) for yielded in walks] == [782, 782]
 
     def test_walk_over_node_cap_is_refused_and_not_kept(self, c6g, monkeypatch):
         tangle, = enumerate_tangles(c6g, 2)
@@ -100,6 +107,19 @@ class TestOracleFlowers:
             oracle_flowers(c6g, tangle, 4)
         assert 4 not in tangle.__dict__["_oracle_flowers"]
         assert oracle_flowers(c6g, tangle, 1) == [((c6g.full,), 2, "anemone")]
+
+    def test_refusal_comes_before_any_flower_is_built(self, c6g, monkeypatch):
+        # C6 has more than ten partitions into at most four arcs
+        tangle, = enumerate_tangles(c6g, 2)
+
+        def build(*args):
+            raise AssertionError("a flower was built before the refusal")
+
+        monkeypatch.setattr(oracle, "NODE_CAP", 10)
+        monkeypatch.setattr(oracle, "OracleFlower", build)
+        monkeypatch.setattr(oracle, "Flower", build)
+        with pytest.raises(SearchSpaceTooLarge, match="flower search exceeded 10 candidates"):
+            oracle_flowers(c6g, tangle, 4)
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_petal_cap_below_one_is_refused(self, ctx_u26, cap):
@@ -174,9 +194,9 @@ class TestSOrder:
         monkeypatch.setattr(oracle, "_admissible_partitions",
                             lambda *args: calls.append(args) or real(*args))
         flowers = oracle_flowers(sys, tangle, 4)
-        assert len(calls) == 1
+        assert len(calls) == 2  # the count against NODE_CAP, then the walk
         assert oracle_flowers(sys, tangle, 4) == flowers  # the same petal cap
-        assert len(calls) == 1
+        assert len(calls) == 2
 
 
 class TestOracleCertify:

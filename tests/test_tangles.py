@@ -65,6 +65,15 @@ class TestRobustness:
         # six single-edge members cover all of E(K_4)
         assert not is_robust(ctx_mk4.tangle)
 
+    @pytest.mark.parametrize("n, robust", [(8, False), (9, True)])
+    def test_canonical_order_3_tangle_of_U_4_n(self, n, robust):
+        # members: the empty set and the n singletons.  C_4 holds the sets of
+        # at most four elements, so some X in C_4 has E - X in C_4 iff n <= 8
+        sys = ConnectivitySystem.matroid(RankFunction.uniform(4, n), verify=False)
+        t = canonical_vertical_tangle(sys, 3)
+        assert t.members == {0} | {1 << e for e in range(n)}
+        assert is_robust(t) is robust
+
     def test_u2_12_wide_tangle_robust(self):
         # order-3 tangle of U_{2,12}: members are the empty set and the
         # twelve singletons; eight of them cannot cover twelve elements.
@@ -255,13 +264,14 @@ class TestCost:
         tangle = Tangle(u3_12_tangle.sys, 4, u3_12_tangle.members)
         assert verify_tangle(tangle.sys, tangle) == []
 
-    def test_robustness_stops_at_the_first_family_holding_E(self, u3_12_tangle,
-                                                            monkeypatch):
+    def test_robustness_joins_no_family_past_C_4(self, u3_12_tangle, monkeypatch):
         calls = []
         join = tangles.join
         monkeypatch.setattr(tangles, "join", lambda *a: calls.append(a) or join(*a))
         assert not is_robust(Tangle(u3_12_tangle.sys, 4, u3_12_tangle.members))
-        assert len(calls) == 330  # C_2 to C_6, 66 joins each; E is first in C_6
+        # C_2 to C_4, 66 joins each: E is first in C_6, but some X in C_4
+        # (eight elements) has E - X (four) in C_4
+        assert len(calls) == 198
 
 
 @pytest.mark.parametrize("build, message", [
