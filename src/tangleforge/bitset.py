@@ -38,17 +38,6 @@ def elements_of(mask: int) -> List[int]:
     return out
 
 
-def maximal_masks(masks: Iterable[int]) -> Tuple[int, ...]:
-    """The subset-maximal masks among `masks`, largest first.  A mask is
-    kept iff no kept mask contains it: any strict superset is larger, so it
-    was met earlier and is itself kept or inside a kept one."""
-    out: List[int] = []
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        if not any(m & ~kept == 0 for kept in out):
-            out.append(m)
-    return tuple(out)
-
-
 # -- families of subsets ------------------------------------------------
 #
 # A family of subsets of an n-element ground set is one int of 2^n bits:
@@ -58,11 +47,12 @@ def maximal_masks(masks: Iterable[int]) -> Tuple[int, ...]:
 
 
 def down_closure(mask: int) -> int:
-    """The family of all submasks of mask."""
-    family = 1 << mask
+    """The family of all submasks of mask, grown from {} by adding each
+    element of mask to every member so far: an int of mask + 1 bits."""
+    family = 1
     while mask:
         low = mask & -mask
-        family |= family >> low  # add each member with element low removed
+        family |= family << low
         mask ^= low
     return family
 

@@ -566,6 +566,9 @@ def differential_report(sys: ConnectivitySystem, tangle: Tangle,
     from .closure import full_closure
     from .flowers import classify
 
+    # the flower walk first, so that a walk past NODE_CAP refuses before
+    # any closure is computed; its disagreements still come last
+    flowers = None if max_petals is None else oracle_flowers(sys, tangle, max_petals)
     closure_checks, flower_count, disagreements = 0, None, []
     for x in _all_separating(sys, tangle):
         if not _weak(tangle, x):
@@ -580,8 +583,7 @@ def differential_report(sys: ConnectivitySystem, tangle: Tangle,
     oracle_cls = [[s.side for s in cls] for cls in oracle_classes(sys, tangle, s_family)]
     if engine_classes != oracle_cls:
         disagreements.append({"op": "classes", "engine": engine_classes, "oracle": oracle_cls})
-    if max_petals is not None:
-        flowers = oracle_flowers(sys, tangle, max_petals)
+    if flowers is not None:
         flower_count = len(flowers)
         for f in flowers:
             lit = f.klass

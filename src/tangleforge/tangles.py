@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import Iterable, List, Optional, Tuple
 
-from .bitset import complements, down_closure, elements_of, flags, join, maximal_masks
+from .bitset import complements, down_closure, elements_of, flags, join
 from .core import NODE_CAP, ConnectivitySystem, Violation, is_vertically_k_connected
 from .errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 
@@ -20,9 +20,12 @@ from .errors import PreconditionFailed, SearchSpaceTooLarge, ViolationFound
 class Tangle:
     """An order plus the explicit member collection, bound to its system.
 
-    Immutable after construction apart from caches.  The weak family, every
-    subset of a member as a 2^n-bit int, is built on first use together with
-    a copy of one byte per mask, so the weak test is one index after the
+    Immutable after construction apart from caches.  One pass over the
+    members, largest first, keeps a member iff it is outside the running
+    down-closure of the members kept so far: the kept ones are the maximal
+    members, and the final down-closure is the weak family, every subset of
+    a member as a 2^n-bit int.  A copy of the weak family with one byte per
+    mask is built on first use, so the weak test is one index after the
     ground-set check.  The pair family (every subset of a union of two
     members), the full-closure cache, the closure module's tables of fully
     closed sets and default-S members, and the robustness verdict live here
@@ -34,26 +37,22 @@ class Tangle:
         self.sys = sys
         self.k = k
         self.members = frozenset(members)
-        for m in self.members:
+        maximal: List[int] = []
+        weak = 0
+        # equal-size members come in the iteration order of a set copy
+        for m in sorted(set(self.members), key=int.bit_count, reverse=True):
             if m & ~sys.full:
                 raise PreconditionFailed("member outside ground set")
-        self.maximal_members = maximal_masks(self.members)
+            if not weak >> m & 1:
+                maximal.append(m)
+                weak |= down_closure(m)
+        self.maximal_members = tuple(maximal)
+        self.weak_family = weak
         self._fcl_cache: dict = {}
         self._robust: Optional[bool] = None
-        self._weak_family: Optional[int] = None
         self._weak_flags: Optional[bytes] = None
         self._pair_family: Optional[int] = None
         self._closure_tables = None  # closure._closure_tables
-
-    @property
-    def weak_family(self) -> int:
-        """Every subset of a member."""
-        if self._weak_family is None:
-            family = 0
-            for m in self.maximal_members:
-                family |= down_closure(m)
-            self._weak_family = family
-        return self._weak_family
 
     @property
     def pair_family(self) -> int:
@@ -188,57 +187,56 @@ def enumerate_tangles(sys: ConnectivitySystem, k: int) -> List[Tangle]:
     increasing order of small-side size, pruning on T3 and T4.  A leaf whose
     verification fails raises ViolationFound with the first violation.
 
-    T3 pruning keeps, per depth, the down-closed families `one` of subsets
-    of a chosen side and `two` of subsets of a union of two chosen sides:
-    a candidate C completes a covering triple iff E - C is in `two`.
+    Along the path, `one` holds {} and the subsets of a chosen side and
+    `two` the subsets of a union of two chosen sides: a side C completes a
+    covering triple iff E - C is in `two`.  Both sides of a pair are tested
+    when it is reached.  Only a pair with both sides viable leaves a resume
+    point (its depth, families and large side), taken after the small
+    side's subtree; a pair with one viable side is taken with no frame.
     """
     n = sys.n
     full = sys.full
-    # One side of each pair: x, the one without n-1.  So x < E - x, and x
-    # is the small side iff it has at most half the elements.
-    pairs = [(x, full ^ x) if x.bit_count() <= n // 2 else (full ^ x, x)
-             for x in sys.lam_at_most(k - 1, range(1 << (n - 1)))]
-    pairs.sort(key=lambda p: (p[0].bit_count(), p[0]))
+    # The small side of each pair, from x, the side without n-1: x < E - x,
+    # and x is the small side iff it has at most half the elements.
+    smalls = [x if x.bit_count() <= n // 2 else full ^ x
+              for x in sys.lam_at_most(k - 1, range(1 << (n - 1)))]
+    smalls.sort()
+    smalls.sort(key=int.bit_count)
 
     results: List[Tangle] = []
     chosen: List[int] = []
-    nodes = 0
-
-    def visit() -> bool:
-        """Count a node; at a leaf, verify and keep the tangle."""
-        nonlocal nodes
-        nodes += 1
+    resume: List[Tuple[int, int, int, int]] = []  # (depth, one, two, large side)
+    depth, one, two = 0, 1, 0
+    nodes = 1  # the root
+    while True:
         if nodes > NODE_CAP:
             raise SearchSpaceTooLarge(f"tangle search exceeded {NODE_CAP} nodes")
-        if len(chosen) < len(pairs):
-            return True
-        tangle = Tangle(sys, k, chosen)
-        bad = verify_tangle(sys, tangle)
-        if bad:
-            raise ViolationFound("tangle search produced a non-tangle", bad[0])
-        results.append(tangle)
-        return False
-
-    # One frame per open depth: its remaining sides and the families of the
-    # sides chosen above it.  Depth-first, smaller side first.
-    stack = [(iter(pairs[0]), 0, 0)] if visit() else []
-    while stack:
-        sides, one, two = stack[-1]
-        for side in sides:
-            # T4 (and E itself), then T3
-            if side.bit_count() < n - 1 and not two >> (full ^ side) & 1:
+        if depth == len(smalls):
+            tangle = Tangle(sys, k, chosen)
+            bad = verify_tangle(sys, tangle)
+            if bad:
+                raise ViolationFound("tangle search produced a non-tangle", bad[0])
+            results.append(tangle)
+            side = None
+        else:
+            small = smalls[depth]
+            large = full ^ small
+            # T4 (and E itself), then T3: E - small is large, E - large small
+            small_ok = small.bit_count() < n - 1 and not two >> large & 1
+            large_ok = large.bit_count() < n - 1 and not two & 1 << small
+            if small_ok and large_ok:
+                resume.append((depth, one, two, large))
+            side = small if small_ok else large if large_ok else None
+        if side is None:
+            if not resume:
                 break
-        else:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
+            depth, one, two, side = resume.pop()
+            del chosen[depth:]
         chosen.append(side)
-        if visit():
-            one_below = one | down_closure(side)
-            stack.append((iter(pairs[len(chosen)]), one_below,
-                          two | join(one_below, side, n)))
-        else:
-            chosen.pop()
+        nodes += 1
+        depth += 1
+        if depth < len(smalls):
+            two |= join(one, side, n)
+            one |= down_closure(side)
     results.sort(key=lambda t: t.member_key())
     return results

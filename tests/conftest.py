@@ -12,7 +12,7 @@ import pytest
 
 from tangleforge import (ConnectivitySystem, RankFunction, build_r8_rank,
                          enumerate_tangles)
-from tangleforge.bitset import elements_of
+from tangleforge.bitset import down_closure, elements_of, join
 from tangleforge.closure import Separation, build_default_S, full_closure
 from tangleforge.core import Violation
 from tangleforge.errors import DichotomyViolation, TangleforgeError, ViolationFound
@@ -20,7 +20,7 @@ from tangleforge.flowers import (ANEMONE, DAISY, Flower, class_conforms, classif
                                  displayed_separations, verify_flower)
 from tangleforge.oracle import (_displayed_unions, _flower_class_literal, _fully_closed,
                                _in_S, _weak_set, oracle_full_closure)
-from tangleforge.tangles import Tangle
+from tangleforge.tangles import Tangle, verify_tangle
 from tangleforge.trees import _nonempty_bags
 
 
@@ -123,6 +123,16 @@ def submasks(mask):
         if s == 0:
             return
         s = (s - 1) & mask
+
+
+def hypergraph_table(n, hyperedges):
+    """The lambda table of a hypergraph with n hyperedges, each a set of
+    vertices: lambda(X) = the vertices met by a hyperedge in X and one in
+    E - X."""
+    vertices = set().union(*hyperedges)
+    incidence = [sum(1 << i for i, h in enumerate(hyperedges) if v in h) for v in vertices]
+    full = (1 << n) - 1
+    return [sum(1 for m in incidence if m & x and m & ~x & full) for x in range(1 << n)]
 
 
 def reference_partitions(n: int, max_blocks: int):
@@ -546,6 +556,63 @@ def reference_verify_tangle(sys, tangle):
         if co in tangle.members:
             out.append(Violation("T4", (co,)))
     return out
+
+
+def maximal_masks(masks):
+    """The subset-maximal masks among `masks`, largest first.  A mask is
+    kept iff no kept mask contains it: any strict superset is larger, so it
+    was met earlier and is itself kept or inside a kept one."""
+    out = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(m & ~kept == 0 for kept in out):
+            out.append(m)
+    return tuple(out)
+
+
+def reference_enumerate_tangles(sys, k):
+    """The tangle search with one frame per depth (an iterator over the
+    pair's sides, smaller first, and the families of the sides chosen
+    above it), counting every node and never refusing: (the tangles in the
+    order their leaves are reached, node count).  The smallest NODE_CAP
+    the library search passes under is that count."""
+    n, full = sys.n, sys.full
+    pairs = [(x, full ^ x) if x.bit_count() <= n // 2 else (full ^ x, x)
+             for x in sys.lam_at_most(k - 1, range(1 << (n - 1)))]
+    pairs.sort(key=lambda p: (p[0].bit_count(), p[0]))
+    results, chosen = [], []
+    nodes = 0
+
+    def visit():
+        nonlocal nodes
+        nodes += 1
+        if len(chosen) < len(pairs):
+            return True
+        tangle = Tangle(sys, k, chosen)
+        bad = verify_tangle(sys, tangle)
+        if bad:
+            raise ViolationFound("tangle search produced a non-tangle", bad[0])
+        results.append(tangle)
+        return False
+
+    stack = [(iter(pairs[0]), 0, 0)] if visit() else []
+    while stack:
+        sides, one, two = stack[-1]
+        for side in sides:
+            if side.bit_count() < n - 1 and not two >> (full ^ side) & 1:
+                break
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        chosen.append(side)
+        if visit():
+            one_below = one | down_closure(side)
+            stack.append((iter(pairs[len(chosen)]), one_below,
+                          two | join(one_below, side, n)))
+        else:
+            chosen.pop()
+    return results, nodes
 
 
 def unique_tangle(sys, k):

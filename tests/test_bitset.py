@@ -4,10 +4,9 @@ import pytest
 
 from tangleforge.bitset import (byte_lanes, complements, disjoint_from, down_closure,
                                 elements_of, family_of, flags, full_mask, join, mask_of,
-                                maximal_family, maximal_masks, popcount_layers,
-                                up_closure)
+                                maximal_family, popcount_layers, up_closure)
 
-from conftest import submasks
+from conftest import maximal_masks, submasks
 
 
 def test_mask_roundtrip():

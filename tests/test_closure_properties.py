@@ -22,6 +22,8 @@ from tangleforge import (ConnectivitySystem, RankFunction, build_default_S,
                          enumerate_tangles, is_fully_closed, is_robust)
 from tangleforge.closure import _closure_tables, full_closure_sequence
 
+from conftest import hypergraph_table
+
 ORDERS = st.sampled_from([2, 3, 4])
 
 
@@ -39,10 +41,7 @@ def hypergraph_tables(draw):
     nv = draw(st.integers(3, 7))
     n = draw(st.integers(4, 8))
     ends = st.sets(st.integers(0, nv - 1), min_size=2, max_size=min(4, nv))
-    hyperedges = draw(st.lists(ends, min_size=n, max_size=n))
-    incidence = [sum(1 << i for i, h in enumerate(hyperedges) if v in h) for v in range(nv)]
-    full = (1 << n) - 1
-    return n, [sum(1 for m in incidence if m & x and m & ~x & full) for x in range(1 << n)]
+    return n, hypergraph_table(n, draw(st.lists(ends, min_size=n, max_size=n)))
 
 
 def greedy_closure(system, k, weak, x):

@@ -286,6 +286,22 @@ class TestDifferential:
         else:
             assert flip[first["engine"]] == first["oracle"]
 
+    def test_an_oversized_flower_walk_refuses_before_any_closure(self, c6g, monkeypatch):
+        # C6 has more than ten partitions into at most four arcs, so the
+        # report refuses; no engine closure is computed for a report that
+        # is never made.  A fresh tangle, so no flower walk is memoized.
+        import tangleforge.closure as closure
+        tangle, = enumerate_tangles(c6g, 2)
+        S = build_default_S(c6g, tangle)
+
+        def no_closure(*args):
+            raise AssertionError("a closure was computed before the refusal")
+
+        monkeypatch.setattr(oracle, "NODE_CAP", 10)
+        monkeypatch.setattr(closure, "full_closure", no_closure)
+        with pytest.raises(SearchSpaceTooLarge, match="flower search exceeded 10 candidates"):
+            differential_report(c6g, tangle, S, max_petals=4)
+
 
 class TestOracleMemos:
     """The weak set and the fully-closed memo are tables of the literal

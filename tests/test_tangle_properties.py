@@ -5,21 +5,30 @@ robustness test against literal definitions.
 maximal members, `enumerate_tangles` with trying every orientation of the
 (k-1)-separations and keeping those `verify_tangle` accepts, and
 `verify_tangle` with the literal walks of `reference_verify_tangle`.
+Past the orientations that can be tried one by one, `enumerate_tangles`
+must agree with `reference_enumerate_tangles`, a search with one frame per
+depth: the same tangles, and refusal at the same node count.
 """
 
 from itertools import combinations, product
+from unittest import mock
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from tangleforge import ConnectivitySystem, enumerate_tangles, is_robust, verify_tangle
+from tangleforge import (ConnectivitySystem, RankFunction, enumerate_tangles, is_robust,
+                         tangles, verify_tangle)
+from tangleforge.errors import SearchSpaceTooLarge
 from tangleforge.tangles import Tangle
 
-from conftest import reference_verify_tangle, submasks
+from conftest import (BARBELL_EDGES, hypergraph_table, maximal_masks,
+                      reference_enumerate_tangles, reference_verify_tangle, submasks)
 
 MAX_N = 8
 MAX_EDGES = 8
 MAX_PAIRS = 10  # 2^10 orientations, each verified literally
+MAX_SEARCH_EDGES = 12
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
@@ -136,3 +145,82 @@ def test_verify_tangle_matches_literal_walks(drawn):
     system, k, members = drawn
     got = verify_tangle(system, Tangle(system, k, members))
     assert got == reference_verify_tangle(system, Tangle(system, k, members))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, MAX_N), data=st.data())
+def test_tangle_keeps_maximal_members_and_weak_family(n, data):
+    # any member set, not only a down-closed one
+    members = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    system = ConnectivitySystem.from_table(n, [0] * (1 << n), verify=False)
+    tangle = Tangle(system, 2, members)
+    assert tangle.maximal_members == maximal_masks(frozenset(members))
+    assert tangle.weak_family == sum(1 << x for x in range(1 << n)
+                                     if any(x & ~m == 0 for m in members))
+
+
+@st.composite
+def search_systems(draw):
+    """("graph" or "matroid", multigraph edges) or ("table", n, lambda
+    table) of a hypergraph with 4-10 hyperedges of 2-4 ends on 3-7
+    vertices.  Multigraphs have up to 12 edges, loops allowed: half of the
+    draws are on 2-7 vertices, the rest two blobs of 3-4 vertices sharing
+    one, so that two or more tangles come up."""
+    kind = draw(st.sampled_from(["graph", "matroid", "table"]))
+    if kind == "table":
+        nv = draw(st.integers(3, 7))
+        n = draw(st.integers(4, 10))
+        ends = st.sets(st.integers(0, nv - 1), min_size=2, max_size=min(4, nv))
+        return kind, n, hypergraph_table(n, draw(st.lists(ends, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        vertex = st.integers(0, draw(st.integers(1, 6)))
+        return kind, draw(st.lists(st.tuples(vertex, vertex), min_size=1,
+                                   max_size=MAX_SEARCH_EDGES))
+    shared = draw(st.integers(2, 3))
+    blobs = [range(shared + 1), range(shared, shared + draw(st.integers(3, 4)))]
+    edges = []
+    for blob in blobs:
+        edge = st.sampled_from(list(combinations(blob, 2)))
+        edges += draw(st.lists(edge, min_size=3, max_size=MAX_SEARCH_EDGES // 2))
+    return kind, edges
+
+
+def build_search_system(drawn):
+    if drawn[0] == "graph":
+        return ConnectivitySystem.graph(drawn[1], verify=False)
+    if drawn[0] == "matroid":
+        return ConnectivitySystem.matroid(RankFunction.graphic(drawn[1]), verify=False)
+    return ConnectivitySystem.from_table(drawn[1], drawn[2], verify=False)
+
+
+BLOBS = [{0, 1, 2}, {0, 1, 3}, {1, 2, 3}, {0, 2, 3}, {3, 4},
+         {4, 5, 6}, {4, 5, 7}, {5, 6, 7}, {4, 6, 7}]  # two tangles at orders 3 and 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=search_systems(), k=st.integers(1, 5))
+@example(drawn=("graph", BARBELL_EDGES), k=2)         # three tangles
+@example(drawn=("matroid", BARBELL_EDGES), k=2)       # two tangles
+@example(drawn=("table", 9, hypergraph_table(9, BLOBS)), k=3)
+@example(drawn=("table", 9, hypergraph_table(9, BLOBS)), k=4)
+@example(drawn=("graph", K4 + [(a + 4, b + 4) for a, b in K4[:5]] + [(3, 4)]), k=4)  # 72 nodes
+def test_search_matches_the_reference_and_refuses_at_its_node_count(drawn, k):
+    system = build_search_system(drawn)
+    want, nodes = reference_enumerate_tangles(system, k)
+    event("2 or more tangles" if len(want) >= 2 else f"{len(want)} tangles")
+    pairs = len(system.lam_at_most(k - 1, range(1 << (system.n - 1))))
+    event("past MAX_PAIRS" if pairs > MAX_PAIRS else "within MAX_PAIRS")
+    leaves = []
+
+    def verify(system_, tangle):
+        leaves.append(tangle.member_key())
+        return verify_tangle(system_, tangle)
+
+    with mock.patch.object(tangles, "NODE_CAP", nodes), \
+            mock.patch.object(tangles, "verify_tangle", verify):
+        got = enumerate_tangles(system, k)
+    assert leaves == [t.member_key() for t in want]  # the same depth-first order
+    assert [t.member_key() for t in got] == sorted(leaves)
+    with mock.patch.object(tangles, "NODE_CAP", nodes - 1):
+        with pytest.raises(SearchSpaceTooLarge, match=f"exceeded {nodes - 1} nodes"):
+            enumerate_tangles(system, k)

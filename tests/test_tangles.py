@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -86,8 +87,16 @@ class TestRobustness:
 def test_search_deeper_than_recursion_limit_finds_no_tangle():
     # 8192 separation pairs at order 5, deeper than the interpreter's
     # recursion limit; the search keeps its own stack and finds no tangle.
+    # No pair on the path has two viable sides, so it keeps no 2^14-bit
+    # families per depth: the peak stays near that of one path's families.
     sys = ConnectivitySystem.matroid(RankFunction.uniform(3, 14), verify=False)
-    assert enumerate_tangles(sys, 5) == []
+    tracemalloc.start()
+    try:
+        assert enumerate_tangles(sys, 5) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def test_scans_above_the_cap_are_refused():

@@ -657,7 +657,7 @@ def test_lam_error_at_flower_vertex_propagates():
 def test_maximal_k_separating_between_matches_the_submask_walk(ctx_barbell, ctx_r8p1,
                                                                ctx_mk4):
     import random
-    from tangleforge.bitset import maximal_masks
+    from conftest import maximal_masks
     from tangleforge.trees import _maximal_k_separating_between
     rng = random.Random(23)
     for ctx in (ctx_barbell, ctx_r8p1, ctx_mk4):
